@@ -1,9 +1,10 @@
-// Package repro's benchmark harness: one testing.B benchmark per paper
-// figure (Fig 10(a-f), 11(a-c), 12(a-d)) plus the ablation benches of
-// DESIGN.md section 8. Figure benches run a reduced number of runs per
-// point per iteration (the -runs equivalent is the benchRuns constant)
-// and report the headline series values as custom metrics so `go test
-// -bench` output doubles as a sanity check of the reproduced shapes.
+// Package repro's benchmark harness: one sub-benchmark per figure
+// (Fig 10(a-f), 11(a-c), 12(a-d) and the extension m1) plus the
+// ablation benches of DESIGN.md section 8. Figure benches run a reduced
+// number of runs per point per iteration (the -runs equivalent is the
+// benchRuns constant) and report the headline series values as custom
+// metrics so `go test -bench` output doubles as a sanity check of the
+// reproduced shapes.
 //
 // Regenerate the full paper tables with cmd/repro instead; these benches
 // measure the cost of regenerating them and pin the shape invariants.
@@ -40,37 +41,25 @@ func benchConfig(i int) experiments.Config {
 	return experiments.Config{Runs: benchRuns, Seed: uint64(1000 + i), Workers: 0}
 }
 
-// benchFigure runs one figure regeneration per b.N iteration and reports
-// the last x-point's Minim value as a custom metric.
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.ByID(id, benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := fig.Series[0]
-		last = s.Y[len(s.Y)-1]
+// BenchmarkFigures runs one figure regeneration per b.N iteration for
+// every figure ID and reports the last x-point's first series as a
+// custom metric.
+func BenchmarkFigures(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			var last float64
+			for i := 0; i < b.N; i++ {
+				fig, err := experiments.ByID(id, benchConfig(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := fig.Series[0]
+				last = s.Y[len(s.Y)-1]
+			}
+			b.ReportMetric(last, "minim_last_point")
+		})
 	}
-	b.ReportMetric(last, "minim_last_point")
 }
-
-// ---- One bench per paper figure ----
-
-func BenchmarkFig10a(b *testing.B) { benchFigure(b, "10a") }
-func BenchmarkFig10b(b *testing.B) { benchFigure(b, "10b") }
-func BenchmarkFig10c(b *testing.B) { benchFigure(b, "10c") }
-func BenchmarkFig10d(b *testing.B) { benchFigure(b, "10d") }
-func BenchmarkFig10e(b *testing.B) { benchFigure(b, "10e") }
-func BenchmarkFig10f(b *testing.B) { benchFigure(b, "10f") }
-func BenchmarkFig11a(b *testing.B) { benchFigure(b, "11a") }
-func BenchmarkFig11b(b *testing.B) { benchFigure(b, "11b") }
-func BenchmarkFig11c(b *testing.B) { benchFigure(b, "11c") }
-func BenchmarkFig12a(b *testing.B) { benchFigure(b, "12a") }
-func BenchmarkFig12b(b *testing.B) { benchFigure(b, "12b") }
-func BenchmarkFig12c(b *testing.B) { benchFigure(b, "12c") }
-func BenchmarkFig12d(b *testing.B) { benchFigure(b, "12d") }
 
 // ---- Per-event microbenchmarks ----
 

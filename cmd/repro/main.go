@@ -6,15 +6,16 @@
 //
 //	repro [-fig 10a] [-runs 100] [-seed 20010113] [-workers 0] [-validate]
 //
-// Without -fig, every figure is regenerated in paper order. The paper
-// averages over 100 runs; -runs 10 gives the same shapes in a tenth of
-// the time.
+// Without -fig, every figure is regenerated in paper order, simulating
+// each of the five section 5 sweeps (join vs N, join vs average range,
+// raise factor, move vs maxdisp, move vs RoundNo) once and projecting
+// its figures from it. The paper averages over 100 runs; -runs 10 gives
+// the same shapes in a tenth of the time.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -55,39 +56,49 @@ func main() {
 		fail(fmt.Errorf("unknown format %q (want table, csv, or gnuplot)", *format))
 	}
 
-	ids := experiments.IDs()
-	if *figID != "" {
-		ids = []string{*figID}
+	start := time.Now()
+	var figs []experiments.Figure
+	var err error
+	if *figID == "" {
+		figs, err = experiments.All(cfg)
+	} else {
+		var fig experiments.Figure
+		fig, err = experiments.ByID(*figID, cfg)
+		figs = []experiments.Figure{fig}
 	}
-	for _, id := range ids {
-		start := time.Now()
-		fig, err := experiments.ByID(id, cfg)
+	if err != nil {
+		fail(err)
+	}
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			fail(err)
+		}
+	}
+	for _, fig := range figs {
+		if *outDir == "" {
+			if err := render(os.Stdout, fig); err != nil {
+				fail(err)
+			}
+			if *format == "table" {
+				fmt.Println()
+			}
+			continue
+		}
+		name := "fig" + fig.ID + ext
+		f, err := os.Create(filepath.Join(*outDir, name))
 		if err != nil {
 			fail(err)
 		}
-		var out io.Writer = os.Stdout
-		var f *os.File
-		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fail(err)
-			}
-			f, err = os.Create(filepath.Join(*outDir, "fig"+id+ext))
-			if err != nil {
-				fail(err)
-			}
-			out = f
-		}
-		if err := render(out, fig); err != nil {
+		if err := render(f, fig); err != nil {
 			fail(err)
 		}
-		if f != nil {
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Printf("fig%s%s written (%.1fs)\n", id, ext, time.Since(start).Seconds())
-		} else if *format == "table" {
-			fmt.Printf("  elapsed: %.1fs\n\n", time.Since(start).Seconds())
+		if err := f.Close(); err != nil {
+			fail(err)
 		}
+		fmt.Printf("%s written\n", name)
+	}
+	if *outDir != "" || *format == "table" {
+		fmt.Printf("elapsed: %.1fs\n", time.Since(start).Seconds())
 	}
 }
 

@@ -12,7 +12,7 @@
 //     forbidden colors) through messages, then apply the identical
 //     decision procedures (core.Solve, lowest-free selection), so
 //     equality holds by construction and is re-verified at runtime.
-//   - Message locality (experiments.FigM1): the number of messages a
+//   - Message locality (experiments.ByID("m1")): the number of messages a
 //     join exchanges tracks the joiner's neighborhood size (node
 //     density), not the network size N — the protocols are local.
 //

@@ -1,20 +1,29 @@
 // Package experiments regenerates every figure of the paper's section 5
 // evaluation: Fig 10(a-f) for node joins, Fig 11(a-c) for power-range
-// increases, and Fig 12(a-d) for node movement. Each figure function
-// returns the plotted series (one per strategy); every point is the mean
+// increases, and Fig 12(a-d) for node movement. Every point is the mean
 // over cfg.Runs randomly generated networks, exactly as in the paper
 // ("all points on all plots are the average of the metric measured over
 // 100 runs").
 //
+// The thirteen figures are projections of five distinct simulations, the
+// sections: join vs N, join vs average range, raise factor, move vs
+// maxdisp and move vs RoundNo. A figure is one row of the figures table:
+// its section, the metric it extracts from each run and the strategies
+// it plots. ByID simulates one figure's section with only that figure's
+// strategies; All simulates each section once and projects every figure
+// from it.
+//
 // Runs are independent and fan out across a bounded worker pool sized to
-// the machine (the per-run work is the simulation of three strategies on
-// an identical event script).
+// the machine. Each point is folded in run order, so a figure does not
+// depend on the worker count.
 package experiments
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -48,9 +57,8 @@ func (c Config) workers() int {
 type Series struct {
 	Label string
 	X     []float64
-	Y     []float64       // mean over runs
-	Err   []float64       // 95% CI half-width over runs
-	Raw   []stats.Summary // full per-point summaries
+	Y     []float64 // mean over runs
+	Err   []float64 // 95% CI half-width over runs
 }
 
 // Figure is a regenerated paper figure.
@@ -62,117 +70,115 @@ type Figure struct {
 	Series []Series
 }
 
-// point is one (x index, strategy) cell of a sweep, aggregated over runs.
-type point struct {
-	acc map[sim.StrategyName]*stats.Accumulator
-	mu  sync.Mutex
-}
-
-func newPoint() *point {
-	p := &point{acc: make(map[sim.StrategyName]*stats.Accumulator)}
-	for _, n := range sim.AllStrategies {
-		p.acc[n] = &stats.Accumulator{}
+// runPool calls job once per (x index, run) on cfg.workers() goroutines
+// and returns the results indexed [x][run]. Run r of point xi gets the
+// (xi*cfg.Runs + r)-th value of the master stream, so the results do not
+// depend on the worker count. The first error in (x, run) order wins.
+func runPool[T any](cfg Config, nx int, job func(xi int, seed uint64) (T, error)) ([][]T, error) {
+	if cfg.Runs < 1 {
+		return nil, fmt.Errorf("experiments: Runs = %d, want at least 1", cfg.Runs)
 	}
-	return p
-}
-
-func (p *point) add(name sim.StrategyName, v float64) {
-	p.mu.Lock()
-	p.acc[name].Add(v)
-	p.mu.Unlock()
-}
-
-// sweep runs cfg.Runs simulations for every x value, extracting one
-// metric per strategy per run via extract. The scripts function builds
-// the (base, phase) event scripts for a given x value and per-run seed.
-func sweep(
-	cfg Config,
-	xs []float64,
-	scripts func(x float64, seed uint64) (base, phase []strategy.Event),
-	extract func(r sim.PhaseResult) float64,
-	strategies []sim.StrategyName,
-) ([]Series, error) {
-	points := make([]*point, len(xs))
-	for i := range points {
-		points[i] = newPoint()
-	}
-
-	type job struct {
-		xi  int
-		run int
-	}
-	jobs := make(chan job)
-	errCh := make(chan error, 1)
-	var wg sync.WaitGroup
+	n := nx * cfg.Runs
 	master := xrand.New(cfg.Seed)
-	// Pre-derive per-(point, run) seeds deterministically, independent of
-	// scheduling order.
-	seeds := make([][]uint64, len(xs))
-	for i := range xs {
-		seeds[i] = make([]uint64, cfg.Runs)
-		for r := 0; r < cfg.Runs; r++ {
-			seeds[i][r] = master.Uint64()
-		}
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = master.Uint64()
 	}
-
+	vals := make([]T, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
 	for w := 0; w < cfg.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				base, phase := scripts(xs[j.xi], seeds[j.xi][j.run])
-				results, err := sim.RunPhases(strategies, base, phase, cfg.Validate)
-				if err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					continue
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-				for _, r := range results {
-					points[j.xi].add(r.Name, extract(r))
-				}
+				vals[i], errs[i] = job(i/cfg.Runs, seeds[i])
 			}
 		}()
 	}
-	for xi := range xs {
-		for r := 0; r < cfg.Runs; r++ {
-			jobs <- job{xi, r}
-		}
-	}
-	close(jobs)
 	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-
-	series := make([]Series, 0, len(strategies))
-	for _, name := range strategies {
-		s := Series{Label: string(name), X: append([]float64(nil), xs...)}
-		for xi := range xs {
-			sum := points[xi].acc[name].Summary()
-			s.Y = append(s.Y, sum.Mean)
-			s.Err = append(s.Err, sum.CI95())
-			s.Raw = append(s.Raw, sum)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		series = append(series, s)
 	}
-	return series, nil
+	cells := make([][]T, nx)
+	for xi := range cells {
+		cells[xi] = vals[xi*cfg.Runs : (xi+1)*cfg.Runs]
+	}
+	return cells, nil
 }
 
-// ---- Fig 10: node join (section 5.1) ----
-
-// fig10NValues is the paper's x axis for Figs 10(a-c).
-func fig10NValues() []float64 {
-	return []float64{40, 50, 60, 70, 80, 90, 100, 110, 120}
+// fold is the series of value over cells, each point summarized in run
+// order.
+func fold[T any](label string, xs []float64, cells [][]T, value func(T) float64) Series {
+	s := Series{Label: label, X: append([]float64(nil), xs...)}
+	for _, runs := range cells {
+		var acc stats.Accumulator
+		for _, c := range runs {
+			acc.Add(value(c))
+		}
+		sum := acc.Summary()
+		s.Y = append(s.Y, sum.Mean)
+		s.Err = append(s.Err, sum.CI95())
+	}
+	return s
 }
 
-// fig10AvgRValues is the paper's x axis for Figs 10(d-f): average range
-// (minr+maxr)/2 with maxr-minr = 5.
-func fig10AvgRValues() []float64 {
-	return []float64{5, 15, 25, 35, 45, 55, 65}
+// section is one distinct section 5 simulation: an x axis, the event
+// scripts of one run at x, and the union of the strategies its figures
+// plot.
+type section struct {
+	xs         []float64
+	scripts    func(x float64, seed uint64) (base, phase []strategy.Event)
+	strategies []sim.StrategyName
+}
+
+// distributed is the paper's Minim and CP without the centralized BBB.
+var distributed = []sim.StrategyName{sim.Minim, sim.CP}
+
+// The five section 5 simulations.
+var (
+	joinVsN = &section{
+		xs:         []float64{40, 50, 60, 70, 80, 90, 100, 110, 120},
+		scripts:    joinScriptsForN,
+		strategies: sim.AllStrategies,
+	}
+	// Average range (minr+maxr)/2 with maxr-minr = 5.
+	joinVsAvgR = &section{
+		xs:         []float64{5, 15, 25, 35, 45, 55, 65},
+		scripts:    joinScriptsForAvgR,
+		strategies: sim.AllStrategies,
+	}
+	raiseFactor = &section{
+		xs:         []float64{1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5, 5.5, 6},
+		scripts:    raiseScripts,
+		strategies: sim.AllStrategies,
+	}
+	moveVsDisp = &section{
+		xs:         []float64{0, 10, 20, 30, 40, 50, 60, 70, 80},
+		scripts:    moveScriptsByDisp,
+		strategies: distributed,
+	}
+	moveVsRounds = &section{
+		xs:         []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		scripts:    moveScriptsByRounds,
+		strategies: sim.AllStrategies,
+	}
+)
+
+// simulate runs every point of s for the named strategies: cells[x][run]
+// holds one result per strategy, in the order of names.
+func (s *section) simulate(cfg Config, names []sim.StrategyName) ([][][]sim.PhaseResult, error) {
+	return runPool(cfg, len(s.xs), func(xi int, seed uint64) ([]sim.PhaseResult, error) {
+		base, phase := s.scripts(s.xs[xi], seed)
+		return sim.RunPhases(names, base, phase, cfg.Validate)
+	})
 }
 
 func joinScriptsForN(x float64, seed uint64) ([]strategy.Event, []strategy.Event) {
@@ -192,127 +198,10 @@ func joinScriptsForAvgR(x float64, seed uint64) ([]strategy.Event, []strategy.Ev
 	return workload.JoinScript(seed, p), nil
 }
 
-func extractMaxColor(r sim.PhaseResult) float64       { return float64(r.Final.MaxColor) }
-func extractRecodings(r sim.PhaseResult) float64      { return float64(r.Final.TotalRecodings) }
-func extractDeltaMaxColor(r sim.PhaseResult) float64  { return float64(r.DeltaMaxColor()) }
-func extractDeltaRecodings(r sim.PhaseResult) float64 { return float64(r.DeltaRecodings()) }
-
-// Fig10a: maximum color index vs number of stations N (Minim, CP, BBB).
-func Fig10a(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig10NValues(), joinScriptsForN, extractMaxColor, sim.AllStrategies)
-	return Figure{
-		ID: "10a", Title: "Node join: total colors vs N",
-		XLabel: "Number of Stations N", YLabel: "Max Color Index Assigned",
-		Series: s,
-	}, err
-}
-
-// Fig10b: total recodings vs N (Minim, CP, BBB).
-func Fig10b(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig10NValues(), joinScriptsForN, extractRecodings, sim.AllStrategies)
-	return Figure{
-		ID: "10b", Title: "Node join: recodings vs N",
-		XLabel: "Number of Stations N", YLabel: "Total Number of Recodings",
-		Series: s,
-	}, err
-}
-
-// Fig10c: total recodings vs N, distributed strategies only (Minim, CP).
-func Fig10c(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig10NValues(), joinScriptsForN, extractRecodings,
-		[]sim.StrategyName{sim.Minim, sim.CP})
-	return Figure{
-		ID: "10c", Title: "Node join: recodings vs N (distributed only)",
-		XLabel: "Number of Stations N", YLabel: "Total Number of Recodings",
-		Series: s,
-	}, err
-}
-
-// Fig10d: maximum color index vs average range (Minim, CP, BBB).
-func Fig10d(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig10AvgRValues(), joinScriptsForAvgR, extractMaxColor, sim.AllStrategies)
-	return Figure{
-		ID: "10d", Title: "Node join: total colors vs average range",
-		XLabel: "Avg R", YLabel: "Max Color Index Assigned",
-		Series: s,
-	}, err
-}
-
-// Fig10e: total recodings vs average range (Minim, CP, BBB).
-func Fig10e(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig10AvgRValues(), joinScriptsForAvgR, extractRecodings, sim.AllStrategies)
-	return Figure{
-		ID: "10e", Title: "Node join: recodings vs average range",
-		XLabel: "Avg R", YLabel: "Total Number of Recodings",
-		Series: s,
-	}, err
-}
-
-// Fig10f: total recodings vs average range (Minim, CP).
-func Fig10f(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig10AvgRValues(), joinScriptsForAvgR, extractRecodings,
-		[]sim.StrategyName{sim.Minim, sim.CP})
-	return Figure{
-		ID: "10f", Title: "Node join: recodings vs average range (distributed only)",
-		XLabel: "Avg R", YLabel: "Total Number of Recodings",
-		Series: s,
-	}, err
-}
-
-// ---- Fig 11: power range increase (section 5.2) ----
-
-// fig11RaiseFactors is the paper's x axis for Fig 11.
-func fig11RaiseFactors() []float64 {
-	return []float64{1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5, 5.5, 6}
-}
-
 func raiseScripts(x float64, seed uint64) ([]strategy.Event, []strategy.Event) {
 	p := workload.Defaults() // N=100, ranges (20.5, 30.5), as in the paper
 	p.RaiseFactor = x
 	return workload.JoinScript(seed, p), workload.PowerRaiseScript(seed, p)
-}
-
-// Fig11a: Δ(max color index) vs raisefactor (Minim, CP, BBB).
-func Fig11a(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig11RaiseFactors(), raiseScripts, extractDeltaMaxColor, sim.AllStrategies)
-	return Figure{
-		ID: "11a", Title: "Power increase: Δ(max color) vs raisefactor",
-		XLabel: "raisefactor", YLabel: "Delta(Max Color Index Assigned)",
-		Series: s,
-	}, err
-}
-
-// Fig11b: Δ(total recodings) vs raisefactor (Minim, CP, BBB).
-func Fig11b(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig11RaiseFactors(), raiseScripts, extractDeltaRecodings, sim.AllStrategies)
-	return Figure{
-		ID: "11b", Title: "Power increase: Δ(recodings) vs raisefactor",
-		XLabel: "raisefactor", YLabel: "Delta(Total Number of Recodings)",
-		Series: s,
-	}, err
-}
-
-// Fig11c: Δ(total recodings) vs raisefactor (Minim, CP).
-func Fig11c(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig11RaiseFactors(), raiseScripts, extractDeltaRecodings,
-		[]sim.StrategyName{sim.Minim, sim.CP})
-	return Figure{
-		ID: "11c", Title: "Power increase: Δ(recodings) vs raisefactor (distributed only)",
-		XLabel: "raisefactor", YLabel: "Delta(Total Number of Recodings)",
-		Series: s,
-	}, err
-}
-
-// ---- Fig 12: node movement (section 5.3) ----
-
-// fig12MaxDispValues is the paper's x axis for Fig 12(a).
-func fig12MaxDispValues() []float64 {
-	return []float64{0, 10, 20, 30, 40, 50, 60, 70, 80}
-}
-
-// fig12RoundValues is the paper's x axis for Figs 12(b-d).
-func fig12RoundValues() []float64 {
-	return []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 }
 
 // moveParams is the paper's section 5.3 base: N=40, ranges (20.5, 30.5).
@@ -336,105 +225,115 @@ func moveScriptsByRounds(x float64, seed uint64) ([]strategy.Event, []strategy.E
 	return workload.JoinScript(seed, p), workload.MoveScript(seed, p)
 }
 
-// Fig12a: Δ(recodings) vs maxdisp with RoundNo=1 (Minim, CP).
-func Fig12a(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig12MaxDispValues(), moveScriptsByDisp, extractDeltaRecodings,
-		[]sim.StrategyName{sim.Minim, sim.CP})
-	return Figure{
-		ID: "12a", Title: "Movement: Δ(recodings) vs maxdisp",
-		XLabel: "maxdisp", YLabel: "Delta(Total Number of Recodings)",
-		Series: s,
-	}, err
+func extractMaxColor(r sim.PhaseResult) float64       { return float64(r.Final.MaxColor) }
+func extractRecodings(r sim.PhaseResult) float64      { return float64(r.Final.TotalRecodings) }
+func extractDeltaMaxColor(r sim.PhaseResult) float64  { return float64(r.DeltaMaxColor()) }
+func extractDeltaRecodings(r sim.PhaseResult) float64 { return float64(r.DeltaRecodings()) }
+
+// figure is one row of the figures table. A nil section marks the
+// message-overhead extension m1, which is not a section 5 simulation.
+type figure struct {
+	id, title, xLabel, yLabel string
+	section                   *section
+	metric                    func(sim.PhaseResult) float64
+	strategies                []sim.StrategyName
 }
 
-// Fig12b: Δ(max color) vs RoundNo with maxdisp=40 (Minim, CP, BBB).
-func Fig12b(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig12RoundValues(), moveScriptsByRounds, extractDeltaMaxColor, sim.AllStrategies)
-	return Figure{
-		ID: "12b", Title: "Movement: Δ(max color) vs RoundNo",
-		XLabel: "RoundNo", YLabel: "Delta(Max Color Index Assigned)",
-		Series: s,
-	}, err
+// figures lists every regenerable figure in paper order: the paper's
+// thirteen plus m1.
+var figures = []figure{
+	{"10a", "Node join: total colors vs N", "Number of Stations N", "Max Color Index Assigned",
+		joinVsN, extractMaxColor, sim.AllStrategies},
+	{"10b", "Node join: recodings vs N", "Number of Stations N", "Total Number of Recodings",
+		joinVsN, extractRecodings, sim.AllStrategies},
+	{"10c", "Node join: recodings vs N (distributed only)", "Number of Stations N", "Total Number of Recodings",
+		joinVsN, extractRecodings, distributed},
+	{"10d", "Node join: total colors vs average range", "Avg R", "Max Color Index Assigned",
+		joinVsAvgR, extractMaxColor, sim.AllStrategies},
+	{"10e", "Node join: recodings vs average range", "Avg R", "Total Number of Recodings",
+		joinVsAvgR, extractRecodings, sim.AllStrategies},
+	{"10f", "Node join: recodings vs average range (distributed only)", "Avg R", "Total Number of Recodings",
+		joinVsAvgR, extractRecodings, distributed},
+	{"11a", "Power increase: Δ(max color) vs raisefactor", "raisefactor", "Delta(Max Color Index Assigned)",
+		raiseFactor, extractDeltaMaxColor, sim.AllStrategies},
+	{"11b", "Power increase: Δ(recodings) vs raisefactor", "raisefactor", "Delta(Total Number of Recodings)",
+		raiseFactor, extractDeltaRecodings, sim.AllStrategies},
+	{"11c", "Power increase: Δ(recodings) vs raisefactor (distributed only)", "raisefactor", "Delta(Total Number of Recodings)",
+		raiseFactor, extractDeltaRecodings, distributed},
+	{"12a", "Movement: Δ(recodings) vs maxdisp", "maxdisp", "Delta(Total Number of Recodings)",
+		moveVsDisp, extractDeltaRecodings, distributed},
+	{"12b", "Movement: Δ(max color) vs RoundNo", "RoundNo", "Delta(Max Color Index Assigned)",
+		moveVsRounds, extractDeltaMaxColor, sim.AllStrategies},
+	{"12c", "Movement: Δ(recodings) vs RoundNo", "RoundNo", "Delta(Total Number of Recodings)",
+		moveVsRounds, extractDeltaRecodings, sim.AllStrategies},
+	{"12d", "Movement: Δ(recodings) vs RoundNo (distributed only)", "RoundNo", "Delta(Total Number of Recodings)",
+		moveVsRounds, extractDeltaRecodings, distributed},
+	{"m1", "Extension: protocol messages per join vs N", "Number of Stations N", "Messages per join event",
+		nil, nil, nil},
 }
 
-// Fig12c: Δ(recodings) vs RoundNo (Minim, CP, BBB).
-func Fig12c(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig12RoundValues(), moveScriptsByRounds, extractDeltaRecodings, sim.AllStrategies)
-	return Figure{
-		ID: "12c", Title: "Movement: Δ(recodings) vs RoundNo",
-		XLabel: "RoundNo", YLabel: "Delta(Total Number of Recodings)",
-		Series: s,
-	}, err
-}
-
-// Fig12d: Δ(recodings) vs RoundNo (Minim, CP).
-func Fig12d(cfg Config) (Figure, error) {
-	s, err := sweep(cfg, fig12RoundValues(), moveScriptsByRounds, extractDeltaRecodings,
-		[]sim.StrategyName{sim.Minim, sim.CP})
-	return Figure{
-		ID: "12d", Title: "Movement: Δ(recodings) vs RoundNo (distributed only)",
-		XLabel: "RoundNo", YLabel: "Delta(Total Number of Recodings)",
-		Series: s,
-	}, err
-}
-
-// All regenerates every paper figure in order.
-func All(cfg Config) ([]Figure, error) {
-	funcs := []func(Config) (Figure, error){
-		Fig10a, Fig10b, Fig10c, Fig10d, Fig10e, Fig10f,
-		Fig11a, Fig11b, Fig11c,
-		Fig12a, Fig12b, Fig12c, Fig12d,
+// project extracts f from cells, a simulation of f's section for names.
+func (f figure) project(names []sim.StrategyName, cells [][][]sim.PhaseResult) Figure {
+	fig := Figure{ID: f.id, Title: f.title, XLabel: f.xLabel, YLabel: f.yLabel}
+	for _, name := range f.strategies {
+		k := slices.Index(names, name)
+		fig.Series = append(fig.Series, fold(string(name), f.section.xs, cells,
+			func(rs []sim.PhaseResult) float64 { return f.metric(rs[k]) }))
 	}
-	figs := make([]Figure, 0, len(funcs))
-	for _, f := range funcs {
-		fig, err := f(cfg)
-		if err != nil {
-			return nil, err
+	return fig
+}
+
+// All regenerates every figure in IDs order, simulating each section
+// once for the union of its figures' strategies.
+func All(cfg Config) ([]Figure, error) {
+	sims := make(map[*section][][][]sim.PhaseResult)
+	figs := make([]Figure, 0, len(figures))
+	for _, f := range figures {
+		if f.section == nil {
+			fig, err := messageOverhead(cfg, f)
+			if err != nil {
+				return nil, err
+			}
+			figs = append(figs, fig)
+			continue
 		}
-		figs = append(figs, fig)
+		cells, ok := sims[f.section]
+		if !ok {
+			var err error
+			if cells, err = f.section.simulate(cfg, f.section.strategies); err != nil {
+				return nil, err
+			}
+			sims[f.section] = cells
+		}
+		figs = append(figs, f.project(f.section.strategies, cells))
 	}
 	return figs, nil
 }
 
-// ByID regenerates a single figure by its paper ID (e.g. "10a").
+// ByID regenerates a single figure by its paper ID (e.g. "10a"),
+// simulating only the strategies it plots.
 func ByID(id string, cfg Config) (Figure, error) {
-	switch id {
-	case "10a":
-		return Fig10a(cfg)
-	case "10b":
-		return Fig10b(cfg)
-	case "10c":
-		return Fig10c(cfg)
-	case "10d":
-		return Fig10d(cfg)
-	case "10e":
-		return Fig10e(cfg)
-	case "10f":
-		return Fig10f(cfg)
-	case "11a":
-		return Fig11a(cfg)
-	case "11b":
-		return Fig11b(cfg)
-	case "11c":
-		return Fig11c(cfg)
-	case "12a":
-		return Fig12a(cfg)
-	case "12b":
-		return Fig12b(cfg)
-	case "12c":
-		return Fig12c(cfg)
-	case "12d":
-		return Fig12d(cfg)
-	case "m1":
-		return FigM1(cfg)
-	default:
+	i := slices.IndexFunc(figures, func(f figure) bool { return f.id == id })
+	if i < 0 {
 		return Figure{}, fmt.Errorf("experiments: unknown figure %q", id)
 	}
+	f := figures[i]
+	if f.section == nil {
+		return messageOverhead(cfg, f)
+	}
+	cells, err := f.section.simulate(cfg, f.strategies)
+	if err != nil {
+		return Figure{}, err
+	}
+	return f.project(f.strategies, cells), nil
 }
 
 // IDs lists every regenerable figure: the paper's thirteen plus the
 // message-overhead extension m1.
 func IDs() []string {
-	return []string{"10a", "10b", "10c", "10d", "10e", "10f",
-		"11a", "11b", "11c", "12a", "12b", "12c", "12d", "m1"}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
 }

@@ -2,12 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// smallCfg keeps tests fast: 3 runs per point, serial determinism not
-// required (aggregation is order-independent means over runs).
+// smallCfg keeps tests fast: 3 runs per point.
 func smallCfg() Config {
 	return Config{Runs: 3, Seed: 99, Workers: 4}
 }
@@ -22,7 +27,7 @@ func seriesByLabel(fig Figure, label string) Series {
 }
 
 func TestFig10aShape(t *testing.T) {
-	fig, err := Fig10a(smallCfg())
+	fig, err := ByID("10a", smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +62,11 @@ func TestFig10aShape(t *testing.T) {
 
 func TestFig10bcShape(t *testing.T) {
 	cfg := smallCfg()
-	fb, err := Fig10b(cfg)
+	fb, err := ByID("10b", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := Fig10c(cfg)
+	fc, err := ByID("10c", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +99,7 @@ func TestFig10bcShape(t *testing.T) {
 
 func TestFig11Shape(t *testing.T) {
 	cfg := smallCfg()
-	fb, err := Fig11b(cfg)
+	fb, err := ByID("11b", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +127,7 @@ func TestFig11Shape(t *testing.T) {
 
 func TestFig12Shape(t *testing.T) {
 	cfg := smallCfg()
-	fa, err := Fig12a(cfg)
+	fa, err := ByID("12a", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +150,7 @@ func TestFig12Shape(t *testing.T) {
 		t.Fatalf("Minim Δrecodings %.1f >= CP %.1f over maxdisp sweep", sumM, sumC)
 	}
 
-	fcFig, err := Fig12c(cfg)
+	fcFig, err := ByID("12c", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +166,68 @@ func TestFig12Shape(t *testing.T) {
 	}
 }
 
+// goldenDigest pins every figure at goldenCfg: figureDigest over
+// All(goldenCfg). It changes with any plotted value, label, seed
+// derivation or fold order; update it only for an intended change of
+// results.
+const goldenDigest = "e1e3a69b97bc96afcb5be6b60f2bdc4172209dfb6f4bea19d70ec133570473bc"
+
+var goldenCfg = Config{Runs: 1, Seed: 20010113}
+
+// goldenAll is All(goldenCfg), computed once for the tests that share it.
+var goldenAll = sync.OnceValues(func() ([]Figure, error) { return All(goldenCfg) })
+
+// figureDigest hashes the figures' IDs, titles, axis and series labels,
+// and the bits of every plotted X, Y and Err.
+func figureDigest(figs ...Figure) string {
+	h := sha256.New()
+	str := func(s string) { fmt.Fprintf(h, "%d:%s", len(s), s) }
+	num := func(v []float64) {
+		binary.Write(h, binary.LittleEndian, uint64(len(v)))
+		for _, x := range v {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(x))
+		}
+	}
+	for _, f := range figs {
+		str(f.ID)
+		str(f.Title)
+		str(f.XLabel)
+		str(f.YLabel)
+		binary.Write(h, binary.LittleEndian, uint64(len(f.Series)))
+		for _, s := range f.Series {
+			str(s.Label)
+			num(s.X)
+			num(s.Y)
+			num(s.Err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestGoldenDigest(t *testing.T) {
+	figs, err := goldenAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := figureDigest(figs...); got != goldenDigest {
+		t.Fatalf("digest of All = %s, want %s", got, goldenDigest)
+	}
+}
+
+// TestByIDAndIDs: ByID of every ID is bit-identical to the same figure
+// projected by All, although All simulates each section once for the
+// union of its figures' strategies.
 func TestByIDAndIDs(t *testing.T) {
-	cfg := Config{Runs: 1, Seed: 3, Workers: 2}
-	for _, id := range IDs() {
-		fig, err := ByID(id, cfg)
+	all, err := goldenAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := IDs()
+	if len(all) != len(ids) {
+		t.Fatalf("All returned %d figures for %d IDs", len(all), len(ids))
+	}
+	for i, id := range ids {
+		fig, err := ByID(id, goldenCfg)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -174,33 +237,55 @@ func TestByIDAndIDs(t *testing.T) {
 		if len(fig.Series) == 0 || len(fig.Series[0].X) == 0 {
 			t.Fatalf("%s: empty figure", id)
 		}
+		if figureDigest(fig) != figureDigest(all[i]) {
+			t.Fatalf("ByID(%q) differs from All()[%d]", id, i)
+		}
 	}
-	if _, err := ByID("99z", cfg); err == nil {
+	if _, err := ByID("99z", goldenCfg); err == nil {
 		t.Fatal("unknown id did not error")
+	}
+	// Zero runs would plot a table of zeros that looks like a result.
+	for _, runs := range []int{0, -1} {
+		cfg := Config{Runs: runs, Seed: 3}
+		if _, err := ByID("12a", cfg); err == nil {
+			t.Fatalf("ByID with Runs=%d did not error", runs)
+		}
+		if _, err := ByID("m1", cfg); err == nil {
+			t.Fatalf("ByID(m1) with Runs=%d did not error", runs)
+		}
+		if _, err := All(cfg); err == nil {
+			t.Fatalf("All with Runs=%d did not error", runs)
+		}
 	}
 }
 
+// TestDeterministicAcrossWorkerCounts: every point is folded in run
+// order, so the means and CIs of the two cheapest sections are
+// bit-identical whatever the worker count.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	a, err := Fig10a(Config{Runs: 2, Seed: 7, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig10a(Config{Runs: 2, Seed: 7, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si := range a.Series {
-		for i := range a.Series[si].Y {
-			if a.Series[si].Y[i] != b.Series[si].Y[i] {
-				t.Fatalf("series %d point %d: %.3f vs %.3f",
-					si, i, a.Series[si].Y[i], b.Series[si].Y[i])
+	for _, id := range []string{"10b", "12a"} {
+		a, err := ByID(id, Config{Runs: 8, Seed: 7, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ByID(id, Config{Runs: 8, Seed: 7, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, s := range a.Series {
+			for i := range s.Y {
+				y, e := b.Series[si].Y[i], b.Series[si].Err[i]
+				if math.Float64bits(s.Y[i]) != math.Float64bits(y) || math.Float64bits(s.Err[i]) != math.Float64bits(e) {
+					t.Fatalf("%s %s x=%g: %v ±%v with 1 worker, %v ±%v with 4",
+						id, s.Label, s.X[i], s.Y[i], s.Err[i], y, e)
+				}
 			}
 		}
 	}
 }
 
 func TestRender(t *testing.T) {
-	fig, err := Fig12a(Config{Runs: 1, Seed: 1, Workers: 2})
+	fig, err := ByID("12a", Config{Runs: 1, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestWriteGnuplot(t *testing.T) {
 }
 
 func TestCSVRealFigure(t *testing.T) {
-	fig, err := Fig12a(Config{Runs: 1, Seed: 4, Workers: 2})
+	fig, err := ByID("12a", Config{Runs: 1, Seed: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

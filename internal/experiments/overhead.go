@@ -2,123 +2,59 @@ package experiments
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/adhoc"
 	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
-// FigM1 is an extension experiment (not in the paper, addressing its
-// design goal 3: "minimize the overhead of recoding"): protocol messages
-// exchanged per join event by the distributed Minim and CP protocols, as
-// a function of network size N. Both protocols are local — the message
-// count per event tracks neighborhood size (node density), not N, which
-// is exactly what the figure demonstrates: on the paper's fixed 100x100
-// arena the curves grow linearly with N (density grows), while on an
-// arena scaled to keep density constant they stay flat.
-func FigM1(cfg Config) (Figure, error) {
+// messageOverhead regenerates m1, an extension experiment (not in the
+// paper, addressing its design goal 3: "minimize the overhead of
+// recoding"): protocol messages exchanged per join event by the
+// distributed Minim and CP protocols, as a function of network size N.
+// Both protocols are local — the message count per event tracks
+// neighborhood size (node density), not N, which is exactly what the
+// figure demonstrates: on the paper's fixed 100x100 arena the curves grow
+// linearly with N (density grows), while on an arena scaled to keep
+// density constant they stay flat.
+func messageOverhead(cfg Config, f figure) (Figure, error) {
 	xs := []float64{20, 40, 60, 80, 100}
-	type cell struct {
-		fixed, scaled map[string]*stats.Accumulator
-		mu            sync.Mutex
-	}
-	cells := make([]*cell, len(xs))
-	for i := range cells {
-		cells[i] = &cell{
-			fixed:  map[string]*stats.Accumulator{"minim": {}, "cp": {}},
-			scaled: map[string]*stats.Accumulator{"minim": {}, "cp": {}},
-		}
-	}
-
-	master := xrand.New(cfg.Seed)
-	seeds := make([][]uint64, len(xs))
-	for i := range xs {
-		seeds[i] = make([]uint64, cfg.Runs)
-		for r := 0; r < cfg.Runs; r++ {
-			seeds[i][r] = master.Uint64()
-		}
-	}
-
-	type job struct{ xi, run int }
-	jobs := make(chan job)
-	errCh := make(chan error, 1)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				n := int(xs[j.xi])
-				for _, mode := range []string{"fixed", "scaled"} {
-					arena := 100.0
-					if mode == "scaled" {
-						// Keep density equal to N=100 on 100x100.
-						arena = 100.0 * math.Sqrt(float64(n)/100.0)
-					}
-					for _, proto := range []string{"minim", "cp"} {
-						msgs, err := messagesPerJoin(seeds[j.xi][j.run], n, arena, proto)
-						if err != nil {
-							select {
-							case errCh <- err:
-							default:
-							}
-							continue
-						}
-						cells[j.xi].mu.Lock()
-						if mode == "fixed" {
-							cells[j.xi].fixed[proto].Add(msgs)
-						} else {
-							cells[j.xi].scaled[proto].Add(msgs)
-						}
-						cells[j.xi].mu.Unlock()
-					}
-				}
-			}
-		}()
-	}
-	for xi := range xs {
-		for r := 0; r < cfg.Runs; r++ {
-			jobs <- job{xi, r}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return Figure{}, err
-	default:
-	}
-
-	fig := Figure{
-		ID:     "m1",
-		Title:  "Extension: protocol messages per join vs N",
-		XLabel: "Number of Stations N",
-		YLabel: "Messages per join event",
-	}
-	for _, variant := range []struct {
-		label string
-		pick  func(*cell) map[string]*stats.Accumulator
-		proto string
+	variants := []struct {
+		label  string
+		scaled bool
+		proto  string
 	}{
-		{"Minim", func(c *cell) map[string]*stats.Accumulator { return c.fixed }, "minim"},
-		{"CP", func(c *cell) map[string]*stats.Accumulator { return c.fixed }, "cp"},
-		{"Minim-constdensity", func(c *cell) map[string]*stats.Accumulator { return c.scaled }, "minim"},
-		{"CP-constdensity", func(c *cell) map[string]*stats.Accumulator { return c.scaled }, "cp"},
-	} {
-		s := Series{Label: variant.label, X: append([]float64(nil), xs...)}
-		for xi := range xs {
-			sum := variant.pick(cells[xi])[variant.proto].Summary()
-			s.Y = append(s.Y, sum.Mean)
-			s.Err = append(s.Err, sum.CI95())
-			s.Raw = append(s.Raw, sum)
+		{"Minim", false, "minim"},
+		{"CP", false, "cp"},
+		{"Minim-constdensity", true, "minim"},
+		{"CP-constdensity", true, "cp"},
+	}
+	cells, err := runPool(cfg, len(xs), func(xi int, seed uint64) ([]float64, error) {
+		n := int(xs[xi])
+		msgs := make([]float64, len(variants))
+		for i, v := range variants {
+			arena := 100.0
+			if v.scaled {
+				// Keep density equal to N=100 on 100x100.
+				arena = 100.0 * math.Sqrt(float64(n)/100.0)
+			}
+			var err error
+			if msgs[i], err = messagesPerJoin(seed, n, arena, v.proto); err != nil {
+				return nil, err
+			}
 		}
-		fig.Series = append(fig.Series, s)
+		return msgs, nil
+	})
+	if err != nil {
+		return Figure{}, err
+	}
+	fig := Figure{ID: f.id, Title: f.title, XLabel: f.xLabel, YLabel: f.yLabel}
+	for i, v := range variants {
+		fig.Series = append(fig.Series, fold(v.label, xs, cells, func(msgs []float64) float64 { return msgs[i] }))
 	}
 	return fig, nil
 }

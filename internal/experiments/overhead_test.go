@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestFigM1Shape(t *testing.T) {
-	fig, err := FigM1(Config{Runs: 4, Seed: 15, Workers: 4})
+	fig, err := ByID("m1", Config{Runs: 4, Seed: 15, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +39,6 @@ func TestFigM1Shape(t *testing.T) {
 		t.Fatalf("constant-density growth %.2f >= fixed-arena growth %.2f — protocol not local?",
 			growthConst, growthFixed)
 	}
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func TestFigM1ViaByID(t *testing.T) {
