@@ -1,14 +1,8 @@
-// Command benchjson runs the repo's perf-tracking benchmarks and emits
-// machine-readable artifacts: BENCH_wal.json (WAL append/replay and
-// replication ship encoding, v1 NDJSON baseline vs v2 binary, measured
-// in the same run), BENCH_hotpath.json (Minim/CP event hot path and
-// serve reads, with the recorded pre-binary-WAL reference numbers),
-// and BENCH_obs.json (the serve apply and replication ship paths with
-// and without the internal/obs instrumentation attached, alternating
-// noise-floor-of-5 so the overhead ratio survives GC and machine
-// noise). Every PR
-// regenerates them so the perf trajectory stays comparable and
-// diffable instead of buried in prose.
+// Command benchjson runs the observability-overhead benchmarks and
+// writes BENCH_obs.json: the serve apply and replication ship paths
+// with and without the internal/obs instrumentation attached,
+// alternating noise-floor-of-5 so the overhead ratio survives GC and
+// machine noise, plus the trace record and merge costs.
 //
 // -gate-obs-overhead P fails the run (exit 1) if either instrumented
 // path costs more than P percent over its uninstrumented twin — the
@@ -39,8 +33,6 @@ type result struct {
 	NsPerOp         float64 `json:"ns_per_op"`
 	AllocsPerOp     int64   `json:"allocs_per_op"`
 	AllocBytesPerOp int64   `json:"alloc_bytes_per_op"`
-	MBPerS          float64 `json:"mb_per_s,omitempty"`
-	BytesPerRecord  float64 `json:"bytes_per_record,omitempty"`
 }
 
 type artifact struct {
@@ -52,14 +44,6 @@ type artifact struct {
 	Benchmarks []result `json:"benchmarks"`
 	// Derived holds the headline comparisons computed from Benchmarks.
 	Derived map[string]float64 `json:"derived,omitempty"`
-	// Reference carries fixed comparison points measured on an earlier
-	// tree (labeled in the note); Benchmarks always holds fresh numbers.
-	Reference *reference `json:"reference,omitempty"`
-}
-
-type reference struct {
-	Note    string             `json:"note"`
-	NsPerOp map[string]float64 `json:"ns_per_op"`
 }
 
 func run(name string, f func(*testing.B)) result {
@@ -71,12 +55,6 @@ func run(name string, f func(*testing.B)) result {
 		NsPerOp:         float64(r.T.Nanoseconds()) / float64(r.N),
 		AllocsPerOp:     r.AllocsPerOp(),
 		AllocBytesPerOp: r.AllocedBytesPerOp(),
-	}
-	if r.Bytes > 0 && r.T > 0 {
-		res.MBPerS = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
-	}
-	if v, ok := r.Extra[benchjson.MetricBytesPerRecord]; ok {
-		res.BytesPerRecord = v
 	}
 	fmt.Fprintf(os.Stderr, "benchjson:   %.0f ns/op, %d allocs/op (%d iterations)\n",
 		res.NsPerOp, res.AllocsPerOp, res.Iterations)
@@ -135,22 +113,6 @@ func nsOf(results []result, name string) float64 {
 	return 0
 }
 
-func bytesOf(results []result, name string) float64 {
-	for _, r := range results {
-		if r.Name == name {
-			return r.BytesPerRecord
-		}
-	}
-	return 0
-}
-
-func ratio(base, now float64) float64 {
-	if now == 0 {
-		return 0
-	}
-	return round2(base / now)
-}
-
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
 func writeArtifact(path string, a artifact) error {
@@ -163,69 +125,11 @@ func writeArtifact(path string, a artifact) error {
 
 func main() {
 	testing.Init() // registers test.benchtime, which testing.Benchmark honors
-	out := flag.String("out", ".", "directory to write BENCH_*.json into")
+	out := flag.String("out", ".", "directory to write BENCH_obs.json into")
 	benchtime := flag.Duration("benchtime", time.Second, "minimum run time per benchmark")
 	gateObs := flag.Float64("gate-obs-overhead", 0, "fail if instrumented apply/ship exceed their baselines by more than this percent (0 disables)")
 	flag.Parse()
 	if err := flag.Set("test.benchtime", benchtime.String()); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-
-	meta := artifact{
-		Schema:    1,
-		Tool:      "cmd/benchjson",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-	}
-
-	wal := meta
-	wal.Benchmarks = []result{
-		run("WALAppendV1", benchjson.WALAppendV1),
-		run("WALAppendV2", benchjson.WALAppendV2),
-		run("WALReplayV1", benchjson.WALReplayV1),
-		run("WALReplayV2", benchjson.WALReplayV2),
-		run("ShipEncodeV1", benchjson.ShipEncodeV1),
-		run("ShipAssembleV2", benchjson.ShipAssembleV2),
-	}
-	wal.Derived = map[string]float64{
-		"wal_append_speedup_v2_over_v1":            ratio(nsOf(wal.Benchmarks, "WALAppendV1"), nsOf(wal.Benchmarks, "WALAppendV2")),
-		"wal_replay_speedup_v2_over_v1":            ratio(nsOf(wal.Benchmarks, "WALReplayV1"), nsOf(wal.Benchmarks, "WALReplayV2")),
-		"wal_record_size_ratio_v1_over_v2":         ratio(bytesOf(wal.Benchmarks, "WALAppendV1"), bytesOf(wal.Benchmarks, "WALAppendV2")),
-		"ship_encode_speedup_v2_over_v1":           ratio(nsOf(wal.Benchmarks, "ShipEncodeV1"), nsOf(wal.Benchmarks, "ShipAssembleV2")),
-		"ship_bytes_encoded_reduction_3_followers": ratio(bytesOf(wal.Benchmarks, "ShipEncodeV1"), bytesOf(wal.Benchmarks, "ShipAssembleV2")),
-	}
-	if err := writeArtifact(filepath.Join(*out, "BENCH_wal.json"), wal); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-
-	hot := meta
-	hot.Benchmarks = []result{
-		run("JoinEventMinim1000", benchjson.JoinEventMinim1000),
-		run("JoinEventCP1000", benchjson.JoinEventCP1000),
-		run("MoveEventMinim1000", benchjson.MoveEventMinim1000),
-		run("ServeReads", benchjson.ServeReads),
-	}
-	// The pre-PR-6 tree (NDJSON WAL, per-member constraint walks, dense
-	// edge-list matching build) measured on this container, 300
-	// iterations each; kept as the fixed comparison point for the
-	// recode-path rework that landed with the binary WAL.
-	hot.Reference = &reference{
-		Note: "pre binary-WAL tree (PR 5 head), same container, go test -bench -benchtime 300x",
-		NsPerOp: map[string]float64{
-			"JoinEventMinim1000": 530752,
-			"JoinEventCP1000":    81468,
-			"MoveEventMinim1000": 482319,
-		},
-	}
-	hot.Derived = map[string]float64{
-		"join_minim_speedup_vs_reference": ratio(hot.Reference.NsPerOp["JoinEventMinim1000"], nsOf(hot.Benchmarks, "JoinEventMinim1000")),
-		"join_cp_speedup_vs_reference":    ratio(hot.Reference.NsPerOp["JoinEventCP1000"], nsOf(hot.Benchmarks, "JoinEventCP1000")),
-		"move_minim_speedup_vs_reference": ratio(hot.Reference.NsPerOp["MoveEventMinim1000"], nsOf(hot.Benchmarks, "MoveEventMinim1000")),
-	}
-	if err := writeArtifact(filepath.Join(*out, "BENCH_hotpath.json"), hot); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -242,8 +146,14 @@ func main() {
 	shipRound := runMedian("ShipRoundHTTP", benchjson.ShipRoundHTTP)
 	traceRecord := runMedian("TraceRecord", benchjson.TraceRecord)
 	traceMerge := runMedian("TraceMerge", benchjson.TraceMerge)
-	ob := meta
-	ob.Benchmarks = []result{applyBase, applyInstr, shipBase, shipInstr, shipRound, traceRecord, traceMerge}
+	ob := artifact{
+		Schema:     1,
+		Tool:       "cmd/benchjson",
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		Benchmarks: []result{applyBase, applyInstr, shipBase, shipInstr, shipRound, traceRecord, traceMerge},
+	}
 	// The ship instrumentation's cost is the delta of the I/O-free
 	// assembly pair (tight enough for a 3% gate); it is stated as a
 	// fraction of what a full loopback ship round costs, because that
@@ -267,10 +177,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s, %s, and %s\n",
-		filepath.Join(*out, "BENCH_wal.json"),
-		filepath.Join(*out, "BENCH_hotpath.json"),
-		filepath.Join(*out, "BENCH_obs.json"))
+	fmt.Printf("wrote %s\n", filepath.Join(*out, "BENCH_obs.json"))
 
 	if *gateObs > 0 {
 		failed := false

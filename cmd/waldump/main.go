@@ -1,13 +1,9 @@
 // Command waldump decodes a session WAL — a segment directory or a
-// single segment file, in the binary v2 frame format, the legacy v1
-// NDJSON format, or a mix — and prints every committed record as v1
-// NDJSON on stdout: the human-readable debug export of the log.
-//
-// The output is itself a valid v1 WAL stream (trace.ReadRecords reads
-// it back), so existing line-oriented tooling (grep, jq) works on any
-// log regardless of its on-disk encoding. Torn trailing bytes are
-// reported on stderr and excluded, exactly as recovery would treat
-// them.
+// single segment file of binary frames — and prints every committed
+// record as one JSON object per line (NDJSON) on stdout: the
+// human-readable debug export of the log, for grep and jq. Torn
+// trailing bytes are reported on stderr and excluded, exactly as
+// recovery would treat them.
 //
 // -stats prints per-segment statistics instead of records: counts by
 // record type (events by kind, snapshots, barriers), byte totals, the
@@ -19,6 +15,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -129,15 +126,7 @@ func dumpFile(w, diag io.Writer, path string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		switch {
-		case rec.Snap != nil:
-			err = trace.WriteSnapshotRecord(w, *rec.Snap)
-		case rec.Ev != nil:
-			err = trace.WriteEventRecord(w, *rec.Ev)
-		case rec.Barrier != nil:
-			err = trace.WriteBarrierRecord(w, rec.Barrier.Seq)
-		}
-		if err != nil {
+		if err := writeRecord(w, rec); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
@@ -145,4 +134,30 @@ func dumpFile(w, diag io.Writer, path string) error {
 		fmt.Fprintf(diag, "waldump: %s: %d torn trailing bytes ignored\n", path, torn)
 	}
 	return nil
+}
+
+// walRecord is one NDJSON export line: exactly one of Snap, Ev, or Bar
+// is set.
+type walRecord struct {
+	Snap *trace.Snapshot    `json:"snap,omitempty"`
+	Ev   *trace.EventRecord `json:"ev,omitempty"`
+	Bar  *trace.Barrier     `json:"barrier,omitempty"`
+}
+
+// writeRecord writes one decoded record to w as an NDJSON line.
+func writeRecord(w io.Writer, rec trace.Record) error {
+	line := walRecord{Snap: rec.Snap, Bar: rec.Barrier}
+	if rec.Ev != nil {
+		ej, err := trace.EncodeEvent(*rec.Ev)
+		if err != nil {
+			return err
+		}
+		line.Ev = &ej
+	}
+	b, err := json.Marshal(line)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }

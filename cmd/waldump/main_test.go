@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,9 +14,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestDumpRoundTrip: a binary v2 segment directory dumps to NDJSON that
-// trace.ReadRecords reads back to the identical record sequence — the
-// debug export loses nothing.
+// TestDumpRoundTrip: a binary segment directory dumps to NDJSON whose
+// lines decode back to the identical record sequence — the debug export
+// loses nothing.
 func TestDumpRoundTrip(t *testing.T) {
 	snap := trace.Snapshot{
 		Version: trace.SnapshotVersion,
@@ -81,36 +82,33 @@ func TestDumpRoundTrip(t *testing.T) {
 		t.Fatalf("torn tail not reported; diag: %q", diag.String())
 	}
 
-	recs, off, err := trace.ReadRecords(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatalf("dump is not a readable v1 stream: %v", err)
+	// Every line of the dump is one standalone JSON record (the debug
+	// contract), and together they hold the log's records unchanged.
+	lines := bytes.Split(bytes.TrimSuffix(out.Bytes(), []byte("\n")), []byte("\n"))
+	if len(lines) != 1+len(events)+1 {
+		t.Fatalf("dump holds %d lines, want %d", len(lines), 1+len(events)+1)
 	}
-	if off != int64(out.Len()) {
-		t.Fatalf("dump has torn bytes of its own: committed %d of %d", off, out.Len())
-	}
-	if len(recs) != 1+len(events)+1 {
-		t.Fatalf("dump holds %d records, want %d", len(recs), 1+len(events)+1)
+	recs := make([]walRecord, len(lines))
+	for i, ln := range lines {
+		dec := json.NewDecoder(bytes.NewReader(ln))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&recs[i]); err != nil {
+			t.Fatalf("line %d is not a JSON record: %v: %q", i, err, ln)
+		}
 	}
 	if recs[0].Snap == nil || !reflect.DeepEqual(*recs[0].Snap, snap) {
 		t.Fatalf("snapshot did not round-trip: %+v", recs[0].Snap)
 	}
 	for i, ev := range events {
-		if recs[1+i].Ev == nil || *recs[1+i].Ev != ev {
-			t.Fatalf("event %d did not round-trip: %+v", i, recs[1+i].Ev)
+		if recs[1+i].Ev == nil {
+			t.Fatalf("line %d is not an event", 1+i)
+		}
+		got, err := trace.DecodeEvent(*recs[1+i].Ev)
+		if err != nil || got != ev {
+			t.Fatalf("event %d did not round-trip: %+v (%v)", i, got, err)
 		}
 	}
-	if recs[len(recs)-1].Barrier == nil || recs[len(recs)-1].Barrier.Seq != seq {
-		t.Fatalf("barrier did not round-trip: %+v", recs[len(recs)-1].Barrier)
-	}
-
-	// Every line of the dump is standalone JSON (the debug contract).
-	lines := bytes.Split(bytes.TrimSuffix(out.Bytes(), []byte("\n")), []byte("\n"))
-	if len(lines) != len(recs) {
-		t.Fatalf("dump has %d lines for %d records", len(lines), len(recs))
-	}
-	for i, ln := range lines {
-		if len(ln) == 0 || ln[0] != '{' {
-			t.Fatalf("line %d is not a JSON object: %q", i, ln)
-		}
+	if recs[len(recs)-1].Bar == nil || recs[len(recs)-1].Bar.Seq != seq {
+		t.Fatalf("barrier did not round-trip: %+v", recs[len(recs)-1].Bar)
 	}
 }

@@ -1,42 +1,18 @@
-// Package benchjson holds the benchmark bodies behind cmd/benchjson,
-// the machine-readable perf harness: WAL append/replay in both record
-// encodings, replication ship-batch encoding, the Minim/CP event hot
-// path, and serve read throughput. Each exported function is a plain
+// Package benchjson holds the benchmark bodies behind cmd/benchjson's
+// observability-overhead gate: the serve apply and replication ship
+// paths with and without the internal/obs instrumentation, plus the
+// trace record and merge costs. Each exported function is a plain
 // `func(*testing.B)` so cmd/benchjson can drive it with
-// testing.Benchmark and serialize the results, while `go test -bench`
-// in this package runs the same bodies interactively.
-//
-// The v1-format benchmarks are not dead-code nostalgia: they are the
-// committed baseline half of every BENCH_wal.json artifact, measured on
-// the same machine in the same run as the v2 numbers.
+// testing.Benchmark and serialize the results into BENCH_obs.json.
 package benchjson
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"io"
-	"os"
-	"path/filepath"
-	"testing"
-
 	"repro/internal/adhoc"
-	"repro/internal/core"
-	cppkg "repro/internal/cp"
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/strategy"
-	"repro/internal/trace"
-	"repro/internal/workload"
 	"repro/internal/xrand"
 )
-
-// MetricBytesPerRecord is the custom-metric key the WAL/ship benches
-// report: encoded bytes per logical record (cmd/benchjson folds it into
-// the derived size/encode-reduction figures).
-const MetricBytesPerRecord = "bytes/record"
 
 // benchEvents returns a deterministic mixed event stream shaped like
 // the simulation workload: joins, moves, power changes, and leaves over
@@ -85,353 +61,9 @@ func benchEvents(n int) []strategy.Event {
 	return evs
 }
 
-// countWriter counts bytes on their way to the underlying writer.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// appendRewindEvery bounds the append benches' log file: every this
-// many records the file is rewound to offset 0 (outside the timer), so
-// long runs measure the append path rather than page-cache pressure
-// from a multi-gigabyte temp file. The rewind treatment is identical
-// for both encodings.
-const appendRewindEvery = 8192
-
-// benchWAL is the append benches' buffered temp log file.
-type benchWAL struct {
-	dir string
-	f   *os.File
-	bw  *bufio.Writer
-	cw  *countWriter
-}
-
-func newBenchWAL(b *testing.B) *benchWAL {
-	b.Helper()
-	dir, err := os.MkdirTemp("", "benchjson")
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join(dir, "bench.wal"))
-	if err != nil {
-		os.RemoveAll(dir)
-		b.Fatal(err)
-	}
-	bw := bufio.NewWriter(f)
-	return &benchWAL{dir: dir, f: f, bw: bw, cw: &countWriter{w: bw}}
-}
-
-func (w *benchWAL) rewind(b *testing.B) {
-	b.Helper()
-	if err := w.bw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func (w *benchWAL) close() {
-	w.bw.Flush()
-	w.f.Close()
-	os.RemoveAll(w.dir)
-}
-
-// WALAppendV1 is the baseline: one NDJSON event record appended to a
-// buffered log file per op — the seed WAL's exact encode path
-// (json.Marshal of the record envelope plus a newline).
-func WALAppendV1(b *testing.B) {
-	w := newBenchWAL(b)
-	defer w.close()
-	evs := benchEvents(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 && i%appendRewindEvery == 0 {
-			b.StopTimer()
-			w.rewind(b)
-			b.StartTimer()
-		}
-		if err := trace.WriteEventRecord(w.cw, evs[i%len(evs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(w.cw.n)/float64(b.N), MetricBytesPerRecord)
-}
-
-// WALAppendV2 is the binary append path: one v2 frame encoded into a
-// reused buffer and appended to a buffered log file per op — what
-// serve.wal does per event at steady state.
-func WALAppendV2(b *testing.B) {
-	w := newBenchWAL(b)
-	defer w.close()
-	evs := benchEvents(1024)
-	var buf []byte
-	var err error
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 && i%appendRewindEvery == 0 {
-			b.StopTimer()
-			w.rewind(b)
-			b.StartTimer()
-		}
-		if buf, err = trace.AppendEventFrame(buf[:0], i+1, evs[i%len(evs)]); err != nil {
-			b.Fatal(err)
-		}
-		if _, err = w.cw.Write(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(w.cw.n)/float64(b.N), MetricBytesPerRecord)
-}
-
-// replayStreamRecords is the record count of the replay benches'
-// pre-encoded log (one snapshot + that many events).
-const replayStreamRecords = 4096
-
-// replayStream builds the replay benches' log in one encoding.
-func replayStream(b *testing.B, v2 bool) []byte {
-	b.Helper()
-	var buf bytes.Buffer
-	snap := trace.Snapshot{Version: trace.SnapshotVersion}
-	evs := benchEvents(replayStreamRecords)
-	if v2 {
-		frame, err := trace.AppendSnapshotFrame(nil, snap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf.Write(frame)
-		for i, ev := range evs {
-			if frame, err = trace.AppendEventFrame(frame[:0], i+1, ev); err != nil {
-				b.Fatal(err)
-			}
-			buf.Write(frame)
-		}
-		return buf.Bytes()
-	}
-	if err := trace.WriteSnapshotRecord(&buf, snap); err != nil {
-		b.Fatal(err)
-	}
-	for _, ev := range evs {
-		if err := trace.WriteEventRecord(&buf, ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// benchReplay decodes the whole pre-encoded log once per op through the
-// same sniffing reader recovery uses — the two formats are directly
-// comparable because the reader is shared.
-func benchReplay(b *testing.B, v2 bool) {
-	stream := replayStream(b, v2)
-	b.SetBytes(int64(len(stream)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recs, _, err := trace.ReadRecords(bytes.NewReader(stream))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(recs) != replayStreamRecords+1 {
-			b.Fatalf("replayed %d records", len(recs))
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(stream))/float64(replayStreamRecords+1), MetricBytesPerRecord)
-}
-
-// WALReplayV1 replays the NDJSON log (the baseline).
-func WALReplayV1(b *testing.B) { benchReplay(b, false) }
-
-// WALReplayV2 replays the binary log.
-func WALReplayV2(b *testing.B) { benchReplay(b, true) }
-
-// shipBatchEvents is the events-per-batch of the ship benches (half the
-// cluster's maxShipEvents steady-state batches, a typical busy window).
+// shipBatchEvents is the events-per-batch of the ship benches, a
+// typical busy window (the cluster caps one request at 512).
 const shipBatchEvents = 64
 
 // shipFollowers is the fan-out the ship benches model.
 const shipFollowers = 3
-
-// legacyShipReq mirrors the seed cluster's ship body: the full event
-// window re-marshaled INSIDE the request, once per follower.
-type legacyShipReq struct {
-	Session string              `json:"session"`
-	Primary string              `json:"primary"`
-	From    int                 `json:"from"`
-	Events  []trace.EventRecord `json:"events"`
-	Barrier int                 `json:"barrier,omitempty"`
-}
-
-// ShipEncodeV1 is the baseline replication encode: each of three
-// followers gets its own json.Marshal of a 64-event batch, so every
-// event is JSON-encoded once per follower per send.
-func ShipEncodeV1(b *testing.B) {
-	evs := benchEvents(shipBatchEvents)
-	recs := make([]trace.EventRecord, len(evs))
-	for i, ev := range evs {
-		rec, err := trace.EncodeEvent(ev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		recs[i] = rec
-	}
-	req := legacyShipReq{Session: "bench", Primary: "p1", From: 1, Events: recs}
-	var encoded int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for f := 0; f < shipFollowers; f++ {
-			body, err := json.Marshal(req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			encoded += int64(len(body))
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(encoded)/float64(b.N)/shipBatchEvents, MetricBytesPerRecord)
-}
-
-// ShipAssembleV2 is the encode-once replication path: the 64-event
-// window is encoded into v2 frames exactly once, and each of three
-// followers' bodies is a small JSON header plus a copy of those raw
-// bytes — mirroring cluster's shipper over its frame-carrying feed.
-func ShipAssembleV2(b *testing.B) {
-	evs := benchEvents(shipBatchEvents)
-	type header struct {
-		Session string `json:"session"`
-		Primary string `json:"primary"`
-		From    int    `json:"from"`
-		Count   int    `json:"count"`
-		Barrier int    `json:"barrier,omitempty"`
-	}
-	var frames, body []byte
-	var encoded int64
-	var err error
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frames = frames[:0]
-		for j, ev := range evs {
-			if frames, err = trace.AppendEventFrame(frames, j+1, ev); err != nil {
-				b.Fatal(err)
-			}
-		}
-		encoded += int64(len(frames))
-		for f := 0; f < shipFollowers; f++ {
-			h, err := json.Marshal(header{Session: "bench", Primary: "p1", From: 1, Count: len(evs)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			encoded += int64(len(h))
-			body = append(append(append(body[:0], h...), '\n'), frames...)
-			if len(body) == 0 {
-				b.Fatal("empty body")
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(encoded)/float64(b.N)/shipBatchEvents, MetricBytesPerRecord)
-}
-
-// ---- Strategy hot path (mirrors the repo-root 1000-node benches) ----
-
-// bench1000Arena keeps the paper's N=100-on-100x100 density at N=1000,
-// matching the repo-root benchmarks so numbers are comparable.
-const bench1000Arena = 316.0
-
-func bench1000Base(b *testing.B, st strategy.Strategy) *sim.Session {
-	b.Helper()
-	p := workload.Defaults()
-	p.N = 1000
-	p.ArenaW, p.ArenaH = bench1000Arena, bench1000Arena
-	sess := sim.NewSession(st, false)
-	if err := sess.Apply(workload.JoinScript(7, p)); err != nil {
-		b.Fatal(err)
-	}
-	return sess
-}
-
-func benchJoinEvent1000(b *testing.B, st strategy.Strategy) {
-	sess := bench1000Base(b, st)
-	rng := xrand.New(99)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := graph.NodeID(2000 + i)
-		cfg := adhoc.Config{
-			Pos:   geom.Point{X: rng.Uniform(0, bench1000Arena), Y: rng.Uniform(0, bench1000Arena)},
-			Range: rng.Uniform(20.5, 30.5),
-		}
-		if err := sess.Apply([]strategy.Event{strategy.JoinEvent(id, cfg)}); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := sess.Apply([]strategy.Event{strategy.LeaveEvent(id)}); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-}
-
-// JoinEventMinim1000 times one Minim join against a 1000-node network.
-func JoinEventMinim1000(b *testing.B) { benchJoinEvent1000(b, core.New()) }
-
-// JoinEventCP1000 times one CP join against a 1000-node network.
-func JoinEventCP1000(b *testing.B) { benchJoinEvent1000(b, cppkg.New()) }
-
-// MoveEventMinim1000 times one Minim move against a 1000-node network.
-func MoveEventMinim1000(b *testing.B) {
-	sess := bench1000Base(b, core.New())
-	rng := xrand.New(99)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := graph.NodeID(rng.Intn(1000))
-		pos := geom.Point{X: rng.Uniform(0, bench1000Arena), Y: rng.Uniform(0, bench1000Arena)}
-		if err := sess.Apply([]strategy.Event{strategy.MoveEvent(id, pos)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ServeReads times one view read (color + config lookups) against a
-// live 200-node session, through the public serve API.
-func ServeReads(b *testing.B) {
-	dir, err := os.MkdirTemp("", "benchjson")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	m := serve.NewManager(dir)
-	defer m.Abort()
-	s, err := m.Create("bench", serve.Config{Strategies: []string{"Minim"}, Mailbox: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := workload.Defaults()
-	p.N = 200
-	for _, ev := range workload.JoinScript(5, p) {
-		if err := s.Apply(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rng := xrand.New(77)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := s.View()
-		id := graph.NodeID(rng.Intn(200))
-		v.ColorOf("Minim", id)
-		v.Config(id)
-	}
-}

@@ -1,11 +1,6 @@
 package benchjson
 
-import (
-	"bytes"
-	"testing"
-
-	"repro/internal/trace"
-)
+import "testing"
 
 // TestBenchEventsDeterministic: the bench workload is identical across
 // calls, so artifact numbers from different runs measure the same work.
@@ -20,47 +15,3 @@ func TestBenchEventsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestReplayStreamsEquivalent: the two replay benches decode the SAME
-// logical records — only the encoding differs — so their ns/op are a
-// fair apples-to-apples comparison.
-func TestReplayStreamsEquivalent(t *testing.T) {
-	b := &testing.B{}
-	v1 := replayStream(b, false)
-	v2 := replayStream(b, true)
-	if len(v2) >= len(v1) {
-		t.Fatalf("v2 stream (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
-	}
-	r1, _, err := trace.ReadRecords(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _, err := trace.ReadRecords(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1) != len(r2) || len(r1) != replayStreamRecords+1 {
-		t.Fatalf("record counts differ: %d vs %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		switch {
-		case r1[i].Snap != nil:
-			if r2[i].Snap == nil {
-				t.Fatalf("record %d: snapshot only in v1", i)
-			}
-		case r1[i].Ev != nil:
-			if r2[i].Ev == nil || *r1[i].Ev != *r2[i].Ev {
-				t.Fatalf("record %d differs: %+v vs %+v", i, r1[i].Ev, r2[i].Ev)
-			}
-		}
-	}
-}
-
-// Expose the harness bodies to `go test -bench` as well.
-func BenchmarkWALAppendV1(b *testing.B)       { WALAppendV1(b) }
-func BenchmarkWALAppendV2(b *testing.B)       { WALAppendV2(b) }
-func BenchmarkWALReplayV1(b *testing.B)       { WALReplayV1(b) }
-func BenchmarkWALReplayV2(b *testing.B)       { WALReplayV2(b) }
-func BenchmarkShipEncodeV1(b *testing.B)      { ShipEncodeV1(b) }
-func BenchmarkShipAssembleV2(b *testing.B)    { ShipAssembleV2(b) }
-func BenchmarkServeReadsHarness(b *testing.B) { ServeReads(b) }

@@ -209,24 +209,59 @@ func (n *Node) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, ri)
 }
 
-func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	recvNs := time.Now().UnixNano()
-	// The body is a JSON header line followed by raw binary WAL frames
-	// (shipContentType): parse the header, then scan the frame stream.
-	br := bufio.NewReader(r.Body)
+// decodeShipBody parses a ship request body (shipContentType): the
+// JSON header line, checked against the path's session and the
+// per-request event cap before anything is sized from it, then exactly
+// Count event frames with contiguous seqs from From. Every error is the
+// sender's fault.
+func decodeShipBody(id string, body io.Reader) (shipReq, []strategy.Event, error) {
+	br := bufio.NewReader(body)
 	header, err := br.ReadBytes('\n')
 	if err != nil {
-		httpErr(w, http.StatusBadRequest, fmt.Errorf("cluster: ship body lacks a header line: %w", err))
-		return
+		return shipReq{}, nil, fmt.Errorf("cluster: ship body lacks a header line: %w", err)
 	}
 	var req shipReq
 	if err := json.Unmarshal(header, &req); err != nil {
-		httpErr(w, http.StatusBadRequest, err)
-		return
+		return shipReq{}, nil, fmt.Errorf("cluster: ship header: %w", err)
 	}
 	if req.Session != id {
-		httpErr(w, http.StatusBadRequest, fmt.Errorf("cluster: ship body names %q, path %q", req.Session, id))
+		return shipReq{}, nil, fmt.Errorf("cluster: ship body names %q, path %q", req.Session, id)
+	}
+	if req.Count < 0 || req.Count > maxShipEvents {
+		return shipReq{}, nil, fmt.Errorf("cluster: ship header announces %d events, want 0..%d", req.Count, maxShipEvents)
+	}
+	evs := make([]strategy.Event, 0, req.Count)
+	sc := trace.NewRecordScanner(br)
+	for {
+		rec, err := sc.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return shipReq{}, nil, fmt.Errorf("cluster: ship frame %d: %w", len(evs), err)
+		}
+		if rec.Ev == nil {
+			return shipReq{}, nil, fmt.Errorf("cluster: ship frame %d is not an event record", len(evs))
+		}
+		if rec.Seq != req.From+len(evs) {
+			return shipReq{}, nil, fmt.Errorf("cluster: ship frame %d carries seq %d, want %d", len(evs), rec.Seq, req.From+len(evs))
+		}
+		evs = append(evs, *rec.Ev)
+	}
+	if len(evs) != req.Count {
+		// The frame scanner absorbs a truncated final frame as a torn
+		// tail; the header's count turns that silence into a loud reject.
+		return shipReq{}, nil, fmt.Errorf("cluster: ship body holds %d events, header announced %d", len(evs), req.Count)
+	}
+	return req, evs, nil
+}
+
+func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	recvNs := time.Now().UnixNano()
+	req, evs, err := decodeShipBody(id, r.Body)
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
 	// ack echoes the batch ID and stamps receive/ack times: with the
@@ -237,33 +272,6 @@ func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
 		resp.RecvUnixNs = recvNs
 		resp.AckUnixNs = time.Now().UnixNano()
 		writeJSON(w, http.StatusOK, resp)
-	}
-	evs := make([]strategy.Event, 0, req.Count)
-	sc := trace.NewRecordScanner(br)
-	for {
-		rec, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, fmt.Errorf("cluster: ship frame %d: %w", len(evs), err))
-			return
-		}
-		if rec.Ev == nil {
-			httpErr(w, http.StatusBadRequest, fmt.Errorf("cluster: ship frame %d is not an event record", len(evs)))
-			return
-		}
-		if rec.Seq != req.From+len(evs) {
-			httpErr(w, http.StatusBadRequest, fmt.Errorf("cluster: ship frame %d carries seq %d, want %d", len(evs), rec.Seq, req.From+len(evs)))
-			return
-		}
-		evs = append(evs, *rec.Ev)
-	}
-	if len(evs) != req.Count {
-		// The frame scanner absorbs a truncated final frame as a torn
-		// tail; the header's count turns that silence into a loud reject.
-		httpErr(w, http.StatusBadRequest, fmt.Errorf("cluster: ship body holds %d events, header announced %d", len(evs), req.Count))
-		return
 	}
 	if ps, isPrimary := n.localPrimary(id); isPrimary {
 		if req.Config.Epoch > ps.cfg.Epoch {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/trace"
 )
 
 // SessionConfig is the JSON-serializable session shape shared by the
@@ -128,16 +127,14 @@ const defaultFeedBacklog = 4096
 // bounded in-memory window of raw, already-encoded binary frames —
 // exactly the bytes the log holds — and every follower's shipper is
 // just a cursor into that window. N followers therefore cost one file
-// read and ZERO re-encodes per record (a v1 NDJSON record is transcoded
-// to its v2 frame once on ingest, never per follower). The feed also
-// carries the stream's coordination state: the newest
-// compaction-barrier sequence seen (from barrier records, or from a
-// compaction snapshot at the log head after the feed repositions).
+// read and ZERO re-encodes per record. The feed also carries the
+// stream's coordination state: the newest compaction-barrier sequence
+// seen (from barrier records, or from a compaction snapshot at the log
+// head after the feed repositions).
 type walFeed struct {
 	mu      sync.Mutex
 	pos     serve.WALPos
 	seeded  bool // a snapshot record has established the seq cursor
-	readSeq int  // seq the next event record in the file stream carries
 	nextSeq int  // seq the next record appended to the window will carry
 	base    int  // seq of entries[0] (meaningful when len(entries) > 0)
 	entries [][]byte
@@ -181,7 +178,6 @@ func (fd *walFeed) pull(dir string) error {
 			// at or below its seq is folded into it, and its position is
 			// an implicit barrier — a follower past it may truncate too.
 			fd.seeded = true
-			fd.readSeq = r.Snap.Seq + 1
 			fd.dropThroughLocked(r.Snap.Seq)
 			if fd.nextSeq < r.Snap.Seq+1 {
 				fd.nextSeq = r.Snap.Seq + 1
@@ -197,28 +193,16 @@ func (fd *walFeed) pull(dir string) error {
 			if !fd.seeded {
 				return fmt.Errorf("cluster: wal %s: event record precedes any snapshot", dir)
 			}
-			seq := fd.readSeq
-			fd.readSeq++
-			if seq < fd.nextSeq {
+			if r.Seq < fd.nextSeq {
 				continue // already in the window (re-read after a reposition)
 			}
-			if seq > fd.nextSeq {
-				return fmt.Errorf("cluster: wal %s: stream skips from seq %d to %d", dir, fd.nextSeq, seq)
-			}
-			frame := r.Frame
-			if frame == nil {
-				// v1 NDJSON record: transcode to its v2 frame once, here.
-				var err error
-				if frame, err = trace.AppendEventFrame(nil, seq, *r.Ev); err != nil {
-					return err
-				}
-			} else if r.Seq != seq {
-				return fmt.Errorf("cluster: wal %s: frame carries seq %d, stream expects %d", dir, r.Seq, seq)
+			if r.Seq > fd.nextSeq {
+				return fmt.Errorf("cluster: wal %s: stream skips from seq %d to %d", dir, fd.nextSeq, r.Seq)
 			}
 			if len(fd.entries) == 0 {
-				fd.base = seq
+				fd.base = r.Seq
 			}
-			fd.entries = append(fd.entries, frame)
+			fd.entries = append(fd.entries, r.Frame)
 			fd.times = append(fd.times, now)
 			fd.nextSeq++
 		}

@@ -19,7 +19,6 @@ func feedWithFrames(t testing.TB, n int) *walFeed {
 	fd.seeded = true
 	fd.base = 1
 	fd.nextSeq = n + 1
-	fd.readSeq = n + 1
 	for i := 1; i <= n; i++ {
 		frame, err := trace.AppendEventFrame(nil, i, strategy.LeaveEvent(7))
 		if err != nil {

@@ -45,17 +45,14 @@
 // The WAL is one directory per session holding numbered segment files
 // of length-prefixed binary frames in the internal/trace v2 record
 // encoding (magic byte, type, uvarint sequence number, uvarint payload
-// length; see docs/wal.md for the byte-level spec). Readers sniff the
-// encoding per record by its first byte, so legacy v1 newline-delimited
-// JSON logs — and logs that mix both, a v1 log continued by a v2
-// writer — recover bit-identically with no rewrite; cmd/waldump exports
-// any log back to NDJSON for grep/jq debugging. The log's first record
-// is a versioned snapshot (topology + per-strategy assignments and
-// metrics at a log position); every further record is one event. A
+// length; see docs/wal.md for the byte-level spec). A record that does
+// not start with the frame magic byte is corruption; cmd/waldump
+// exports any log to NDJSON for grep/jq debugging. The log's first
+// record is a versioned snapshot (topology + per-strategy assignments
+// and metrics at a log position); every further record is one event. A
 // record is committed iff its frame is complete — header plus declared
-// payload on disk (for a v1 line: newline-terminated and parses). A
-// torn final record in the active segment is truncated on open; a
-// malformed committed record (or a torn record in a sealed segment) is
+// payload on disk. A torn final record in the active segment is
+// truncated on open; a malformed committed record (or a torn record in a sealed segment) is
 // corruption and fails loudly. Appends are group-committed (flushed
 // when the mailbox drains; Config.SyncEvery forces per-N-event fsync,
 // counted across segment boundaries), and Config.SegmentBytes seals the

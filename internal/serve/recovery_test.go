@@ -6,10 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/adhoc"
+	"repro/internal/geom"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
+	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -175,9 +178,9 @@ func TestRecoveryAfterGracefulClose(t *testing.T) {
 	assertStateEquals(t, "graceful", r, allNames, ref, len(script))
 }
 
-// TestRecoveryTornTail: trailing garbage without a newline (a crash
-// mid-append) is truncated on open; the recovered state corresponds to
-// the committed prefix.
+// TestRecoveryTornTail: a partial trailing frame (a crash mid-append)
+// is truncated on open; the recovered state corresponds to the
+// committed prefix.
 func TestRecoveryTornTail(t *testing.T) {
 	base, _ := testScript(23, 25, 0)
 	dir := t.TempDir()
@@ -203,7 +206,11 @@ func TestRecoveryTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"ev":{"kind":"join","id":7777,"x":3`); err != nil {
+	torn, err := trace.AppendEventFrame(nil, len(base)+1, strategy.JoinEvent(7777, adhoc.Config{Pos: geom.Point{X: 3}, Range: 25}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

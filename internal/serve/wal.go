@@ -35,9 +35,9 @@ type walObs struct {
 	tracer      *obs.Tracer
 }
 
-// wal is one session's durable write-ahead log: a directory of
-// newline-delimited JSON segment files (the internal/trace record
-// encoding), numbered in append order. The first record of the log is a
+// wal is one session's durable write-ahead log: a directory of segment
+// files of binary frames (the internal/trace record encoding), numbered
+// in append order. The first record of the log is a
 // versioned snapshot and every following record one event, so the
 // committed state of a session is always "snapshot + event tail".
 //
@@ -56,9 +56,9 @@ type walObs struct {
 // writer drains its mailbox (group commit) and fsynced on seal,
 // compaction, and close; SyncEvery forces a flush+fsync every N appends
 // (counted across segment boundaries) for callers that want per-event
-// durability. A torn final line in the active segment (crash
+// durability. A torn final frame in the active segment (crash
 // mid-append) is detected and truncated on open — a record is committed
-// iff its line is complete. A torn line in a sealed segment is
+// iff its frame is complete. A torn frame in a sealed segment is
 // corruption and fails the open.
 type wal struct {
 	dir          string

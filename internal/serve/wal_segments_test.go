@@ -159,15 +159,13 @@ func TestWALInterruptedCompaction(t *testing.T) {
 	}
 	// Simulate the compaction crash: write the snapshot segment by hand
 	// and "die" before deleting segment 1.
-	f, err := os.Create(filepath.Join(dir, segName(2)))
+	frame, err := trace.AppendSnapshotFrame(nil, trace.Snapshot{Version: trace.SnapshotVersion, Seq: len(script)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := trace.Snapshot{Version: trace.SnapshotVersion, Seq: len(script)}
-	if err := trace.WriteSnapshotRecord(f, snap); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	got, tail, r, err := openWAL(dir)
 	if err != nil {
@@ -204,27 +202,29 @@ func TestWALInterruptedCompactionTornOldSegment(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the old segment's tail (a buffered partial line the dying
+	// Tear the old segment's tail (a buffered partial frame the dying
 	// compaction never flushed) ...
 	f, err := os.OpenFile(filepath.Join(dir, segName(1)), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"ev":{"kind":"join","id":42,"x":1.`); err != nil {
+	torn, err := trace.AppendEventFrame(nil, len(script)+1, script[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 	// ... and publish the compaction's snapshot segment, dying before
 	// the deletes.
-	nf, err := os.Create(filepath.Join(dir, segName(2)))
+	frame, err := trace.AppendSnapshotFrame(nil, trace.Snapshot{Version: trace.SnapshotVersion, Seq: len(script)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := trace.Snapshot{Version: trace.SnapshotVersion, Seq: len(script)}
-	if err := trace.WriteSnapshotRecord(nf, snap); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	nf.Close()
 
 	got, tail, r, err := openWAL(dir)
 	if err != nil {

@@ -3,134 +3,11 @@ package serve
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/strategy"
 	"repro/internal/trace"
 )
-
-// rewriteSegmentsAsV1 converts every segment of a WAL directory to the
-// v1 NDJSON encoding in place — fabricating exactly the log an old
-// writer would have left, byte-for-byte in the v1 record shapes.
-func rewriteSegmentsAsV1(t *testing.T, dir string) {
-	t.Helper()
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range segs {
-		p := filepath.Join(dir, segName(seg))
-		f, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, _, err := trace.ReadRecords(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for _, r := range recs {
-			switch {
-			case r.Snap != nil:
-				err = trace.WriteSnapshotRecord(&sb, *r.Snap)
-			case r.Ev != nil:
-				err = trace.WriteEventRecord(&sb, *r.Ev)
-			case r.Barrier != nil:
-				err = trace.WriteBarrierRecord(&sb, r.Barrier.Seq)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(p, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestWALMigrationFromV1: a session restored from a pure v1 NDJSON log
-// recovers bit-identically, continues by appending v2 frames to the
-// same log (no rewrite, no flag day), survives a crash with the
-// mixed-format log, and recovers bit-identically again.
-func TestWALMigrationFromV1(t *testing.T) {
-	base, phase := testScript(73, 30, 90)
-	script := append(append([]strategy.Event(nil), base...), phase...)
-	k := len(script) / 2
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "mig.wal")
-	cfg := Config{Strategies: allNames, SyncEvery: 1, SegmentBytes: 512}
-	s, err := newSession("mig", cfg, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range script[:k] {
-		if err := s.Apply(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.abortForTest(); err != nil {
-		t.Fatal(err)
-	}
-	rewriteSegmentsAsV1(t, walPath)
-
-	// Restore from the v1 log: bit-identical to the pre-crash state.
-	// Rotation is effectively off for the continuation (SegmentBytes is
-	// an operational knob, not logged state) so the v2 appends land in
-	// the same segment the v1 log ended with — the mixed-format shape
-	// the per-record sniffing must handle.
-	cfg.SegmentBytes = 1 << 20
-	_, _, ref := refState(t, allNames, script[:k])
-	r, err := restoreSession("mig", cfg, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStateEquals(t, "restored-from-v1", r, allNames, ref, k)
-
-	// Continue: new appends are v2 frames in the same (now mixed) log.
-	for _, ev := range script[k:] {
-		if err := r.Apply(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.abortForTest(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := listSegments(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := false
-	for _, seg := range segs {
-		b, err := os.ReadFile(filepath.Join(walPath, segName(seg)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) > 0 && b[0] == '{' {
-			for _, c := range b {
-				if c == trace.FrameMagic {
-					mixed = true
-				}
-			}
-		}
-	}
-	if !mixed {
-		t.Fatal("continuation left no v1-then-v2 mixed segment; migration path untested")
-	}
-
-	// Crash-recover the mixed log: still bit-identical.
-	_, _, full := refState(t, allNames, script)
-	r2, err := restoreSession("mig", cfg, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStateEquals(t, "restored-mixed", r2, allNames, full, len(script))
-	if err := r2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestWALTornTailMatrixV2: truncate the active segment at EVERY byte
 // offset spanning its final frames; each cut must open cleanly and

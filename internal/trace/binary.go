@@ -13,28 +13,26 @@
 // caller-owned buffer — the WAL's steady-state event append performs
 // zero heap allocations per record.
 //
-// Format negotiation is per record, by sniffing the first byte: 0xB2 is
-// a v2 frame, '{' (0x7B) a v1 NDJSON line. The two can coexist in one
-// stream, so migrating a v1 log means simply continuing to append v2
-// frames to it. Torn-tail semantics match v1: a frame cut off by a
-// crash — at any byte offset — is "not yet committed" and ignored by
-// RecordScanner, while a byte sequence that cannot be a prefix of a
-// valid frame is corruption and fails the read loudly. The distinction
-// is sound because a truncated frame can never declare an out-of-range
-// length (a cut mid-varint leaves the continuation bit set, which reads
-// as torn, not as a huge value) and committed records always end on a
-// frame boundary (an unrecognized leading byte therefore cannot be
-// explained as a torn remnant).
+// Every WAL record is a v2 frame: a record whose first byte is not
+// FrameMagic is corruption. A frame cut off by a crash — at any byte
+// offset — is "not yet committed" and ignored by RecordScanner, while a
+// byte sequence that cannot be a prefix of a valid frame is corruption
+// and fails the read loudly. The distinction is sound because a
+// truncated frame can never declare an out-of-range length (a cut
+// mid-varint leaves the continuation bit set, which reads as torn, not
+// as a huge value) and committed records always end on a frame boundary
+// (an unrecognized leading byte therefore cannot be explained as a torn
+// remnant).
 package trace
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/adhoc"
 	"repro/internal/geom"
@@ -42,9 +40,7 @@ import (
 	"repro/internal/strategy"
 )
 
-// FrameMagic is the first byte of every v2 binary record. It is
-// distinct from '{' (0x7B), the first byte of every v1 NDJSON record,
-// which is what makes per-record format sniffing unambiguous.
+// FrameMagic is the first byte of every WAL record.
 const FrameMagic byte = 0xB2
 
 // Frame record types.
@@ -504,11 +500,8 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// RecordScanner decodes a WAL stream record by record, sniffing each
-// record's format from its first byte (v2 frame vs v1 NDJSON line) so
-// mixed-format logs — a v1 log continued in v2 — replay seamlessly.
-// The payload buffer is reused across records; decoded Records do not
-// alias it.
+// RecordScanner decodes a WAL stream frame by frame. The payload
+// buffer is reused across records; decoded Records do not alias it.
 //
 // Next returns io.EOF both at a clean end of stream and at a torn tail
 // (a final record cut off mid-write): in either case Committed reports
@@ -527,10 +520,8 @@ func NewRecordScanner(r io.Reader) *RecordScanner {
 	return &RecordScanner{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
-// CaptureFrames makes Next attach each record's canonical v2 encoding
-// as Record.Frame — the replication feed's encode-once source. Records
-// read from v1 NDJSON lines get a nil Frame (the feed transcodes those
-// once on ingest).
+// CaptureFrames makes Next attach each record's frame bytes as
+// Record.Frame — the replication feed's encode-once source.
 func (s *RecordScanner) CaptureFrames() { s.capture = true }
 
 // Committed returns the byte offset where the committed record prefix
@@ -552,12 +543,6 @@ func (s *RecordScanner) Next() (Record, error) {
 		return Record{}, err
 	}
 	i := s.idx
-	if b0 == '{' {
-		if err := s.br.UnreadByte(); err != nil {
-			return Record{}, err
-		}
-		return s.nextJSON(i)
-	}
 	if b0 != FrameMagic {
 		return Record{}, fmt.Errorf("trace: record %d: unknown record format byte 0x%02x", i, b0)
 	}
@@ -589,11 +574,8 @@ func (s *RecordScanner) Next() (Record, error) {
 		return Record{}, fmt.Errorf("trace: record %d: payload length %d exceeds frame limit", i, plenU)
 	}
 	plen := int(plenU)
-	if cap(s.payload) < plen {
-		s.payload = make([]byte, plen)
-	}
-	p := s.payload[:plen]
-	if _, err := io.ReadFull(s.br, p); err != nil {
+	p, err := s.readPayload(plen)
+	if err != nil {
 		if isTornEOF(err) {
 			return Record{}, io.EOF
 		}
@@ -639,43 +621,24 @@ func (s *RecordScanner) Next() (Record, error) {
 	return rec, nil
 }
 
-// nextJSON decodes one v1 NDJSON record line. A record is committed iff
-// its line is newline-terminated and parses; an unterminated final line
-// is a torn append.
-func (s *RecordScanner) nextJSON(i int) (Record, error) {
-	line, err := s.br.ReadBytes('\n')
-	if err != nil {
-		if isTornEOF(err) {
-			return Record{}, io.EOF
+// readPayload reads an n-byte payload into the reused buffer. The
+// buffer grows only as bytes arrive, at most doubling what has been
+// read so far, so a declared length the stream does not deliver (a torn
+// tail, or a lying length byte) costs what was read, not what was
+// declared.
+func (s *RecordScanner) readPayload(n int) ([]byte, error) {
+	p := s.payload[:0]
+	for len(p) < n {
+		if len(p) == cap(p) {
+			p = slices.Grow(p, min(n-len(p), max(len(p), 4096)))
 		}
-		return Record{}, fmt.Errorf("trace: record %d: %w", i, err)
-	}
-	var wr walRecord
-	if err := json.Unmarshal(line, &wr); err != nil {
-		return Record{}, fmt.Errorf("trace: record %d: %w", i, err)
-	}
-	var rec Record
-	switch {
-	case wr.Snap != nil && wr.Ev == nil && wr.Bar == nil:
-		if err := wr.Snap.validate(); err != nil {
-			return Record{}, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		rec = Record{Snap: wr.Snap, Seq: wr.Snap.Seq}
-	case wr.Ev != nil && wr.Snap == nil && wr.Bar == nil:
-		ev, err := DecodeEvent(*wr.Ev)
+		k, err := io.ReadFull(s.br, p[len(p):min(cap(p), n)])
+		p = p[:len(p)+k]
 		if err != nil {
-			return Record{}, fmt.Errorf("trace: record %d: %w", i, err)
+			s.payload = p[:0]
+			return nil, err
 		}
-		rec = Record{Ev: &ev}
-	case wr.Bar != nil && wr.Snap == nil && wr.Ev == nil:
-		if wr.Bar.Seq < 0 {
-			return Record{}, fmt.Errorf("trace: record %d: barrier with negative seq %d", i, wr.Bar.Seq)
-		}
-		rec = Record{Barrier: wr.Bar, Seq: wr.Bar.Seq}
-	default:
-		return Record{}, fmt.Errorf("trace: record %d is not exactly one of snapshot, event, barrier", i)
 	}
-	s.committed += int64(len(line))
-	s.idx++
-	return rec, nil
+	s.payload = p
+	return p, nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/adhoc"
@@ -177,48 +178,11 @@ func TestTornTailMatrix(t *testing.T) {
 	}
 }
 
-// TestMixedFormatStream: v1 NDJSON records and v2 frames interleave in
-// one stream — the migration shape (v1 log continued in v2).
-func TestMixedFormatStream(t *testing.T) {
-	snap := testSnapshot()
-	var v1 bytes.Buffer
-	if err := WriteSnapshotRecord(&v1, snap); err != nil {
-		t.Fatal(err)
-	}
-	evs := testEvents()
-	if err := WriteEventRecord(&v1, evs[0]); err != nil {
-		t.Fatal(err)
-	}
-	stream := v1.Bytes()
-	var err error
-	if stream, err = AppendEventFrame(stream, snap.Seq+2, evs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if stream, err = AppendBarrierFrame(stream, snap.Seq+2); err != nil {
-		t.Fatal(err)
-	}
-	recs, off, err := ReadRecords(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off != int64(len(stream)) {
-		t.Fatalf("committed %d, want %d", off, len(stream))
-	}
-	if len(recs) != 4 || recs[0].Snap == nil || recs[1].Ev == nil || recs[2].Ev == nil || recs[3].Barrier == nil {
-		t.Fatalf("unexpected record shapes: %+v", recs)
-	}
-	if *recs[1].Ev != evs[0] || *recs[2].Ev != evs[1] {
-		t.Fatal("events did not survive the mixed-format round trip")
-	}
-	if recs[1].Frame != nil {
-		t.Fatal("v1 record came back with a captured frame from a non-capturing read")
-	}
-}
-
 func TestCorruptStreams(t *testing.T) {
 	valid, _ := encodeStream(t)
 	cases := map[string][]byte{
 		"unknown leading byte":   append([]byte{0x00}, valid...),
+		"NDJSON record line":     []byte(`{"ev":{"kind":"leave","id":1}}` + "\n"),
 		"unknown frame type":     {FrameMagic, 0x7f, 0x01, 0x00},
 		"oversized length":       {FrameMagic, frameEvent, 0x01, 0xff, 0xff, 0xff, 0xff, 0x7f},
 		"barrier with payload":   {FrameMagic, frameBarrier, 0x01, 0x01, 0xaa},
@@ -232,8 +196,31 @@ func TestCorruptStreams(t *testing.T) {
 	}
 }
 
+// TestLyingLengthAllocatesLazily: a frame header declaring a 192 MiB
+// payload that the stream never delivers is a torn tail, and reading it
+// allocates what arrived, not what was declared.
+func TestLyingLengthAllocatesLazily(t *testing.T) {
+	stream := []byte{FrameMagic, frameEvent, 0x01, 0x80, 0x80, 0x80, 0x60}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sc := NewRecordScanner(bytes.NewReader(stream))
+	_, err := sc.Next()
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("Next = %v, want io.EOF (torn tail)", err)
+	}
+	if sc.Committed() != 0 {
+		t.Fatalf("committed %d, want 0", sc.Committed())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading a 7-byte stream allocated %d bytes", got)
+	}
+}
+
 // FuzzDecodeRecord: arbitrary bytes never panic the scanner; they
-// decode, report a torn tail, or fail loudly.
+// decode, report a torn tail, or fail loudly. A stream that does not
+// start with a frame (an NDJSON line, say) always fails.
 func FuzzDecodeRecord(f *testing.F) {
 	valid, _ := func() ([]byte, []Record) {
 		snap := testSnapshot()
@@ -249,6 +236,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		recs, off, err := ReadRecords(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if len(data) > 0 && data[0] != FrameMagic {
+			t.Fatalf("stream starting with 0x%02x read back cleanly", data[0])
 		}
 		if off < 0 || off > int64(len(data)) {
 			t.Fatalf("committed offset %d outside [0,%d]", off, len(data))

@@ -4,20 +4,15 @@
 // each hosted strategy's code assignment plus cumulative metrics — so
 // that "snapshot + event tail" reconstructs the exact pre-crash state.
 //
-// The WAL itself is a sequence of self-delimiting records — binary v2
-// frames (binary.go) by default, with v1 newline-delimited JSON still
-// readable for migration — where the first record is a snapshot and
-// every following record one event. A record is committed iff its bytes
-// are complete and parse; a truncated final record is a torn append
-// (the writer died mid-write) and is ignored by ReadRecords, while
-// malformed *complete* bytes are corruption and are rejected loudly.
-// WriteSnapshotRecord / WriteEventRecord / WriteBarrierRecord emit the
-// v1 NDJSON form, which survives as the human-readable debug export
-// (cmd/waldump) and the migration compatibility surface.
+// The WAL itself is a sequence of self-delimiting binary frames
+// (binary.go), where the first record is a snapshot and every following
+// record one event. A record is committed iff its bytes are complete
+// and parse; a truncated final record is a torn append (the writer died
+// mid-write) and is ignored by ReadRecords, while malformed *complete*
+// bytes are corruption and are rejected loudly.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -203,19 +198,10 @@ type Barrier struct {
 	Seq int `json:"seq"`
 }
 
-// walRecord is one WAL line: exactly one of Snap, Ev, or Bar is set.
-type walRecord struct {
-	Snap *Snapshot    `json:"snap,omitempty"`
-	Ev   *EventRecord `json:"ev,omitempty"`
-	Bar  *Barrier     `json:"barrier,omitempty"`
-}
-
-// Record is one decoded WAL record. Seq is the frame header's sequence
-// number for v2 records (and the embedded seq for v1 snapshots and
-// barriers); v1 event lines carry no sequence and leave it zero. Frame
-// is the record's canonical v2 encoding, populated only by readers that
-// opt in (RecordScanner.CaptureFrames, ReadRecordsAt) and only for
-// records read from v2 frames.
+// Record is one decoded WAL record: exactly one of Snap, Ev, or Barrier
+// is set. Seq is the frame header's sequence number. Frame is the
+// record's frame bytes, set by readers that opt in
+// (RecordScanner.CaptureFrames, ReadRecordsAt).
 type Record struct {
 	Snap    *Snapshot
 	Ev      *strategy.Event
@@ -224,50 +210,15 @@ type Record struct {
 	Frame   []byte
 }
 
-// WriteSnapshotRecord appends one snapshot record line to w.
-func WriteSnapshotRecord(w io.Writer, s Snapshot) error {
-	if err := s.validate(); err != nil {
-		return err
-	}
-	return writeRecord(w, walRecord{Snap: &s})
-}
-
-// WriteEventRecord appends one event record line to w.
-func WriteEventRecord(w io.Writer, ev strategy.Event) error {
-	ej, err := EncodeEvent(ev)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	return writeRecord(w, walRecord{Ev: &ej})
-}
-
-// WriteBarrierRecord appends one compaction-barrier record line to w.
-func WriteBarrierRecord(w io.Writer, seq int) error {
-	if seq < 0 {
-		return fmt.Errorf("trace: barrier with negative seq %d", seq)
-	}
-	return writeRecord(w, walRecord{Bar: &Barrier{Seq: seq}})
-}
-
-func writeRecord(w io.Writer, r walRecord) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
 // ReadRecordsAt decodes committed records starting at byte offset off
 // of a WAL stream, returning them together with the absolute offset
 // where the committed prefix ends. It is the offset-addressed read the
 // replication shipper tails a live WAL file with: records before off
 // were already consumed, a torn tail past the returned offset is simply
 // "not yet committed", and the caller re-reads from the returned offset
-// once the writer has appended more. Records read from v2 frames carry
-// their raw encoding in Record.Frame so the replication feed ships the
-// exact bytes without re-encoding.
+// once the writer has appended more. Records carry their raw frame in
+// Record.Frame so the replication feed ships the exact bytes without
+// re-encoding.
 func ReadRecordsAt(rs io.ReadSeeker, off int64) ([]Record, int64, error) {
 	if _, err := rs.Seek(off, io.SeekStart); err != nil {
 		return nil, 0, fmt.Errorf("trace: seek %d: %w", off, err)

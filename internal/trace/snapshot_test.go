@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/adhoc"
+	"repro/internal/geom"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
@@ -39,11 +41,11 @@ func snapshotFixture(t *testing.T) (Snapshot, *sim.EngineSession) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap, sess := snapshotFixture(t)
-	var buf bytes.Buffer
-	if err := WriteSnapshotRecord(&buf, snap); err != nil {
+	frame, err := AppendSnapshotFrame(nil, snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs, off, err := ReadRecords(&buf)
+	recs, off, err := ReadRecords(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,52 +90,105 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// forgeSnapshotFrame encodes s as a snapshot frame without the writer's
+// validation, so tests can hand the reader snapshots the writer refuses.
+func forgeSnapshotFrame(t *testing.T, s Snapshot) []byte {
+	t.Helper()
+	payload, err := appendSnapshotPayload(nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return forgeFrame(frameSnapshot, uint64(s.Seq), payload)
+}
+
+// forgeFrame encodes a frame header of the given type and seq around an
+// arbitrary payload.
+func forgeFrame(typ byte, seq uint64, payload []byte) []byte {
+	f := []byte{FrameMagic, typ}
+	f = binary.AppendUvarint(f, seq)
+	f = binary.AppendUvarint(f, uint64(len(payload)))
+	return append(f, payload...)
+}
+
 func TestSnapshotBadVersionRejected(t *testing.T) {
 	snap, _ := snapshotFixture(t)
 	snap.Version = SnapshotVersion + 1
-	var buf bytes.Buffer
-	if err := WriteSnapshotRecord(&buf, snap); err == nil {
+	if _, err := AppendSnapshotFrame(nil, snap); err == nil {
 		t.Fatal("writer accepted unknown snapshot version")
 	}
-	// Forge the line directly: the reader must reject it too.
-	buf.Reset()
-	buf.WriteString(`{"snap":{"version":99,"seq":0}}` + "\n")
-	if _, _, err := ReadRecords(&buf); err == nil || !strings.Contains(err.Error(), "version") {
+	// Forge the frame directly: the reader must reject it too.
+	bad := forgeSnapshotFrame(t, Snapshot{Version: 99})
+	if _, _, err := ReadRecords(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("reader accepted unknown version, err=%v", err)
 	}
 }
 
 func TestSnapshotValidation(t *testing.T) {
-	cases := []string{
-		`{"snap":{"version":1,"seq":-1}}`,
-		`{"snap":{"version":1,"seq":0,"nodes":[{"id":1,"x":0,"y":0,"range":1},{"id":1,"x":2,"y":2,"range":1}]}}`,
-		`{"snap":{"version":1,"seq":0,"nodes":[{"id":1,"x":0,"y":0,"range":-2}]}}`,
-		`{"snap":{"version":1,"seq":0,"nodes":[],"strategies":[{"name":"Minim","assign":[{"id":7,"color":1}]}]}}`,
-		`{"snap":{"version":1,"seq":0,"nodes":[{"id":7,"x":0,"y":0,"range":1}],"strategies":[{"name":"Minim","assign":[{"id":7,"color":0}]}]}}`,
-		`{"snap":{"version":1,"seq":0},"ev":{"kind":"leave","id":1}}`,
-		`{}`,
+	leave, err := AppendEventFrame(nil, 1, strategy.LeaveEvent(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, line := range cases {
-		if _, _, err := ReadRecords(strings.NewReader(line + "\n")); err == nil {
-			t.Errorf("case %d: malformed snapshot accepted: %s", i, line)
+	leavePayload := leave[4:] // magic, type, seq 1, length 9: one byte each
+	empty, err := appendSnapshotPayload(nil, Snapshot{Version: SnapshotVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := func(id int, rng float64) NodeState { return NodeState{ID: id, Range: rng} }
+	minim := func(id, color int) []StrategyState {
+		return []StrategyState{{Name: "Minim", Assign: []ColorEntry{{ID: id, Color: color}}}}
+	}
+	cases := map[string][]byte{
+		"negative seq":          forgeSnapshotFrame(t, Snapshot{Version: 1, Seq: -1}),
+		"repeated node":         forgeSnapshotFrame(t, Snapshot{Version: 1, Nodes: []NodeState{node(1, 1), {ID: 1, X: 2, Y: 2, Range: 1}}}),
+		"negative range":        forgeSnapshotFrame(t, Snapshot{Version: 1, Nodes: []NodeState{node(1, -2)}}),
+		"color for absent node": forgeSnapshotFrame(t, Snapshot{Version: 1, Strategies: minim(7, 1)}),
+		"non-positive color":    forgeSnapshotFrame(t, Snapshot{Version: 1, Nodes: []NodeState{node(7, 1)}, Strategies: minim(7, 0)}),
+		"snapshot and event":    forgeFrame(frameSnapshot, 0, append(empty, leavePayload...)),
+		"no record kind":        forgeFrame(0x00, 0, nil),
+	}
+	for name, frame := range cases {
+		if _, _, err := ReadRecords(bytes.NewReader(frame)); err == nil {
+			t.Errorf("%s: malformed snapshot accepted: % x", name, frame)
 		}
 	}
 }
 
-func TestWALTornTailIgnored(t *testing.T) {
-	snap, _ := snapshotFixture(t)
-	var buf bytes.Buffer
-	if err := WriteSnapshotRecord(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range sampleScript()[:3] {
-		if err := WriteEventRecord(&buf, ev); err != nil {
+// appendEvents appends one event frame per event, with seqs from+1 on.
+func appendEvents(t *testing.T, buf *bytes.Buffer, from int, evs []strategy.Event) {
+	t.Helper()
+	var frame []byte
+	var err error
+	for i, ev := range evs {
+		if frame, err = AppendEventFrame(frame[:0], from+1+i, ev); err != nil {
 			t.Fatal(err)
 		}
+		buf.Write(frame)
 	}
+}
+
+// snapshotStream starts a stream with snap's frame.
+func snapshotStream(t *testing.T, snap Snapshot) *bytes.Buffer {
+	t.Helper()
+	frame, err := AppendSnapshotFrame(nil, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.NewBuffer(frame)
+}
+
+func TestWALTornTailIgnored(t *testing.T) {
+	snap, _ := snapshotFixture(t)
+	buf := snapshotStream(t, snap)
+	appendEvents(t, buf, snap.Seq, sampleScript()[:3])
 	committed := buf.Len()
-	// Simulate a crash mid-append: half an event record, no newline.
-	buf.WriteString(`{"ev":{"kind":"join","id":9`)
+	// Simulate a crash mid-append: half a join frame.
+	join := strategy.JoinEvent(9, adhoc.Config{Range: 30})
+	frame, err := AppendEventFrame(nil, snap.Seq+4, join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(frame) / 2
+	buf.Write(frame[:half])
 	recs, off, err := ReadRecords(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -144,29 +199,23 @@ func TestWALTornTailIgnored(t *testing.T) {
 	if off != int64(committed) {
 		t.Fatalf("committed offset %d, want %d", off, committed)
 	}
-	// A terminated malformed line is corruption, not a torn tail.
-	buf.WriteString("\n")
+	// Completing the frame with bytes its payload cannot hold (a NaN
+	// range) is corruption, not a torn tail.
+	buf.Write(bytes.Repeat([]byte{0xff}, len(frame)-half))
 	if _, _, err := ReadRecords(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("terminated malformed line accepted")
+		t.Fatal("complete malformed frame accepted")
 	}
 }
 
 // TestReadRecordsAt: offset-addressed reads resume exactly where a
 // previous read stopped — the shipper's tailing pattern: read, writer
-// appends (possibly tearing the last line), read again from the
+// appends (possibly tearing the last frame), read again from the
 // returned offset, and the concatenation equals one full read.
 func TestReadRecordsAt(t *testing.T) {
 	snap, _ := snapshotFixture(t)
 	script := sampleScript()
-	var buf bytes.Buffer
-	if err := WriteSnapshotRecord(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range script[:2] {
-		if err := WriteEventRecord(&buf, ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	buf := snapshotStream(t, snap)
+	appendEvents(t, buf, snap.Seq, script[:2])
 	first, off, err := ReadRecordsAt(bytes.NewReader(buf.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -175,14 +224,14 @@ func TestReadRecordsAt(t *testing.T) {
 		t.Fatalf("first read: %d records to offset %d (buffer %d)", len(first), off, buf.Len())
 	}
 
-	// The writer appends more, with a torn final line.
-	for _, ev := range script[2:] {
-		if err := WriteEventRecord(&buf, ev); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// The writer appends more, with a torn final frame.
+	appendEvents(t, buf, snap.Seq+2, script[2:])
 	committed := buf.Len()
-	buf.WriteString(`{"ev":{"kind":"move","id":`)
+	torn, err := AppendEventFrame(nil, snap.Seq+len(script)+1, strategy.MoveEvent(1, geom.Point{X: 1, Y: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(torn[:len(torn)-3])
 	second, off2, err := ReadRecordsAt(bytes.NewReader(buf.Bytes()), off)
 	if err != nil {
 		t.Fatal(err)
@@ -206,19 +255,14 @@ func TestReadRecordsAt(t *testing.T) {
 func TestBarrierRecordRoundTrip(t *testing.T) {
 	snap, _ := snapshotFixture(t)
 	script := sampleScript()
-	var buf bytes.Buffer
-	if err := WriteSnapshotRecord(&buf, snap); err != nil {
+	buf := snapshotStream(t, snap)
+	appendEvents(t, buf, snap.Seq, script[:1])
+	barrier, err := AppendBarrierFrame(nil, 41)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteEventRecord(&buf, script[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBarrierRecord(&buf, 41); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteEventRecord(&buf, script[1]); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(barrier)
+	appendEvents(t, buf, snap.Seq+1, script[1:2])
 	recs, _, err := ReadRecords(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -226,23 +270,27 @@ func TestBarrierRecordRoundTrip(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}
-	if recs[2].Barrier == nil || recs[2].Barrier.Seq != 41 {
+	if recs[2].Barrier == nil || recs[2].Barrier.Seq != 41 || recs[2].Seq != 41 {
 		t.Fatalf("record 2 = %+v, want barrier at seq 41", recs[2])
 	}
 	if recs[1].Ev == nil || recs[3].Ev == nil {
 		t.Fatal("events around the barrier lost")
 	}
-	if err := WriteBarrierRecord(&buf, -1); err == nil {
+	if _, err := AppendBarrierFrame(nil, -1); err == nil {
 		t.Fatal("negative barrier seq accepted")
 	}
-	// A committed line with a negative barrier is corruption.
-	bad := bytes.NewBufferString(`{"barrier":{"seq":-3}}` + "\n")
-	if _, _, err := ReadRecords(bad); err == nil {
+	// A committed frame with a negative barrier seq is corruption.
+	bad := forgeFrame(frameBarrier, uint64(1<<64-3), nil)
+	if _, _, err := ReadRecords(bytes.NewReader(bad)); err == nil {
 		t.Fatal("negative barrier record accepted on read")
 	}
-	// A line claiming to be two kinds at once is rejected.
-	dup := bytes.NewBufferString(`{"barrier":{"seq":1},"ev":{"kind":"leave","id":1}}` + "\n")
-	if _, _, err := ReadRecords(dup); err == nil {
+	// A barrier frame that also carries an event is rejected.
+	leave, err := AppendEventFrame(nil, 1, strategy.LeaveEvent(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := forgeFrame(frameBarrier, 1, leave[4:])
+	if _, _, err := ReadRecords(bytes.NewReader(dup)); err == nil {
 		t.Fatal("two-kinded record accepted")
 	}
 }

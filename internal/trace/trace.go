@@ -29,8 +29,9 @@ type file struct {
 }
 
 // EventRecord is the serialized form of one strategy.Event. It is shared
-// by script files, WAL records (package serve), and the session-service
-// HTTP API, so every surface speaks the same event vocabulary.
+// by script files, the session-service HTTP API, and the NDJSON WAL
+// export (cmd/waldump), so every surface speaks the same event
+// vocabulary.
 type EventRecord struct {
 	Kind  string  `json:"kind"` // "join", "leave", "move", "power"
 	ID    int     `json:"id"`
