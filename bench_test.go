@@ -19,6 +19,7 @@ import (
 	"repro/internal/coloring"
 	"repro/internal/core"
 	cppkg "repro/internal/cp"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/gossip"
@@ -555,6 +556,9 @@ func BenchmarkMatcherSSP(b *testing.B) {
 
 // ---- Substrate microbenchmarks ----
 
+// BenchmarkDSATURConflictGraph100 times BBB's per-event coloring step:
+// DSATUR over the network's maintained conflict graph at N=100 (the
+// index is built once, before the timer).
 func BenchmarkDSATURConflictGraph100(b *testing.B) {
 	p := workload.Defaults()
 	st, err := sim.NewStrategy(sim.Minim)
@@ -565,11 +569,39 @@ func BenchmarkDSATURConflictGraph100(b *testing.B) {
 	if err := sess.Apply(workload.JoinScript(3, p)); err != nil {
 		b.Fatal(err)
 	}
-	g := st.Network().Graph()
+	net := st.Network()
+	net.ConflictGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adj := coloring.Adjacency(toca.ConflictGraph(g))
-		coloring.DSATUR(adj)
+		coloring.DSATUR(net.ConflictGraph())
+	}
+}
+
+// BenchmarkBBBEvent100 times one stationary join+leave pair through the
+// engine with BBB subscribed, on the paper's N=100 density: two conflict
+// index updates and two full DSATUR recolorings per iteration.
+func BenchmarkBBBEvent100(b *testing.B) {
+	p := workload.Defaults()
+	eng := engine.New()
+	eng.Subscribe(bbbpkg.NewShared(eng.Network()))
+	if err := eng.ApplyAll(workload.JoinScript(3, p)); err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(99)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := graph.NodeID(1000 + i)
+		cfg := adhoc.Config{
+			Pos:   geom.Point{X: rng.Uniform(0, p.ArenaW), Y: rng.Uniform(0, p.ArenaH)},
+			Range: rng.Uniform(p.MinR, p.MaxR),
+		}
+		if _, err := eng.Apply(strategy.JoinEvent(id, cfg)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Apply(strategy.LeaveEvent(id)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

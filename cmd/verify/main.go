@@ -184,11 +184,10 @@ func scenario(rng *xrand.RNG, events int) error {
 			}
 			// Locality (I5): every Minim join/move recoding is confined to
 			// the event node's 2-hop ball (recodings touch only 1n ∪ 2n ∪
-			// {n}). Served by the network's incremental 2-hop cache, which
-			// this loop also stress-tests against live invalidation.
+			// {n}).
 			if r.S == strategy.Strategy(minim) && (ev.Kind == strategy.Join || ev.Kind == strategy.Move) {
 				ball := make(map[graph.NodeID]struct{})
-				for _, u := range minim.Network().WithinTwoHops(ev.ID) {
+				for _, u := range minim.Network().Graph().WithinHops(ev.ID, 2) {
 					ball[u] = struct{}{}
 				}
 				for id := range out.Recoded {

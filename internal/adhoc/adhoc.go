@@ -14,6 +14,11 @@
 // from the first join. NewScan() keeps the naive O(n) scan path alive as
 // a fallback and as the differential-testing oracle the equivalence
 // tests replay against.
+//
+// The CA1/CA2 conflict graph the centralized baseline recolors is kept
+// as a refcounted index that every edge flip updates in place; it is
+// built on the first ConflictGraph call, so networks that never ask for
+// the whole conflict graph never pay for it.
 package adhoc
 
 import (
@@ -54,6 +59,10 @@ const gridGrowFactor = 2.0
 // max(event range, largest range ever seen) of the event position rather
 // than from the whole node set. Results are identical to the naive scan
 // (the grid is a pure accelerator; equivalence is property-tested).
+//
+// Once ConflictGraph has been called, the network also maintains the
+// conflict index: per-pair counts of CA1/CA2 conflict reasons, updated
+// on every edge flip, that ConflictGraph exposes as a read-only view.
 type Network struct {
 	configs map[graph.NodeID]Config
 	g       *graph.Digraph
@@ -67,14 +76,13 @@ type Network struct {
 	// with a huge range leaving degrades query locality, not
 	// correctness).
 	maxRange float64
-	// twoHop caches WithinTwoHops results and conflict caches
-	// ConflictNeighbors results. Entries are invalidated by the
-	// dirty-ball rule: any event on node id invalidates the 2-hop ball
-	// around id in both the pre- and post-event graph, which covers every
-	// node whose 2-hop set — and a fortiori whose conflict set, a subset
-	// of it — an incident edge flip can change.
-	twoHop   map[graph.NodeID][]graph.NodeID
-	conflict map[graph.NodeID]map[graph.NodeID]struct{}
+	// conf is the conflict index: conf[u][v] counts the reasons u and v
+	// may not share a code, [u->v] + [v->u] + |out(u) ∩ out(v)|. It is
+	// symmetric and stores no zero entries, so the keys of conf[u] are
+	// exactly toca.ConflictNeighbors(g, u). It stays nil until the first
+	// ConflictGraph call builds it; from then on addEdge and removeEdge
+	// keep it current on every edge flip.
+	conf map[graph.NodeID]map[graph.NodeID]int32
 }
 
 // New returns an empty network with the spatial grid enabled and
@@ -92,10 +100,8 @@ func New() *Network {
 // against.
 func NewScan() *Network {
 	return &Network{
-		configs:  make(map[graph.NodeID]Config),
-		g:        graph.New(),
-		twoHop:   make(map[graph.NodeID][]graph.NodeID),
-		conflict: make(map[graph.NodeID]map[graph.NodeID]struct{}),
+		configs: make(map[graph.NodeID]Config),
+		g:       graph.New(),
 	}
 }
 
@@ -212,16 +218,15 @@ func (n *Network) Join(id graph.NodeID, cfg Config) error {
 	n.noteRange(cfg.Range)
 	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
 		if cfg.Covers(oc.Pos) {
-			n.g.AddEdge(id, other)
+			n.addEdge(id, other)
 		}
 		if oc.Covers(cfg.Pos) {
-			n.g.AddEdge(other, id)
+			n.addEdge(other, id)
 		}
 	})
 	if n.grid != nil {
 		n.grid.Insert(id, cfg.Pos)
 	}
-	n.invalidateTwoHop(id) // post-state ball covers every new edge
 	return nil
 }
 
@@ -231,7 +236,13 @@ func (n *Network) Leave(id graph.NodeID) error {
 	if _, ok := n.configs[id]; !ok {
 		return fmt.Errorf("adhoc: node %d not in network", id)
 	}
-	n.invalidateTwoHop(id) // pre-state ball covers every removed edge
+	for _, v := range n.g.OutNeighbors(id) {
+		n.removeEdge(id, v)
+	}
+	for _, u := range n.g.InNeighbors(id) {
+		n.removeEdge(u, id)
+	}
+	delete(n.conf, id)
 	delete(n.configs, id)
 	n.g.RemoveNode(id)
 	if n.grid != nil {
@@ -248,14 +259,12 @@ func (n *Network) Move(id graph.NodeID, pos geom.Point) error {
 	if !ok {
 		return fmt.Errorf("adhoc: node %d not in network", id)
 	}
-	n.invalidateTwoHop(id)
 	cfg.Pos = pos
 	n.configs[id] = cfg
 	if n.grid != nil {
 		n.grid.Move(id, pos)
 	}
 	n.rewire(id)
-	n.invalidateTwoHop(id)
 	return nil
 }
 
@@ -269,7 +278,6 @@ func (n *Network) SetRange(id graph.NodeID, r float64) error {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return fmt.Errorf("adhoc: node %d invalid range %g", id, r)
 	}
-	n.invalidateTwoHop(id)
 	cfg.Range = r
 	n.configs[id] = cfg
 	n.noteRange(r)
@@ -278,15 +286,14 @@ func (n *Network) SetRange(id graph.NodeID, r float64) error {
 	// nodes from the candidate set.
 	for _, other := range n.g.OutNeighbors(id) {
 		if !cfg.Covers(n.configs[other].Pos) {
-			n.g.RemoveEdge(id, other)
+			n.removeEdge(id, other)
 		}
 	}
 	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
 		if cfg.Covers(oc.Pos) {
-			n.g.AddEdge(id, other)
+			n.addEdge(id, other)
 		}
 	})
-	n.invalidateTwoHop(id)
 	return nil
 }
 
@@ -297,88 +304,128 @@ func (n *Network) rewire(id graph.NodeID) {
 	cfg := n.configs[id]
 	for _, other := range n.g.OutNeighbors(id) {
 		if !cfg.Covers(n.configs[other].Pos) {
-			n.g.RemoveEdge(id, other)
+			n.removeEdge(id, other)
 		}
 	}
 	for _, other := range n.g.InNeighbors(id) {
 		if !n.configs[other].Covers(cfg.Pos) {
-			n.g.RemoveEdge(other, id)
+			n.removeEdge(other, id)
 		}
 	}
 	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
 		if cfg.Covers(oc.Pos) {
-			n.g.AddEdge(id, other)
+			n.addEdge(id, other)
 		}
 		if oc.Covers(cfg.Pos) {
-			n.g.AddEdge(other, id)
+			n.addEdge(other, id)
 		}
 	})
 }
 
-// invalidateTwoHop drops every cached 2-hop and conflict entry an edge
-// flip incident to id (in the graph's current state) can change: an
-// edge (id, v) lies on a path of length <= 2 from x exactly when x is
-// within one hop of id or of v, so the union of {id}, N(id), and
-// N(N(id)) over-approximates the affected set (the conflict set of x is
-// a subset of its 2-hop ball, so the same rule covers it). Callers
-// invoke it both before and after mutating so pre- and post-state balls
-// are both covered.
-func (n *Network) invalidateTwoHop(id graph.NodeID) {
-	if len(n.twoHop) == 0 && len(n.conflict) == 0 {
-		return
+// addEdge inserts u->v (a no-op if present). Every digraph edge
+// insertion goes through it so a built conflict index stays current.
+func (n *Network) addEdge(u, v graph.NodeID) {
+	if n.conf != nil && !n.g.HasEdge(u, v) {
+		n.flipConflicts(u, v, 1) // reads in(v) before u joins it
 	}
-	drop := func(v graph.NodeID) {
-		delete(n.twoHop, v)
-		delete(n.conflict, v)
-	}
-	drop(id)
-	visit := func(v graph.NodeID) {
-		drop(v)
-		n.g.ForEachOut(v, drop)
-		n.g.ForEachIn(v, drop)
-	}
-	n.g.ForEachOut(id, visit)
-	n.g.ForEachIn(id, visit)
+	n.g.AddEdge(u, v)
 }
 
-// WithinTwoHops returns all nodes within two undirected hops of id,
-// excluding id itself, ascending. Results are cached; reconfiguration
-// events invalidate only the local ball around the event node, so
-// repeated queries across a mostly-static network skip the BFS the
-// uncached graph.WithinHops re-runs from scratch.
-func (n *Network) WithinTwoHops(id graph.NodeID) []graph.NodeID {
-	if s, ok := n.twoHop[id]; ok {
-		return s
+// removeEdge deletes u->v (a no-op if absent). Every digraph edge
+// deletion goes through it so a built conflict index stays current.
+func (n *Network) removeEdge(u, v graph.NodeID) {
+	flip := n.conf != nil && n.g.HasEdge(u, v)
+	n.g.RemoveEdge(u, v)
+	if flip {
+		n.flipConflicts(u, v, -1) // reads in(v) after u left it
 	}
-	s := n.g.WithinHops(id, 2)
-	n.twoHop[id] = s
-	return s
 }
 
-// ConflictNeighbors returns the CA1/CA2 conflict neighborhood of id
-// (toca.ConflictNeighbors) served from the incremental cache. The
-// returned map is shared: callers must not mutate it. Invalidation
-// follows the same dirty-ball rule as WithinTwoHops, so the per-event
-// cost is local while repeated Forbidden computations across events
-// reuse each node's set.
-//
-// Not safe for concurrent use — parallel readers (batch proposals) must
-// go through toca.ConflictNeighbors directly.
+// flipConflicts applies the index change of adding (d = 1) or removing
+// (d = -1) the edge u->v while in(v) excludes u: the pair (u, v) gains or
+// loses its CA1 reason, and u gains or loses the shared receiver v with
+// every other transmitter x of v (CA2 at v).
+func (n *Network) flipConflicts(u, v graph.NodeID, d int32) {
+	n.bumpConflict(u, v, d)
+	n.g.ForEachIn(v, func(x graph.NodeID) { n.bumpConflict(u, x, d) })
+}
+
+// bumpConflict adds d to the symmetric count of the pair (u, v),
+// dropping the pair from both rows when it reaches zero.
+func (n *Network) bumpConflict(u, v graph.NodeID, d int32) {
+	n.bumpRow(u, v, d)
+	n.bumpRow(v, u, d)
+}
+
+// bumpRow is the one-sided half of bumpConflict, on u's row.
+func (n *Network) bumpRow(u, v graph.NodeID, d int32) {
+	row := n.conf[u]
+	if row == nil {
+		row = make(map[graph.NodeID]int32)
+		n.conf[u] = row
+	}
+	if c := row[v] + d; c != 0 {
+		row[v] = c
+	} else {
+		delete(row, v)
+	}
+}
+
+// ConflictNeighbors returns the CA1/CA2 conflict neighborhood of id,
+// computed from the digraph (toca.ConflictNeighbors). The engine reads
+// it around power raises and the distributed runtime around its
+// protocol steps.
 func (n *Network) ConflictNeighbors(id graph.NodeID) map[graph.NodeID]struct{} {
-	if s, ok := n.conflict[id]; ok {
-		return s
-	}
-	s := toca.ConflictNeighbors(n.g, id)
-	n.conflict[id] = s
-	return s
+	return toca.ConflictNeighbors(n.g, id)
 }
 
-// ConflictGraph materializes the full TOCA conflict graph from the
-// cached per-node conflict sets: across consecutive events only the
-// dirty ball is recomputed, so centralized recoloring (BBB) stops
-// rebuilding every node's neighborhood from scratch per event.
-func (n *Network) ConflictGraph() map[graph.NodeID][]graph.NodeID {
-	return toca.ConflictGraphFrom(n.g.Nodes(), n.ConflictNeighbors)
+// ConflictView is a read-only view of a network's TOCA conflict graph:
+// u ~ v iff u->v, v->u, or u and v share an out-neighbor. It reads the
+// live conflict index, so each call reflects the network's current
+// state; read it between events, never concurrently with one. It has
+// the method set of coloring.Graph, which lets the centralized
+// recoloring color it in place without copying it.
+type ConflictView struct{ n *Network }
+
+// Nodes returns every node, ascending (isolated nodes included).
+func (v ConflictView) Nodes() []graph.NodeID { return v.n.g.Nodes() }
+
+// Degree returns the number of conflict neighbors of id.
+func (v ConflictView) Degree(id graph.NodeID) int { return len(v.n.conf[id]) }
+
+// ForEachNeighbor calls fn once for every conflict neighbor of id, in
+// unspecified order.
+func (v ConflictView) ForEachNeighbor(id graph.NodeID, fn func(graph.NodeID)) {
+	for u := range v.n.conf[id] {
+		fn(u)
+	}
+}
+
+// ConflictGraph returns the network's conflict graph. The first call
+// builds the conflict index from the digraph; from then on every edge
+// flip maintains it, so centralized recoloring (BBB) reads an up-to-date
+// graph after each event instead of rebuilding one.
+func (n *Network) ConflictGraph() ConflictView {
+	if n.conf == nil {
+		n.buildConflicts()
+	}
+	return ConflictView{n}
+}
+
+// buildConflicts counts every conflict reason of the current digraph:
+// each edge u->w is a CA1 reason for (u, w), and each receiver w is a
+// CA2 reason for every pair of its transmitters.
+func (n *Network) buildConflicts() {
+	n.conf = make(map[graph.NodeID]map[graph.NodeID]int32, n.g.NumNodes())
+	for _, w := range n.g.Nodes() {
+		ins := n.g.InNeighbors(w)
+		for i, u := range ins {
+			n.bumpConflict(u, w, 1)
+			for _, x := range ins[i+1:] {
+				n.bumpConflict(u, x, 1)
+			}
+		}
+	}
 }
 
 // Partition is the paper's Fig 2 decomposition of the existing nodes
@@ -457,7 +504,8 @@ func (n *Network) LocalPartitionFor(id graph.NodeID, cfg Config) Partition {
 }
 
 // Clone returns a deep copy of the network. Strategies being compared on
-// the same event script each get their own clone.
+// the same event script each get their own clone. The clone's conflict
+// index is left unbuilt until its own first ConflictGraph call.
 func (n *Network) Clone() *Network {
 	var c *Network
 	switch {

@@ -174,56 +174,3 @@ func TestNonFiniteRangeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestWithinTwoHopsCache: the cached 2-hop neighborhood equals a fresh
-// BFS after every kind of reconfiguration event, for every node.
-func TestWithinTwoHopsCache(t *testing.T) {
-	rng := xrand.New(42)
-	n := New()
-	next := 0
-	var present []graph.NodeID
-	check := func(step int) {
-		for _, id := range present {
-			got := n.WithinTwoHops(id)
-			want := n.Graph().WithinHops(id, 2)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: WithinTwoHops(%d) = %v, BFS = %v", step, id, got, want)
-			}
-		}
-	}
-	for step := 0; step < 200; step++ {
-		switch k := rng.Intn(8); {
-		case k < 3 || len(present) == 0:
-			cfg := Config{
-				Pos:   geom.Point{X: rng.Uniform(0, 60), Y: rng.Uniform(0, 60)},
-				Range: rng.Uniform(5, 25),
-			}
-			id := graph.NodeID(next)
-			next++
-			if err := n.Join(id, cfg); err != nil {
-				t.Fatal(err)
-			}
-			present = append(present, id)
-		case k < 5:
-			id := present[rng.Intn(len(present))]
-			if err := n.Move(id, geom.Point{X: rng.Uniform(0, 60), Y: rng.Uniform(0, 60)}); err != nil {
-				t.Fatal(err)
-			}
-		case k < 7:
-			id := present[rng.Intn(len(present))]
-			if err := n.SetRange(id, rng.Uniform(0, 30)); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			i := rng.Intn(len(present))
-			id := present[i]
-			present = append(present[:i], present[i+1:]...)
-			if err := n.Leave(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Query everything (primes the cache), then re-check next round:
-		// stale entries would surface as mismatches after later events.
-		check(step)
-	}
-}

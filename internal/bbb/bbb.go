@@ -25,7 +25,7 @@ import (
 )
 
 // Colorer recolors a conflict graph from scratch; the default is DSATUR.
-type Colorer func(coloring.Adjacency) toca.Assignment
+type Colorer func(coloring.Graph) toca.Assignment
 
 // Strategy is the BBB centralized recoloring baseline. A standalone
 // instance (New, NewFrom) owns its network; a shared instance
@@ -125,13 +125,12 @@ func (s *Strategy) SetRange(id graph.NodeID, r float64) (strategy.Outcome, error
 	return s.Apply(strategy.PowerEvent(id, r))
 }
 
-// recolorAll runs DSATUR over the current conflict graph and reports
-// every changed node as recoded. The conflict graph comes from the
-// network's incremental per-node cache: between events only the dirty
-// ball around the event node is recomputed.
+// recolorAll runs the colorer over the current conflict graph and
+// reports every changed node as recoded. The colorer reads the network's
+// conflict index in place; the network keeps that index current on every
+// edge flip, so an event costs one coloring, not a conflict-graph build.
 func (s *Strategy) recolorAll() strategy.Outcome {
-	adj := coloring.Adjacency(s.net.ConflictGraph())
-	fresh := s.colorer(adj)
+	fresh := s.colorer(s.net.ConflictGraph())
 	recoded := make(map[graph.NodeID]toca.Color)
 	for id, c := range fresh {
 		if s.assign[id] != c {

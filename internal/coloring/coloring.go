@@ -1,8 +1,10 @@
 // Package coloring implements the graph-coloring heuristics the paper's
 // centralized baseline rests on: sequential greedy coloring over a given
 // vertex order, the DSATUR heuristic of Brelaz [9], and smallest-last
-// ordering. Colors are the positive integers of package toca; the input
-// is an undirected adjacency map as produced by toca.ConflictGraph.
+// ordering. Colors are the positive integers of package toca. DSATUR and
+// RLF read any Graph — an Adjacency, or the conflict-graph view of an
+// adhoc.Network, which the BBB baseline colors in place; the ordering
+// helpers take an Adjacency.
 package coloring
 
 import (
@@ -12,17 +14,48 @@ import (
 	"repro/internal/toca"
 )
 
+// Graph is a read-only undirected graph: Nodes lists the vertices
+// ascending, Degree counts a vertex's neighbors, and ForEachNeighbor
+// visits each neighbor once in unspecified order.
+type Graph interface {
+	Nodes() []graph.NodeID
+	Degree(id graph.NodeID) int
+	ForEachNeighbor(id graph.NodeID, fn func(graph.NodeID))
+}
+
 // Adjacency is an undirected graph given as sorted neighbor lists.
 type Adjacency map[graph.NodeID][]graph.NodeID
 
-// nodesOf returns the vertex set ascending.
-func nodesOf(adj Adjacency) []graph.NodeID {
+var _ Graph = Adjacency(nil)
+
+// Nodes returns the vertex set ascending.
+func (adj Adjacency) Nodes() []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(adj))
 	for id := range adj {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Degree returns the number of neighbors of id.
+func (adj Adjacency) Degree(id graph.NodeID) int { return len(adj[id]) }
+
+// ForEachNeighbor calls fn for every neighbor of id, ascending.
+func (adj Adjacency) ForEachNeighbor(id graph.NodeID, fn func(graph.NodeID)) {
+	for _, v := range adj[id] {
+		fn(v)
+	}
+}
+
+// positions maps each vertex of ids to its index, so per-vertex state
+// can live in slices parallel to ids.
+func positions(ids []graph.NodeID) map[graph.NodeID]int {
+	at := make(map[graph.NodeID]int, len(ids))
+	for i, id := range ids {
+		at[id] = i
+	}
+	return at
 }
 
 // Greedy colors vertices in the given order, assigning each the lowest
@@ -42,12 +75,12 @@ func Greedy(adj Adjacency, order []graph.NodeID) toca.Assignment {
 }
 
 // IdentityOrder returns the vertices in ascending ID order.
-func IdentityOrder(adj Adjacency) []graph.NodeID { return nodesOf(adj) }
+func IdentityOrder(adj Adjacency) []graph.NodeID { return adj.Nodes() }
 
 // LargestFirstOrder returns vertices by decreasing degree (Welsh-Powell),
 // ties broken by ascending ID.
 func LargestFirstOrder(adj Adjacency) []graph.NodeID {
-	order := nodesOf(adj)
+	order := adj.Nodes()
 	sort.SliceStable(order, func(i, j int) bool {
 		di, dj := len(adj[order[i]]), len(adj[order[j]])
 		if di != dj {
@@ -69,7 +102,7 @@ func SmallestLastOrder(adj Adjacency) []graph.NodeID {
 	for id, nbrs := range adj {
 		deg[id] = len(nbrs)
 	}
-	ids := nodesOf(adj)
+	ids := adj.Nodes()
 	order := make([]graph.NodeID, n)
 	for i := n - 1; i >= 0; i-- {
 		// Pick the minimum-degree unremoved vertex, lowest ID on ties.
@@ -98,34 +131,38 @@ func SmallestLastOrder(adj Adjacency) []graph.NodeID {
 // DSATUR colors the graph with the Brelaz heuristic: repeatedly color the
 // uncolored vertex of maximum saturation (number of distinct neighbor
 // colors), breaking ties by higher degree then lower ID, with the lowest
-// available color.
-func DSATUR(adj Adjacency) toca.Assignment {
-	n := len(adj)
-	a := make(toca.Assignment, n)
-	satSets := make(map[graph.NodeID]toca.ColorSet, n)
-	ids := nodesOf(adj)
-	for _, id := range ids {
-		satSets[id] = toca.NewColorSet()
+// available color. Per-vertex state lives in slices indexed by position
+// in g.Nodes(), so the graph is read in place and never copied.
+func DSATUR(g Graph) toca.Assignment {
+	ids := g.Nodes()
+	n := len(ids)
+	at := positions(ids)
+	deg := make([]int, n)
+	sat := make([]toca.ColorSet, n)
+	colored := make([]bool, n)
+	for i, id := range ids {
+		deg[i] = g.Degree(id)
+		sat[i] = toca.NewColorSet()
 	}
+	a := make(toca.Assignment, n)
 	for done := 0; done < n; done++ {
-		var pick graph.NodeID
-		bestSat, bestDeg := -1, -1
-		for _, id := range ids {
-			if a[id] != toca.None {
+		pick, bestSat, bestDeg := -1, -1, -1
+		for i := range ids {
+			if colored[i] {
 				continue
 			}
-			sat, deg := satSets[id].Len(), len(adj[id])
-			if sat > bestSat || (sat == bestSat && deg > bestDeg) {
-				bestSat, bestDeg, pick = sat, deg, id
+			if s := sat[i].Len(); s > bestSat || (s == bestSat && deg[i] > bestDeg) {
+				pick, bestSat, bestDeg = i, s, deg[i]
 			}
 		}
-		c := satSets[pick].LowestFree()
-		a[pick] = c
-		for _, v := range adj[pick] {
-			if a[v] == toca.None {
-				satSets[v].Add(c)
+		c := sat[pick].LowestFree()
+		colored[pick] = true
+		a[ids[pick]] = c
+		g.ForEachNeighbor(ids[pick], func(v graph.NodeID) {
+			if j := at[v]; !colored[j] {
+				sat[j].Add(c)
 			}
-		}
+		})
 	}
 	return a
 }

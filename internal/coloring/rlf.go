@@ -17,81 +17,78 @@ import (
 // RLF typically uses slightly fewer colors than DSATUR on dense graphs
 // at a higher constant cost; it is offered as an alternative heuristic
 // for the BBB baseline's recoloring step.
-func RLF(adj Adjacency) toca.Assignment {
-	n := len(adj)
+func RLF(g Graph) toca.Assignment {
+	ids := g.Nodes()
+	n := len(ids)
+	at := positions(ids)
 	a := make(toca.Assignment, n)
-	uncolored := make(map[graph.NodeID]struct{}, n)
-	for id := range adj {
-		uncolored[id] = struct{}{}
+	uncolored := make([]bool, n)
+	for i := range uncolored {
+		uncolored[i] = true
 	}
+	candidate := make([]bool, n)
 
-	neighbors := func(id graph.NodeID, in map[graph.NodeID]struct{}) int {
+	// neighbors counts the neighbors of vertex i inside the set in.
+	neighbors := func(i int, in []bool) int {
 		count := 0
-		for _, v := range adj[id] {
-			if _, ok := in[v]; ok {
+		g.ForEachNeighbor(ids[i], func(v graph.NodeID) {
+			if in[at[v]] {
 				count++
 			}
-		}
+		})
 		return count
 	}
+	// exclude removes vertex i and its neighbors from the candidates.
+	exclude := func(i int) {
+		candidate[i] = false
+		g.ForEachNeighbor(ids[i], func(v graph.NodeID) { candidate[at[v]] = false })
+	}
 
-	// Deterministic candidate iteration order.
-	sortedIDs := nodesOf(adj)
-
-	for c := toca.Color(1); len(uncolored) > 0; c++ {
+	// Vertices are scanned by position, i.e. ascending ID, so every tie
+	// below falls to the lowest ID.
+	for c, left := toca.Color(1), n; left > 0; c++ {
 		// Candidates for this class: all uncolored vertices.
-		candidates := make(map[graph.NodeID]struct{}, len(uncolored))
-		for id := range uncolored {
-			candidates[id] = struct{}{}
-		}
+		copy(candidate, uncolored)
 		// Seed: candidate with most uncolored neighbors.
-		var seed graph.NodeID
-		bestDeg := -1
-		for _, id := range sortedIDs {
-			if _, ok := candidates[id]; !ok {
+		seed, bestDeg := -1, -1
+		for i := range ids {
+			if !candidate[i] {
 				continue
 			}
-			if d := neighbors(id, uncolored); d > bestDeg {
-				bestDeg = d
-				seed = id
+			if d := neighbors(i, uncolored); d > bestDeg {
+				bestDeg, seed = d, i
 			}
 		}
-		class := []graph.NodeID{seed}
-		removeWithNeighbors(candidates, adj, seed)
+		class := []int{seed}
+		exclude(seed)
 
 		// Absorb: candidate maximizing neighbors outside the candidate
 		// set (i.e., already excluded by the class), ties by fewest
 		// neighbors inside, then lowest ID.
-		for len(candidates) > 0 {
-			var pick graph.NodeID
-			bestOut, bestIn := -1, 1<<30
-			for _, id := range sortedIDs {
-				if _, ok := candidates[id]; !ok {
+		for {
+			pick, bestOut, bestIn := -1, -1, 1<<30
+			for i := range ids {
+				if !candidate[i] {
 					continue
 				}
-				out := len(adj[id]) - neighbors(id, candidates)
-				in := neighbors(id, candidates)
-				if out > bestOut || (out == bestOut && in < bestIn) {
-					bestOut, bestIn, pick = out, in, id
+				in := neighbors(i, candidate)
+				if out := g.Degree(ids[i]) - in; out > bestOut || (out == bestOut && in < bestIn) {
+					pick, bestOut, bestIn = i, out, in
 				}
 			}
+			if pick < 0 {
+				break
+			}
 			class = append(class, pick)
-			removeWithNeighbors(candidates, adj, pick)
+			exclude(pick)
 		}
-		for _, id := range class {
-			a[id] = c
-			delete(uncolored, id)
+		for _, i := range class {
+			a[ids[i]] = c
+			uncolored[i] = false
+			left--
 		}
 	}
 	return a
-}
-
-// removeWithNeighbors deletes id and all its neighbors from set.
-func removeWithNeighbors(set map[graph.NodeID]struct{}, adj Adjacency, id graph.NodeID) {
-	delete(set, id)
-	for _, v := range adj[id] {
-		delete(set, v)
-	}
 }
 
 // OrderByColorClassSize returns the vertices sorted so that greedy

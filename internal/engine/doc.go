@@ -22,8 +22,8 @@
 //     at the event configuration for joins and moves, the conflict
 //     neighborhood before a power change, the previous configuration),
 //  2. applies the topology change to the network, and
-//  3. captures the post-state (conflict neighborhood after a power
-//     change, the affected 2-hop ball).
+//  3. captures the post-state (the conflict neighborhood after a power
+//     raise).
 //
 // The result is a Delta. Subscribers receive the Delta plus read access
 // to the shared network and perform only assignment work; they must not

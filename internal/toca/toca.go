@@ -198,53 +198,17 @@ func ConflictNeighborsSorted(g *graph.Digraph, u graph.NodeID) []graph.NodeID {
 	return out
 }
 
-// ConflictGraph materializes C(G) as an undirected adjacency map. The
-// coloring heuristics (BBB substrate) color this graph directly.
+// ConflictGraph materializes C(G) as an undirected adjacency map of
+// sorted neighbor lists. It needs no symmetrizing pass: v is a conflict
+// neighbor of u exactly when u is one of v's (CA1 looks at both edge
+// directions, and CA2 pairs share a receiver).
 func ConflictGraph(g *graph.Digraph) map[graph.NodeID][]graph.NodeID {
-	return ConflictGraphFrom(g.Nodes(), func(u graph.NodeID) map[graph.NodeID]struct{} {
-		return ConflictNeighbors(g, u)
-	})
-}
-
-// ConflictGraphFrom builds the symmetrized conflict adjacency from a
-// per-node conflict-set source. It lets callers substitute a cached
-// source (adhoc.Network.ConflictNeighbors) for the direct recompute;
-// the sets are read, never mutated.
-func ConflictGraphFrom(nodes []graph.NodeID, sets func(graph.NodeID) map[graph.NodeID]struct{}) map[graph.NodeID][]graph.NodeID {
+	nodes := g.Nodes()
 	adj := make(map[graph.NodeID][]graph.NodeID, len(nodes))
 	for _, u := range nodes {
-		set := sets(u)
-		lst := make([]graph.NodeID, 0, len(set))
-		for id := range set {
-			lst = append(lst, id)
-		}
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-		adj[u] = lst
-	}
-	// Symmetrize: v in adj[u] must imply u in adj[v]. CA1 on a one-way
-	// edge u->v constrains both endpoints' colors mutually, and CA2 is
-	// symmetric by construction, so take the union.
-	for u, lst := range adj {
-		for _, v := range lst {
-			if !containsID(adj[v], u) {
-				adj[v] = insertSortedID(adj[v], u)
-			}
-		}
+		adj[u] = ConflictNeighborsSorted(g, u)
 	}
 	return adj
-}
-
-func containsID(s []graph.NodeID, id graph.NodeID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	return i < len(s) && s[i] == id
-}
-
-func insertSortedID(s []graph.NodeID, id graph.NodeID) []graph.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
 }
 
 // ColorSet is a set of colors, used for forbidden/constraint sets. It is

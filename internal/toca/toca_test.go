@@ -2,6 +2,7 @@ package toca
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +122,12 @@ func TestConflictNeighborsSymmetric(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// containsID reports whether the sorted list s holds id.
+func containsID(s []graph.NodeID, id graph.NodeID) bool {
+	_, ok := slices.BinarySearch(s, id)
+	return ok
 }
 
 func TestConflictGraphSymmetricAndComplete(t *testing.T) {
