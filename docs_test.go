@@ -131,15 +131,11 @@ func TestDocsNameRealPackages(t *testing.T) {
 // always the first string literal of the call.
 var metricReg = regexp.MustCompile(`\.(?:Counter|Gauge|FloatGauge|Histogram)\(\s*"([a-z_][a-z0-9_]*)"`)
 
-// TestDocsMetricsCatalog: every metric the serving/cluster/canary code
-// registers appears in docs/observability.md — the catalog must not
-// drift when someone adds a series.
-func TestDocsMetricsCatalog(t *testing.T) {
-	catalog, err := os.ReadFile("docs/observability.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string][]string{} // metric -> files registering it
+// registeredMetrics scans the serving, cluster and canary packages for
+// metric registrations and maps each name to the files registering it.
+func registeredMetrics(t *testing.T) map[string][]string {
+	t.Helper()
+	names := map[string][]string{}
 	for _, dir := range []string{"internal/serve", "internal/cluster", "internal/canary"} {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
@@ -162,7 +158,18 @@ func TestDocsMetricsCatalog(t *testing.T) {
 	if len(names) < 20 {
 		t.Fatalf("found only %d registered metrics; the registration scan looks broken", len(names))
 	}
-	for name, files := range names {
+	return names
+}
+
+// TestDocsMetricsCatalog: every metric the serving/cluster/canary code
+// registers appears in docs/observability.md — the catalog must not
+// drift when someone adds a series.
+func TestDocsMetricsCatalog(t *testing.T) {
+	catalog, err := os.ReadFile("docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, files := range registeredMetrics(t) {
 		if !strings.Contains(string(catalog), "`"+name+"`") {
 			t.Errorf("metric %s (registered in %s) is missing from docs/observability.md", name, files[0])
 		}
@@ -171,5 +178,43 @@ func TestDocsMetricsCatalog(t *testing.T) {
 	// stay documented with the rest.
 	if !strings.Contains(string(catalog), "`cluster_member_up") {
 		t.Error("docs/observability.md does not document cluster_member_up")
+	}
+}
+
+// catalogRow matches the metric name that opens a markdown table row.
+var catalogRow = regexp.MustCompile("^\\| `([a-z_][a-z0-9_]*)`")
+
+// TestDocsCatalogMetricsRegistered is the reverse of
+// TestDocsMetricsCatalog: every metric the "Metric catalog" section of
+// docs/observability.md lists in a table row is registered by the
+// serving, cluster or canary code, so the catalog cannot keep rows for
+// series that no longer exist.
+func TestDocsCatalogMetricsRegistered(t *testing.T) {
+	doc, err := os.ReadFile("docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := registeredMetrics(t)
+	in, rows := false, 0
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			in = line == "## Metric catalog"
+			continue
+		}
+		m := catalogRow.FindStringSubmatch(line)
+		if !in || m == nil {
+			continue
+		}
+		rows++
+		// Synthesized by the fleet merge, not registered by any member.
+		if m[1] == "cluster_member_up" {
+			continue
+		}
+		if _, ok := names[m[1]]; !ok {
+			t.Errorf("docs/observability.md catalogs %s, which no code in internal/serve, internal/cluster or internal/canary registers", m[1])
+		}
+	}
+	if rows < 20 {
+		t.Fatalf("found only %d catalog rows; the section scan looks broken", rows)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
-	"repro/internal/workload"
 )
 
 // lateOwnerSession finds a session ID for which the future member m3
@@ -60,9 +59,9 @@ func walSnapshotSeq(t *testing.T, dir, session string) int {
 }
 
 // assertReplicasIdentical compares two follower replicas bit-for-bit:
-// topology, interference digraph, per-strategy assignments, and (for
-// the engine backend) full metrics.
-func assertReplicasIdentical(t *testing.T, tag string, a, b *serve.Replica, fullMetrics bool) {
+// topology, interference digraph, per-strategy assignments, and full
+// metrics.
+func assertReplicasIdentical(t *testing.T, tag string, a, b *serve.Replica) {
 	t.Helper()
 	if a.Seq() != b.Seq() {
 		t.Fatalf("%s: replicas at seq %d vs %d", tag, a.Seq(), b.Seq())
@@ -81,13 +80,8 @@ func assertReplicasIdentical(t *testing.T, tag string, a, b *serve.Replica, full
 				if !reflect.DeepEqual(aas[i], bas[i]) {
 					t.Fatalf("%s: assignment %d differs between replicas", tag, i)
 				}
-				if fullMetrics {
-					if !reflect.DeepEqual(ams[i], bms[i]) {
-						t.Fatalf("%s: metrics %d differ: %+v vs %+v", tag, i, ams[i], bms[i])
-					}
-				} else if ams[i].TotalRecodings != bms[i].TotalRecodings || ams[i].MaxColor != bms[i].MaxColor {
-					t.Fatalf("%s: metrics %d differ: (%d,%d) vs (%d,%d)", tag, i,
-						ams[i].TotalRecodings, ams[i].MaxColor, bms[i].TotalRecodings, bms[i].MaxColor)
+				if !reflect.DeepEqual(ams[i], bms[i]) {
+					t.Fatalf("%s: metrics %d differ: %+v vs %+v", tag, i, ams[i], bms[i])
 				}
 			}
 		})
@@ -101,13 +95,12 @@ func assertReplicasIdentical(t *testing.T, tag string, a, b *serve.Replica, full
 }
 
 // TestSnapshotCatchupDifferentialEngine is the acceptance differential
-// for the catch-up path, engine backend: a session compacts its
-// replicated WAL under traffic (barrier-coordinated, both sides), a
-// member joins AFTER the early history has been truncated — so it can
-// only be bootstrapped by snapshot transfer — and its replica must be
-// bit-identical (topology, digraph, assignments, metrics) to a
-// follower that replayed the stream from the start, and to the
-// single-process reference.
+// for the catch-up path: a session compacts its replicated WAL under
+// traffic (barrier-coordinated, both sides), a member joins AFTER the
+// early history has been truncated — so it can only be bootstrapped by
+// snapshot transfer — and its replica must be bit-identical (topology,
+// digraph, assignments, metrics) to a follower that replayed the stream
+// from the start, and to the single-process reference.
 func TestSnapshotCatchupDifferentialEngine(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	session := lateOwnerSession(t, "cu-eng")
@@ -164,7 +157,7 @@ func TestSnapshotCatchupDifferentialEngine(t *testing.T) {
 		if repF.Seq() != k {
 			t.Fatalf("replayed follower %s at seq %d, want %d", f.ID, repF.Seq(), k)
 		}
-		assertReplicasIdentical(t, "installed-vs-replayed", rep3, repF, true)
+		assertReplicasIdentical(t, "installed-vs-replayed", rep3, repF)
 	}
 	// And against the single-process reference.
 	ref := refSession(t, script[:k])
@@ -197,56 +190,6 @@ func TestSnapshotCatchupDifferentialEngine(t *testing.T) {
 	}
 	s, _ := pn.Manager().Get(session)
 	assertSessionEquals(t, "continued", s, refSession(t, script), len(script))
-}
-
-// TestSnapshotCatchupDifferentialSharded is the sharded-backend
-// variant: sharded sessions never truncate (recovery is full-log
-// replay), so the late joiner's catch-up installs the whole committed
-// log as one stream — still a single fetch instead of batch-by-batch
-// shipping — and must reconstruct the identical state.
-func TestSnapshotCatchupDifferentialSharded(t *testing.T) {
-	h := newHarness(t, 3, 2)
-	session := lateOwnerSession(t, "cu-shard")
-	p := workload.Defaults()
-	script := testScript(103, 70, 60)
-	cfg := SessionConfig{
-		Strategies: clusterNames, SyncEvery: 1, SegmentBytes: 4096,
-		ExpectedNodes: 70, ShardThreshold: 50,
-		GridX: 2, GridY: 2, ArenaW: p.ArenaW, ArenaH: p.ArenaH,
-		CompactEvery: 25, // must be ignored for a sharded session
-	}
-	ri := h.createSession(session, cfg)
-	k := 90
-	h.applyEvents(session, script[:k])
-	h.shipAll()
-	h.shipAll()
-	if got := walSnapshotSeq(t, h.dirs[ri.Primary.ID], session); got != 0 {
-		t.Fatalf("sharded primary compacted to seq %d; sharded logs must stay complete", got)
-	}
-
-	n3 := h.addNode(2)
-	h.tickAll(3)
-	h.reconcileAll()
-	h.shipAll()
-	rep3, ok := n3.Manager().GetReplica(session)
-	if !ok {
-		t.Fatal("late joiner holds no replica after reconcile+ship")
-	}
-	if rep3.Seq() != k {
-		t.Fatalf("late joiner at seq %d, want %d", rep3.Seq(), k)
-	}
-	for _, f := range ri.Followers {
-		repF, ok := h.nodes[f.ID].Manager().GetReplica(session)
-		if !ok {
-			continue
-		}
-		assertReplicasIdentical(t, "sharded-installed-vs-replayed", rep3, repF, false)
-	}
-
-	h.applyEvents(session, script[k:])
-	h.shipAll()
-	s, _ := h.nodeHosting(session).Manager().Get(session)
-	assertShardedEquals(t, "sharded-continued", s, refSession(t, script), len(script))
 }
 
 // TestFeedSharedFanout exercises the walFeed directly: one bounded

@@ -66,16 +66,14 @@
 //
 // Cluster sessions never self-compact; truncation is driven by the
 // primary's node so it can never race the feed or strand a lagging
-// replica. With SessionConfig.CompactEvery > 0 (engine backends only —
-// sharded sessions recover by full-log replay and must keep their
-// history), each fully quiesced ship round (feed caught up to the
-// session, every follower acked exactly the current seq) advances a
-// two-step state machine: first a compaction-barrier record is written
-// at the current seq and shipped in-stream — each follower past the
-// barrier appends it to its own log and compacts behind it — then, a
-// later quiesced round, the primary compacts too. Anyone who missed
-// the barrier is covered by snapshot catch-up. See docs/wal.md for the
-// on-disk format.
+// replica. With SessionConfig.CompactEvery > 0, each fully quiesced
+// ship round (feed caught up to the session, every follower acked
+// exactly the current seq) advances a two-step state machine: first a
+// compaction-barrier record is written at the current seq and shipped
+// in-stream — each follower past the barrier appends it to its own log
+// and compacts behind it — then, a later quiesced round, the primary
+// compacts too. Anyone who missed the barrier is covered by snapshot
+// catch-up. See docs/wal.md for the on-disk format.
 //
 // # Follower-served reads and the staleness contract
 //

@@ -5,12 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/adhoc"
-	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/strategy"
-	"repro/internal/toca"
-	"repro/internal/workload"
 )
 
 // TestFailoverDifferentialEngine is the acceptance differential for the
@@ -106,50 +101,6 @@ func TestFailoverDifferentialEngine(t *testing.T) {
 	}
 }
 
-// TestFailoverDifferentialSharded is the sharded-backend variant: the
-// session runs on a shard.Coordinator at every member, recovery is
-// full-log replay, and the promoted state must match the reference
-// (assignments, digraph, TotalRecodings/MaxColor — the metrics the
-// sharded runtime defines) at the acked offset, with identical
-// continuation.
-func TestFailoverDifferentialSharded(t *testing.T) {
-	h := newHarness(t, 3, 2)
-	p := workload.Defaults()
-	script := testScript(67, 70, 80)
-	cfg := SessionConfig{
-		Strategies: clusterNames, SyncEvery: 1, SegmentBytes: 8192,
-		ExpectedNodes: 70, ShardThreshold: 50,
-		GridX: 2, GridY: 2, ArenaW: p.ArenaW, ArenaH: p.ArenaH,
-	}
-	ri := h.createSession("fo-shard", cfg)
-
-	k1 := 90
-	h.applyEvents("fo-shard", script[:k1])
-	h.shipAll()
-	for fid, acked := range h.nodes[ri.Primary.ID].AckedOffsets("fo-shard") {
-		if acked != k1 {
-			t.Fatalf("follower %s acked %d, want %d", fid, acked, k1)
-		}
-	}
-	h.applyEvents("fo-shard", script[k1:k1+15]) // unshipped tail
-
-	h.crash(ri.Primary.ID)
-	h.tickAll(4)
-	h.reconcileAll()
-
-	pn := h.nodeHosting("fo-shard")
-	s, _ := pn.Manager().Get("fo-shard")
-	assertShardedEquals(t, "promoted", s, refSession(t, script[:k1]), k1)
-
-	seq := h.seqOf("fo-shard")
-	if seq != k1 {
-		t.Fatalf("promoted seq %d, want %d", seq, k1)
-	}
-	h.applyEvents("fo-shard", script[seq:])
-	s2, _ := h.nodeHosting("fo-shard").Manager().Get("fo-shard")
-	assertShardedEquals(t, "continued", s2, refSession(t, script), len(script))
-}
-
 // TestFailoverFallbackPastEmptyOwner: a member that joins during a
 // failover window can out-rank the surviving follower without holding
 // any data. The follower must still promote — it probes the
@@ -232,35 +183,6 @@ func TestClusterFullRestart(t *testing.T) {
 		if acked != len(script) {
 			t.Fatalf("post-restart follower %s acked %d, want %d", fid, acked, len(script))
 		}
-	}
-}
-
-// assertShardedEquals compares a sharded cluster session against the
-// reference: topology, digraph, assignments, and the metrics the
-// sharded runtime maintains (TotalRecodings, MaxColor).
-func assertShardedEquals(t *testing.T, tag string, s *serve.Session, ref *sim.EngineSession, wantSeq int) {
-	t.Helper()
-	if err := s.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.View().Seq(); got != wantSeq {
-		t.Fatalf("%s: seq %d, want %d", tag, got, wantSeq)
-	}
-	if err := s.InspectState(func(net *adhoc.Network, assigns []toca.Assignment, metrics []*strategy.Metrics) {
-		sameGraph(t, tag, net.Graph(), ref.Engine().Network().Graph())
-		for i, name := range clusterNames {
-			rs, _ := ref.StrategyOf(sim.StrategyName(name))
-			if !reflect.DeepEqual(assigns[i], rs.Assignment()) {
-				t.Fatalf("%s: %s assignment differs", tag, name)
-			}
-			rm, _ := ref.MetricsOf(sim.StrategyName(name))
-			if metrics[i].TotalRecodings != rm.TotalRecodings || metrics[i].MaxColor != rm.MaxColor {
-				t.Fatalf("%s: %s metrics (%d,%d), want (%d,%d)", tag, name,
-					metrics[i].TotalRecodings, metrics[i].MaxColor, rm.TotalRecodings, rm.MaxColor)
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -175,8 +175,12 @@ func (n *Node) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleCreate(w http.ResponseWriter, r *http.Request) {
+	// Unknown fields are rejected, not dropped: a misspelled setting
+	// must not silently fall back to its default.
 	var req createReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -372,8 +372,9 @@ func (n *Node) walDir(session string) string {
 }
 
 // cfgPath is where a session's SessionConfig is persisted beside its
-// WAL — the piece of state (sharding geometry, strategies) the WAL
-// snapshot alone cannot reconstruct on a process restart.
+// WAL — the piece of state (mailbox and WAL settings, compaction
+// cadence, epoch) the WAL snapshot alone cannot reconstruct on a
+// process restart.
 func (n *Node) cfgPath(session string) string {
 	return filepath.Join(n.cfg.Dir, session+".cfg")
 }
@@ -784,11 +785,10 @@ func (n *Node) shipOne(fd *walFeed, sh *shipper) (advanced bool, err error) {
 func (n *Node) maybeCompact(id string, ps *primaryState, fd *walFeed, shs []*shipper) error {
 	n.mu.Lock()
 	ce := ps.cfg.CompactEvery
-	sharded := ps.cfg.sharded()
 	pending := ps.pendingBarrier
 	last := ps.lastCompact
 	n.mu.Unlock()
-	if ce <= 0 || sharded {
+	if ce <= 0 {
 		return nil
 	}
 	s, ok := n.mgr.Get(id)

@@ -3,11 +3,9 @@ package cluster
 import (
 	"io"
 	"net/http"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // scrapeHTTP fetches a member's /metrics over its real listener and
@@ -132,46 +130,5 @@ func TestClusterMetricsE2E(t *testing.T) {
 	}
 	if v, ok := sc.Value("serve_view_seq", sess); !ok || int(v) != len(script) {
 		t.Fatalf("promoted serve_view_seq %v (found %v), want %d", v, ok, len(script))
-	}
-}
-
-// TestClusterMetricsShardFamily: a sharded session on an instrumented
-// cluster surfaces the shard_ family through its primary's /metrics —
-// the third family the exposition contract promises alongside serve_
-// and cluster_.
-func TestClusterMetricsShardFamily(t *testing.T) {
-	h := newObsHarness(t, 3, 1)
-	p := workload.Defaults()
-	script := testScript(103, 70, 40)
-	h.createSession("obs-shard", SessionConfig{
-		Strategies: clusterNames, SyncEvery: 1,
-		ExpectedNodes: 70, ShardThreshold: 50,
-		GridX: 2, GridY: 2, ArenaW: p.ArenaW, ArenaH: p.ArenaH,
-	})
-	h.applyEvents("obs-shard", script)
-
-	pn := h.nodeHosting("obs-shard")
-	sc := scrapeHTTP(t, h, pn.ID())
-	sess := map[string]string{"session": "obs-shard"}
-	interior := sc.Sum("shard_interior_events_total", sess)
-	border := sc.Sum("shard_border_escalations_total", sess)
-	if int(interior+border) != len(script) {
-		t.Fatalf("shard family accounts for %v events (interior %v + border %v), want %d",
-			interior+border, interior, border, len(script))
-	}
-	if v := sc.Sum("shard_events_total", sess); int(v) != int(interior) {
-		t.Fatalf("per-shard counters sum to %v, want interior total %v", v, interior)
-	}
-	for _, fam := range []string{"serve_", "cluster_", "shard_"} {
-		found := false
-		for _, smp := range sc.Samples {
-			if strings.HasPrefix(smp.Name, fam) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("metric family %q missing from the primary's exposition", fam)
-		}
 	}
 }

@@ -9,31 +9,22 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 // SessionConfig is the JSON-serializable session shape shared by the
-// cluster create API and every ship request: followers must build the
-// same backend (strategies, sharding) the primary runs, and a config
-// that travels with the stream keeps them stateless across restarts.
+// cluster create API and every ship request: followers must host the
+// same strategies the primary runs, and a config that travels with the
+// stream keeps them stateless across restarts.
 type SessionConfig struct {
-	Strategies     []string `json:"strategies,omitempty"`
-	Mailbox        int      `json:"mailbox,omitempty"`
-	SyncEvery      int      `json:"sync_every,omitempty"`
-	SegmentBytes   int      `json:"segment_bytes,omitempty"`
-	ExpectedNodes  int      `json:"expected_nodes,omitempty"`
-	ShardThreshold int      `json:"shard_threshold,omitempty"`
-	GridX          int      `json:"grid_x,omitempty"`
-	GridY          int      `json:"grid_y,omitempty"`
-	ArenaW         float64  `json:"arena_w,omitempty"`
-	ArenaH         float64  `json:"arena_h,omitempty"`
+	Strategies   []string `json:"strategies,omitempty"`
+	Mailbox      int      `json:"mailbox,omitempty"`
+	SyncEvery    int      `json:"sync_every,omitempty"`
+	SegmentBytes int      `json:"segment_bytes,omitempty"`
 	// CompactEvery asks the primary's node to run coordinated WAL
 	// compaction roughly every that many events: a barrier record is
 	// written and shipped, followers compact their own logs behind it,
 	// and the primary truncates once the fleet has acknowledged past
-	// the barrier. 0 disables (the log grows forever); engine-backed
-	// sessions only — sharded sessions recover by full-log replay and
-	// never truncate.
+	// the barrier. 0 disables (the log grows forever).
 	CompactEvery int `json:"compact_every,omitempty"`
 	// Epoch counts the session's leadership generations: 1 at creation,
 	// +1 on every promotion (unilateral failover or handoff adoption).
@@ -46,25 +37,17 @@ type SessionConfig struct {
 	Epoch int `json:"epoch,omitempty"`
 }
 
-// sharded mirrors serve.Config's backend selection rule.
-func (c SessionConfig) sharded() bool {
-	return c.ShardThreshold > 0 && c.ExpectedNodes >= c.ShardThreshold
-}
-
 // serveConfig materializes the serve.Config for this session. Cluster
 // sessions never self-compact: truncation is coordinated by the node
 // (compaction barriers) so it can never race the shippers tailing the
 // log.
 func (c SessionConfig) serveConfig() serve.Config {
 	return serve.Config{
-		Strategies:     c.Strategies,
-		Mailbox:        c.Mailbox,
-		CompactEvery:   -1,
-		SyncEvery:      c.SyncEvery,
-		SegmentBytes:   c.SegmentBytes,
-		ExpectedNodes:  c.ExpectedNodes,
-		ShardThreshold: c.ShardThreshold,
-		Shard:          shard.Config{GridX: c.GridX, GridY: c.GridY, ArenaW: c.ArenaW, ArenaH: c.ArenaH},
+		Strategies:   c.Strategies,
+		Mailbox:      c.Mailbox,
+		CompactEvery: -1,
+		SyncEvery:    c.SyncEvery,
+		SegmentBytes: c.SegmentBytes,
 	}
 }
 

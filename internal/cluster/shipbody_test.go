@@ -88,3 +88,37 @@ func FuzzShipBody(f *testing.F) {
 		}
 	})
 }
+
+// TestCreateRejectsUnknownFields: POST /cluster/sessions answers 400 to
+// a body carrying a field the API does not define, at the top level or
+// inside config, instead of creating a session with that setting
+// silently dropped. The canary's create payload still gets 201.
+func TestCreateRejectsUnknownFields(t *testing.T) {
+	n, err := NewNode(Config{ID: "p", Dir: t.TempDir(), Log: obs.NewLogger(io.Discard, obs.LevelError)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	h := n.Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/cluster/sessions", bytes.NewBufferString(body)))
+		return rr
+	}
+	for _, body := range []string{
+		`{"id":"s","grid_x":2}`,
+		`{"id":"s","sync_evry":1}`,
+		`{"id":"s","config":{"grid_x":2}}`,
+		`{"id":"s","config":{"sync_evry":1}}`,
+	} {
+		if rr := post(body); rr.Code != http.StatusBadRequest {
+			t.Fatalf("create %s: %d %s, want 400", body, rr.Code, rr.Body.String())
+		}
+	}
+	if ids := n.mgr.List(); len(ids) != 0 {
+		t.Fatalf("rejected creates left sessions %v", ids)
+	}
+	if rr := post(`{"id":"s","config":{"strategies":["Minim"],"sync_every":1,"compact_every":4096}}`); rr.Code != http.StatusCreated {
+		t.Fatalf("canary-shaped create: %d %s, want 201", rr.Code, rr.Body.String())
+	}
+}

@@ -9,9 +9,7 @@
 // Manager.Open recovers one from its WAL after a crash or restart;
 // Manager.Close drains it, writes a final snapshot, and releases it.
 // Each session hosts the configured recoding strategies (Minim, CP, BBB
-// by default) on one shared incremental engine (internal/engine) — or,
-// when Config.ExpectedNodes reaches Config.ShardThreshold, on the
-// region-partitioned parallel runtime (internal/shard).
+// by default) on one shared incremental engine (internal/engine).
 //
 // # Writer model and admission control
 //
@@ -34,11 +32,6 @@
 // amortized rather than a full O(n) clone per event. Watch subscribes
 // to a stream of assignment-change deltas; a subscriber that lags
 // beyond its buffer is disconnected and must re-snapshot.
-//
-// Sharded sessions publish views at sync points (mailbox drains and
-// barriers) instead of per event, because interior events recode
-// concurrently across region workers; their Watch deltas arrive
-// coalesced with Delta.Batch set.
 //
 // # WAL format and recovery
 //
@@ -70,10 +63,9 @@
 // digraph exactly, and assignments and metrics are installed verbatim —
 // then replays the committed tail through the normal recoding path.
 // The result is bit-identical to the pre-crash state and the session
-// accepts further events; the recovery tests assert both. Sharded
-// sessions skip compaction (their snapshot stays at sequence zero) and
-// recover by replaying the whole log through a fresh coordinator, the
-// shard.Replay contract.
+// accepts further events; the recovery tests assert both. A log that
+// was never compacted starts with an empty snapshot at sequence zero, so
+// its recovery is a replay of the whole history.
 //
 // Beyond records and events, the log carries compaction-barrier
 // records (trace.Barrier): markers that do not advance the sequence

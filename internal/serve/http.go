@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"repro/internal/graph"
-	"repro/internal/shard"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -63,41 +62,32 @@ func withSession(m *Manager, fn func(*Session, http.ResponseWriter, *http.Reques
 
 // createReq is the session-creation payload.
 type createReq struct {
-	ID            string   `json:"id"`
-	Strategies    []string `json:"strategies,omitempty"`
-	Mailbox       int      `json:"mailbox,omitempty"`
-	CompactEvery  int      `json:"compact_every,omitempty"`
-	SyncEvery     int      `json:"sync_every,omitempty"`
-	SegmentBytes  int      `json:"segment_bytes,omitempty"`
-	ExpectedNodes int      `json:"expected_nodes,omitempty"`
-	// A grid larger than 1x1 requests the sharded backend over an
-	// ArenaW x ArenaH arena split into GridX x GridY regions.
-	GridX  int     `json:"grid_x,omitempty"`
-	GridY  int     `json:"grid_y,omitempty"`
-	ArenaW float64 `json:"arena_w,omitempty"`
-	ArenaH float64 `json:"arena_h,omitempty"`
+	ID           string   `json:"id"`
+	Strategies   []string `json:"strategies,omitempty"`
+	Mailbox      int      `json:"mailbox,omitempty"`
+	CompactEvery int      `json:"compact_every,omitempty"`
+	SyncEvery    int      `json:"sync_every,omitempty"`
+	SegmentBytes int      `json:"segment_bytes,omitempty"`
 	// Recover opens the session from its WAL instead of starting fresh.
 	Recover bool `json:"recover,omitempty"`
 }
 
 func createSession(m *Manager, w http.ResponseWriter, r *http.Request) {
+	// Unknown fields are rejected, not dropped: a misspelled setting
+	// must not silently fall back to its default.
 	var req createReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
 	cfg := Config{
-		Strategies:    req.Strategies,
-		Mailbox:       req.Mailbox,
-		CompactEvery:  req.CompactEvery,
-		SyncEvery:     req.SyncEvery,
-		SegmentBytes:  req.SegmentBytes,
-		ExpectedNodes: req.ExpectedNodes,
-	}
-	if req.GridX > 1 || req.GridY > 1 {
-		cfg.ShardThreshold = 1
-		cfg.ExpectedNodes = max(cfg.ExpectedNodes, 1)
-		cfg.Shard = shard.Config{GridX: req.GridX, GridY: req.GridY, ArenaW: req.ArenaW, ArenaH: req.ArenaH}
+		Strategies:   req.Strategies,
+		Mailbox:      req.Mailbox,
+		CompactEvery: req.CompactEvery,
+		SyncEvery:    req.SyncEvery,
+		SegmentBytes: req.SegmentBytes,
 	}
 	var (
 		s   *Session
@@ -315,7 +305,6 @@ func watchSession(s *Session, w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	type wireDelta struct {
 		Seq     int                       `json:"seq"`
-		Batch   bool                      `json:"batch,omitempty"`
 		Event   *trace.EventRecord        `json:"event,omitempty"`
 		Recoded map[string]map[string]int `json:"recoded"`
 	}
@@ -327,11 +316,9 @@ func watchSession(s *Session, w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			wd := wireDelta{Seq: d.Seq, Batch: d.Batch, Recoded: map[string]map[string]int{}}
-			if !d.Batch {
-				if ej, err := trace.EncodeEvent(d.Event); err == nil {
-					wd.Event = &ej
-				}
+			wd := wireDelta{Seq: d.Seq, Recoded: map[string]map[string]int{}}
+			if ej, err := trace.EncodeEvent(d.Event); err == nil {
+				wd.Event = &ej
 			}
 			for name, rec := range d.Recoded {
 				m := make(map[string]int, len(rec))

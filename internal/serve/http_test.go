@@ -170,6 +170,31 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPCreateRejectsUnknownFields: POST /v1/sessions answers 400 to
+// a body carrying a field the API does not define, instead of creating
+// a session with that setting silently dropped. The canary's create
+// payload still gets 201.
+func TestHTTPCreateRejectsUnknownFields(t *testing.T) {
+	m := NewManager(t.TempDir())
+	defer m.CloseAll()
+	h := NewHandler(m)
+	for _, body := range []map[string]interface{}{
+		{"id": "s", "grid_x": 2},
+		{"id": "s", "sync_evry": 1},
+	} {
+		if rr := postJSON(t, h, "/v1/sessions", body); rr.Code != http.StatusBadRequest {
+			t.Fatalf("create %v: %d %s, want 400", body, rr.Code, rr.Body.String())
+		}
+	}
+	if ids := m.List(); len(ids) != 0 {
+		t.Fatalf("rejected creates left sessions %v", ids)
+	}
+	canary := map[string]interface{}{"id": "s", "strategies": []string{"Minim"}, "sync_every": 1}
+	if rr := postJSON(t, h, "/v1/sessions", canary); rr.Code != http.StatusCreated {
+		t.Fatalf("canary-shaped create: %d %s, want 201", rr.Code, rr.Body.String())
+	}
+}
+
 // TestHTTPWatchStream: the watch endpoint streams one JSON line per
 // delta.
 func TestHTTPWatchStream(t *testing.T) {
@@ -228,7 +253,7 @@ func TestHTTPBackpressure(t *testing.T) {
 	s, _ := m.Get("full")
 	block := make(chan struct{})
 	started := make(chan struct{})
-	go s.inspect(func(*inspectState) { close(started); <-block })
+	go s.inspect(func() { close(started); <-block })
 	<-started
 	base, _ := testScript(47, 5, 0)
 	// Park the writer and fill the mailbox so the HTTP apply bounces

@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"strconv"
-
-	"repro/internal/obs"
-	"repro/internal/shard"
-)
+import "repro/internal/obs"
 
 // Metrics is the serve layer's observability bundle: one obs.Registry
 // (rendered at GET /metrics) plus one obs.TraceHub (per-session event
@@ -126,7 +121,7 @@ func (s *Session) markFollower() {
 }
 
 // forRecode resolves per-strategy recode-latency histograms, aligned
-// with the session's strategy order (engine backend only).
+// with the session's strategy order.
 func (m *Metrics) forRecode(id string, strategies []string) []*obs.Histogram {
 	if m == nil || m.reg == nil {
 		return nil
@@ -136,22 +131,4 @@ func (m *Metrics) forRecode(id string, strategies []string) []*obs.Histogram {
 		hs[i] = m.reg.Histogram("engine_recode_seconds", "one strategy's recoding time for one event", nil, "session", id, "strategy", name)
 	}
 	return hs
-}
-
-// forShard resolves the shard-backend counters for a sharded session's
-// coordinator.
-func (m *Metrics) forShard(id string, shards int) *shard.Obs {
-	if m == nil || m.reg == nil {
-		return nil
-	}
-	o := &shard.Obs{
-		Interior: m.reg.Counter("shard_interior_events_total", "events executed on region shards", "session", id),
-		Border:   m.reg.Counter("shard_border_escalations_total", "events escalated to the border lane", "session", id),
-		Barriers: m.reg.Counter("shard_barriers_total", "barrier drains performed", "session", id),
-	}
-	o.PerShard = make([]*obs.Counter, shards)
-	for i := range o.PerShard {
-		o.PerShard[i] = m.reg.Counter("shard_events_total", "interior events per region shard (row-major index)", "session", id, "shard", strconv.Itoa(i))
-	}
-	return o
 }

@@ -8,12 +8,10 @@ import (
 
 	"repro/internal/adhoc"
 	"repro/internal/geom"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
 	"repro/internal/trace"
-	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
@@ -46,26 +44,26 @@ func refState(t *testing.T, names []string, events []strategy.Event) (map[string
 // metrics, topology, seq) against the reference, bit for bit.
 func assertStateEquals(t *testing.T, tag string, s *Session, names []string, ref *sim.EngineSession, wantSeq int) {
 	t.Helper()
-	if err := s.inspect(func(st *inspectState) {
+	if err := s.inspect(func() {
 		if s.seq != wantSeq {
 			t.Fatalf("%s: seq %d, want %d", tag, s.seq, wantSeq)
 		}
-		sameGraph(t, tag, st.eng.Network().Graph(), ref.Engine().Network().Graph())
+		sameGraph(t, tag, s.eng.Network().Graph(), ref.Engine().Network().Graph())
 		for _, id := range ref.Engine().Network().Nodes() {
 			wc, _ := ref.Engine().Network().Config(id)
-			gc, ok := st.eng.Network().Config(id)
+			gc, ok := s.eng.Network().Config(id)
 			if !ok || gc != wc {
 				t.Fatalf("%s: config of %d = %+v/%v, want %+v", tag, id, gc, ok, wc)
 			}
 		}
 		for i, name := range names {
 			rs, _ := ref.StrategyOf(sim.StrategyName(name))
-			if !reflect.DeepEqual(st.hosted[i].Assignment(), rs.Assignment()) {
+			if !reflect.DeepEqual(s.hosted[i].Assignment(), rs.Assignment()) {
 				t.Fatalf("%s: %s assignment differs", tag, name)
 			}
 			rm, _ := ref.MetricsOf(sim.StrategyName(name))
-			if !reflect.DeepEqual(st.metrics[i], rm) {
-				t.Fatalf("%s: %s metrics %+v, want %+v", tag, name, st.metrics[i], rm)
+			if !reflect.DeepEqual(s.metrics[i], rm) {
+				t.Fatalf("%s: %s metrics %+v, want %+v", tag, name, s.metrics[i], rm)
 			}
 		}
 	}); err != nil {
@@ -222,84 +220,6 @@ func TestRecoveryTornTail(t *testing.T) {
 	}
 	defer r.Close()
 	assertStateEquals(t, "torn", r, []string{"Minim"}, ref, len(base))
-}
-
-// TestShardedRecoveryFullReplay: sharded sessions keep their full log
-// (no compaction) and recover by replaying it through a fresh
-// coordinator, landing on the identical global state.
-func TestShardedRecoveryFullReplay(t *testing.T) {
-	base, phase := testScript(29, 70, 60)
-	script := append(append([]strategy.Event(nil), base...), phase...)
-	p := workload.Defaults()
-	cfg := Config{
-		Strategies:     allNames,
-		ExpectedNodes:  70,
-		ShardThreshold: 50,
-		SyncEvery:      1,
-		Shard:          shard.Config{GridX: 2, GridY: 2, ArenaW: p.ArenaW, ArenaH: p.ArenaH},
-	}
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "sharded.wal")
-	s, err := newSession("sharded", cfg, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := len(base) + 17
-	for _, ev := range script[:k] {
-		if err := s.Apply(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.abortForTest(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, _, ref := refState(t, allNames, script[:k])
-	r, err := restoreSession("sharded", cfg, walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.coord == nil {
-		t.Fatal("restore did not rebuild the sharded backend")
-	}
-	v := r.View()
-	if v.Seq() != k {
-		t.Fatalf("restored seq %d, want %d", v.Seq(), k)
-	}
-	for _, name := range allNames {
-		rs, _ := ref.StrategyOf(sim.StrategyName(name))
-		got, _ := v.Assignment(name)
-		if !reflect.DeepEqual(got, rs.Assignment()) {
-			t.Fatalf("restored sharded %s assignment differs", name)
-		}
-		gm, _ := v.MetricsOf(name)
-		rm, _ := ref.MetricsOf(sim.StrategyName(name))
-		if gm.TotalRecodings != rm.TotalRecodings || gm.MaxColor != rm.MaxColor {
-			t.Fatalf("restored sharded %s metrics (%d,%d), want (%d,%d)",
-				name, gm.TotalRecodings, gm.MaxColor, rm.TotalRecodings, rm.MaxColor)
-		}
-	}
-	// Accept further events and finish identically to an uncrashed run.
-	for _, ev := range script[k:] {
-		if err := r.Apply(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, full := refState(t, allNames, script)
-	v = r.View()
-	for _, name := range allNames {
-		rs, _ := full.StrategyOf(sim.StrategyName(name))
-		got, _ := v.Assignment(name)
-		if !reflect.DeepEqual(got, rs.Assignment()) {
-			t.Fatalf("resumed sharded %s assignment differs", name)
-		}
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestManagerOpen: the manager-level recovery path (Open) restores a

@@ -84,8 +84,7 @@ func (r *Replica) Live() bool {
 // retired — mirroring the primary-side truncation. Barriers at or below
 // the last honored one, or ahead of the replica's applied sequence, are
 // ignored (the primary re-sends its latest barrier until the follower
-// passes it). Sharded replicas ignore barriers entirely: their recovery
-// contract is full-log replay, so their logs must stay complete.
+// passes it).
 func (r *Replica) CompactBarrier(seq int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -96,18 +95,14 @@ func (r *Replica) CompactBarrier(seq int) error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.coord != nil || s.wal == nil || seq <= r.compacted || s.seq < seq {
+	if s.wal == nil || seq <= r.compacted || s.seq < seq {
 		return nil
 	}
 	if err := s.wal.appendBarrier(seq); err != nil {
 		s.poison(err)
 		return err
 	}
-	snap, err := trace.CaptureSnapshot(s.seq, s.stateNetwork(), s.cfg.Strategies, s.stateAssignments(), s.metrics)
-	if err != nil {
-		return err
-	}
-	if err := s.wal.compact(snap); err != nil {
+	if err := s.compact(); err != nil {
 		s.poison(err)
 		return err
 	}
@@ -148,18 +143,7 @@ func (r *Replica) offerLocked(from int, evs []strategy.Event) (int, error) {
 		return s.seq, nil // nothing new
 	}
 	for _, ev := range evs[skip:] {
-		var err error
-		if s.coord != nil {
-			err = s.applyShard(ev, true)
-		} else {
-			err = s.applyEngine(ev, true)
-		}
-		if err != nil {
-			return s.seq, err
-		}
-	}
-	if s.coord != nil && s.pending > 0 {
-		if err := s.syncShardView(); err != nil {
+		if err := s.applyEngine(ev, true); err != nil {
 			return s.seq, err
 		}
 	}
@@ -184,12 +168,12 @@ func (r *Replica) InspectState(fn func(net *adhoc.Network, assigns []toca.Assign
 	if r.closed {
 		return ErrClosed
 	}
-	fn(r.s.stateNetwork(), r.s.stateAssignments(), r.s.metrics)
+	fn(r.s.eng.Network(), r.s.stateAssignments(), r.s.metrics)
 	return nil
 }
 
-// close releases the replica gracefully: the WAL is flushed and fsynced
-// and the warm backend torn down. The on-disk log remains a valid
+// close releases the replica gracefully: the WAL is flushed and
+// fsynced. The on-disk log remains a valid
 // recoverable "snapshot + tail".
 func (r *Replica) close(abort bool) error {
 	r.mu.Lock()
@@ -206,7 +190,6 @@ func (r *Replica) close(abort bool) error {
 			err = r.s.wal.close()
 		}
 	}
-	r.s.releaseBackend()
 	return err
 }
 

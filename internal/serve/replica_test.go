@@ -6,11 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/adhoc"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
-	"repro/internal/workload"
 )
 
 // shipAll tails the primary's WAL from pos and offers everything new to
@@ -140,95 +138,6 @@ func TestReplicaShipAndPromote(t *testing.T) {
 	_, _, full := refState(t, allNames, script)
 	assertStateEquals(t, "continued", p, allNames, full, len(script))
 	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReplicaShardedShipAndPromote is the sharded-backend variant: the
-// replica hosts a shard.Coordinator, applies shipped records through
-// it, and promotes by full-log replay.
-func TestReplicaShardedShipAndPromote(t *testing.T) {
-	base, phase := testScript(47, 70, 60)
-	script := append(append([]strategy.Event(nil), base...), phase...)
-	p := workload.Defaults()
-	cfg := Config{
-		Strategies:     allNames,
-		ExpectedNodes:  70,
-		ShardThreshold: 50,
-		SyncEvery:      1,
-		SegmentBytes:   4096,
-		Shard:          shard.Config{GridX: 2, GridY: 2, ArenaW: p.ArenaW, ArenaH: p.ArenaH},
-	}
-	primDir := t.TempDir()
-	primMgr := NewManager(primDir)
-	s, err := primMgr.Create("shrepl", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	follMgr := NewManager(t.TempDir())
-	walDir := filepath.Join(primDir, "shrepl.wal")
-	recs, pos, err := TailWAL(walDir, WALPos{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := follMgr.NewReplica("shrepl", cfg, *recs[0].Snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := len(base) + 20
-	for _, ev := range script[:k] {
-		if err := s.Apply(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	var acked int
-	_, _, acked = shipAll(t, walDir, pos, 0, r)
-	if acked != k {
-		t.Fatalf("acked %d, want %d", acked, k)
-	}
-	if err := s.abortForTest(); err != nil {
-		t.Fatal(err)
-	}
-	promoted, err := follMgr.Promote("shrepl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if promoted.coord == nil {
-		t.Fatal("promotion did not rebuild the sharded backend")
-	}
-	_, _, ref := refState(t, allNames, script[:k])
-	v := promoted.View()
-	if v.Seq() != k {
-		t.Fatalf("promoted seq %d, want %d", v.Seq(), k)
-	}
-	for _, name := range allNames {
-		rs, _ := ref.StrategyOf(sim.StrategyName(name))
-		got, _ := v.Assignment(name)
-		if !reflect.DeepEqual(got, rs.Assignment()) {
-			t.Fatalf("promoted sharded %s assignment differs", name)
-		}
-	}
-	for _, ev := range script[k:] {
-		if err := promoted.Apply(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := promoted.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, full := refState(t, allNames, script)
-	v = promoted.View()
-	for _, name := range allNames {
-		rs, _ := full.StrategyOf(sim.StrategyName(name))
-		got, _ := v.Assignment(name)
-		if !reflect.DeepEqual(got, rs.Assignment()) {
-			t.Fatalf("continued sharded %s assignment differs", name)
-		}
-	}
-	if err := promoted.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
@@ -130,8 +129,8 @@ func TestServeDifferential(t *testing.T) {
 	}
 
 	// Digraph and topology, via the race-safe inspection hook.
-	if err := s.inspect(func(st *inspectState) {
-		sameGraph(t, "final", st.eng.Network().Graph(), ref.Engine().Network().Graph())
+	if err := s.inspect(func() {
+		sameGraph(t, "final", s.eng.Network().Graph(), ref.Engine().Network().Graph())
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -140,64 +139,6 @@ func TestServeDifferential(t *testing.T) {
 		gotCfg, ok := v.Config(id)
 		if !ok || gotCfg != wantCfg {
 			t.Fatalf("view config of %d = %+v/%v, want %+v", id, gotCfg, ok, wantCfg)
-		}
-	}
-}
-
-// TestServeShardedDifferential runs the same differential with the
-// sharded backend selected by the size threshold: results must still be
-// bit-identical to sim.RunPhases (views are published at sync points).
-func TestServeShardedDifferential(t *testing.T) {
-	base, phase := testScript(13, 80, 120)
-	want, err := sim.RunPhases([]sim.StrategyName{sim.Minim, sim.CP, sim.BBB}, base, phase, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := workload.Defaults()
-	cfg := Config{
-		Strategies:     allNames,
-		ExpectedNodes:  80,
-		ShardThreshold: 50,
-		Shard:          shard.Config{GridX: 2, GridY: 2, ArenaW: p.ArenaW, ArenaH: p.ArenaH},
-	}
-	s, err := newSession("sharded", cfg, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.coord == nil {
-		t.Fatal("threshold did not select the sharded backend")
-	}
-
-	apply := func(evs []strategy.Event) {
-		for _, ev := range evs {
-			if err := s.Apply(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Barrier(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	apply(base)
-	v := s.View()
-	for i, name := range allNames {
-		m, _ := v.MetricsOf(name)
-		if m.TotalRecodings != want[i].AfterBase.TotalRecodings || m.MaxColor != want[i].AfterBase.MaxColor {
-			t.Fatalf("%s after base: (%d,%d), RunPhases (%d,%d)", name,
-				m.TotalRecodings, m.MaxColor, want[i].AfterBase.TotalRecodings, want[i].AfterBase.MaxColor)
-		}
-	}
-	apply(phase)
-	v = s.View()
-	for i, name := range allNames {
-		m, _ := v.MetricsOf(name)
-		if m.TotalRecodings != want[i].Final.TotalRecodings || m.MaxColor != want[i].Final.MaxColor {
-			t.Fatalf("%s final: (%d,%d), RunPhases (%d,%d)", name,
-				m.TotalRecodings, m.MaxColor, want[i].Final.TotalRecodings, want[i].Final.MaxColor)
-		}
-		if v.NodeCount() != want[i].Final.Nodes {
-			t.Fatalf("nodes %d, RunPhases %d", v.NodeCount(), want[i].Final.Nodes)
 		}
 	}
 }
@@ -248,7 +189,7 @@ func TestAdmissionControl(t *testing.T) {
 	started := make(chan struct{})
 	insErr := make(chan error, 1)
 	go func() {
-		insErr <- s.inspect(func(*inspectState) { close(started); <-block })
+		insErr <- s.inspect(func() { close(started); <-block })
 	}()
 	<-started
 

@@ -39,8 +39,6 @@ type Config struct {
 	Mailbox int
 	// CompactEvery triggers a WAL snapshot + compaction after that many
 	// events since the last snapshot (default 4096; < 0 disables).
-	// Ignored (disabled) for sharded sessions, which recover by full-log
-	// replay instead.
 	CompactEvery int
 	// SyncEvery forces a WAL flush+fsync every N events (default 0: group
 	// commit at mailbox drains, fsync on compaction and close). The
@@ -58,14 +56,6 @@ type Config struct {
 	// Validate re-verifies every strategy's CA1/CA2 after every event
 	// (slow; tests).
 	Validate bool
-	// ExpectedNodes sizes the session. When ShardThreshold > 0 and
-	// ExpectedNodes >= ShardThreshold, the session runs on the
-	// region-partitioned shard.Coordinator instead of a single engine.
-	ExpectedNodes  int
-	ShardThreshold int
-	// Shard configures the sharded backend (grid + arena); required when
-	// the threshold selects it.
-	Shard shard.Config
 
 	// metrics is the observability bundle the owning Manager injects
 	// (Manager.Instrument); nil leaves every instrumentation point a
@@ -90,19 +80,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) sharded() bool {
-	return c.ShardThreshold > 0 && c.ExpectedNodes >= c.ShardThreshold
-}
-
 // Delta is one assignment-change notification delivered to Watch
-// subscribers: the event (or batch boundary) and, per strategy, the
-// nodes whose codes changed. For sharded sessions deltas are coalesced
-// at sync points (Batch true, Event meaningless) because interior events
-// recode concurrently across regions.
+// subscribers: the event and, per strategy, the nodes whose codes
+// changed.
 type Delta struct {
 	Seq     int
 	Event   strategy.Event
-	Batch   bool
 	Recoded map[string]map[graph.NodeID]toca.Color
 }
 
@@ -154,7 +137,7 @@ type request struct {
 	kind reqKind
 	ev   strategy.Event
 	res  chan error
-	fn   func(*inspectState)
+	fn   func()
 	// enq is the mailbox-admission time (unix ns), carried with the
 	// event so StageEnqueue can be recorded against the REAL applied seq
 	// once it is known — a parallel submit counter desyncs permanently
@@ -162,19 +145,9 @@ type request struct {
 	enq int64
 }
 
-// inspectState hands tests and tools race-safe access to the writer's
-// private state (the callback runs on the writer goroutine, after a
-// shard sync).
-type inspectState struct {
-	eng     *engine.Engine
-	coord   *shard.Coordinator
-	hosted  []shard.Hosted
-	metrics []*strategy.Metrics
-}
-
 // Session hosts one simulation: a single-writer apply loop over a
-// bounded mailbox, an engine (or shard coordinator) backend, a durable
-// WAL, atomically-swapped read Views, and Watch subscriptions.
+// bounded mailbox, an engine backend, a durable WAL, atomically-swapped
+// read Views, and Watch subscriptions.
 type Session struct {
 	id  string
 	cfg Config
@@ -193,15 +166,11 @@ type Session struct {
 	eng     *engine.Engine
 	hosted  []shard.Hosted
 	metrics []*strategy.Metrics
-	coord   *shard.Coordinator
-	pending int // shard events applied since the last view sync
-	peak    []toca.Color
 	wal     *wal
 	err     error
 
 	// Observability (no-op zero values when uninstrumented).
-	obs          sessionObs
-	pendingSince time.Time // apply time of the oldest unpublished shard event
+	obs sessionObs
 
 	done chan struct{}
 }
@@ -215,37 +184,24 @@ func newSession(id string, cfg Config, walPath string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.sharded() {
-		sc := cfg.Shard
-		sc.Validate = cfg.Validate
-		sc.Obs = cfg.metrics.forShard(id, sc.Shards())
-		s.coord, err = shard.New(sc, specs)
-		if err != nil {
-			return nil, err
-		}
-		s.peak = make([]toca.Color, len(specs))
-	} else {
-		s.eng = engine.New()
-		for _, spec := range specs {
-			h := spec.New(s.eng.Network(), make(toca.Assignment))
-			s.eng.Subscribe(h)
-			s.hosted = append(s.hosted, h)
-		}
-		s.eng.InstrumentRecode(cfg.metrics.forRecode(id, cfg.Strategies))
+	s.eng = engine.New()
+	for _, spec := range specs {
+		h := spec.New(s.eng.Network(), make(toca.Assignment))
+		s.eng.Subscribe(h)
+		s.hosted = append(s.hosted, h)
 	}
+	s.eng.InstrumentRecode(cfg.metrics.forRecode(id, cfg.Strategies))
 	s.metrics = make([]*strategy.Metrics, len(specs))
 	for i := range s.metrics {
 		s.metrics[i] = strategy.NewMetrics()
 	}
 	if walPath != "" {
-		snap, err := trace.CaptureSnapshot(0, s.stateNetwork(), cfg.Strategies, s.stateAssignments(), s.metrics)
+		snap, err := trace.CaptureSnapshot(0, s.eng.Network(), cfg.Strategies, s.stateAssignments(), s.metrics)
 		if err != nil {
-			s.releaseBackend()
 			return nil, err
 		}
 		s.wal, err = createWAL(walPath, snap)
 		if err != nil {
-			s.releaseBackend()
 			return nil, err
 		}
 		s.wal.syncEvery = cfg.SyncEvery
@@ -299,69 +255,37 @@ func buildSession(id string, cfg Config, walPath string) (*Session, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if cfg.sharded() {
-		// Sharded sessions never compact (their snapshot stays at seq 0),
-		// so the tail is the whole history: replay it through a fresh
-		// coordinator (shard.Replay semantics).
-		if snap.Seq != 0 || len(snap.Nodes) > 0 {
-			return fail(fmt.Errorf("serve: wal %s has a compacted snapshot but a sharded session cannot restore one", walPath))
-		}
-		sc := cfg.Shard
-		sc.Validate = cfg.Validate
-		sc.Obs = cfg.metrics.forShard(id, sc.Shards())
-		s.coord, err = shard.New(sc, specs)
-		if err != nil {
+	// Rebuild the network from the snapshot (join order is the sorted
+	// snapshot order; the digraph is a pure function of the configs, so
+	// subsequent recodings are identical), install the snapshot
+	// assignments and metrics, then roll the tail forward.
+	net := adhoc.New()
+	ids, cfgs := snap.Configs()
+	for i, nid := range ids {
+		if err := net.Join(nid, cfgs[i]); err != nil {
 			return fail(err)
 		}
-		s.peak = make([]toca.Color, len(specs))
-		s.metrics = make([]*strategy.Metrics, len(specs))
-		for i := range s.metrics {
-			s.metrics[i] = strategy.NewMetrics()
-		}
-		s.view.Store(newView(cfg.Strategies))
-		for _, ev := range tailEvents {
-			if err := s.applyShard(ev, false); err != nil {
-				s.releaseBackend()
-				return fail(err)
-			}
-		}
-		if err := s.syncShardView(); err != nil {
-			s.releaseBackend()
-			return fail(err)
-		}
-	} else {
-		// Rebuild the network from the snapshot (join order is the sorted
-		// snapshot order; the digraph is a pure function of the configs,
-		// so subsequent recodings are identical), install the snapshot
-		// assignments and metrics, then roll the tail forward.
-		net := adhoc.New()
-		ids, cfgs := snap.Configs()
-		for i, nid := range ids {
-			if err := net.Join(nid, cfgs[i]); err != nil {
-				return fail(err)
-			}
-		}
-		s.eng = engine.Adopt(net)
-		s.metrics = make([]*strategy.Metrics, len(specs))
-		for i, spec := range specs {
-			h := spec.New(net, snap.Strategies[i].Assignment())
-			s.eng.Subscribe(h)
-			s.hosted = append(s.hosted, h)
-			if s.metrics[i], err = snap.Strategies[i].RestoreMetrics(); err != nil {
-				return fail(err)
-			}
-		}
-		s.seq = snap.Seq
-		// Publish the snapshot state first: the tail replay below rolls
-		// the view forward event by event, same as live operation.
-		s.view.Store(s.rebuild())
-		for _, ev := range tailEvents {
-			if err := s.applyEngine(ev, false); err != nil {
-				return fail(err)
-			}
-		}
-		s.eng.InstrumentRecode(cfg.metrics.forRecode(id, cfg.Strategies))
 	}
+	s.eng = engine.Adopt(net)
+	s.metrics = make([]*strategy.Metrics, len(specs))
+	for i, spec := range specs {
+		h := spec.New(net, snap.Strategies[i].Assignment())
+		s.eng.Subscribe(h)
+		s.hosted = append(s.hosted, h)
+		if s.metrics[i], err = snap.Strategies[i].RestoreMetrics(); err != nil {
+			return fail(err)
+		}
+	}
+	s.seq = snap.Seq
+	// Publish the snapshot state first: the tail replay below rolls the
+	// view forward event by event, same as live operation.
+	s.view.Store(rebuildView(s.seq, net, cfg.Strategies, s.stateAssignments(), s.metrics))
+	for _, ev := range tailEvents {
+		if err := s.applyEngine(ev, false); err != nil {
+			return fail(err)
+		}
+	}
+	s.eng.InstrumentRecode(cfg.metrics.forRecode(id, cfg.Strategies))
 	// Instrument only after the tail replay: recovery re-applies are not
 	// service traffic and must not pollute the latency series.
 	s.obs = cfg.metrics.forSession(id)
@@ -400,7 +324,7 @@ func (s *Session) Apply(ev strategy.Event) error {
 }
 
 // Barrier waits until every previously accepted event is applied and
-// (for sharded sessions) the published view reflects them.
+// flushed to the WAL.
 func (s *Session) Barrier() error {
 	res := make(chan error, 1)
 	if err := s.enqueueWait(request{kind: reqBarrier, res: res}); err != nil {
@@ -445,8 +369,7 @@ func (s *Session) Watch() (<-chan Delta, func()) {
 }
 
 // Close drains the mailbox, writes a final snapshot (compacting the
-// WAL), stops the writer, and releases the backend. Subsequent
-// operations return ErrClosed.
+// WAL), and stops the writer. Subsequent operations return ErrClosed.
 func (s *Session) Close() error { return s.shutdown(reqClose) }
 
 // abortForTest simulates a crash: the writer stops where it is and the
@@ -476,8 +399,8 @@ func (s *Session) shutdown(kind reqKind) error {
 // failover suite) verify bit-identity with; fn must not retain or
 // mutate what it is handed.
 func (s *Session) InspectState(fn func(net *adhoc.Network, assigns []toca.Assignment, metrics []*strategy.Metrics)) error {
-	return s.inspect(func(*inspectState) {
-		fn(s.stateNetwork(), s.stateAssignments(), s.metrics)
+	return s.inspect(func() {
+		fn(s.eng.Network(), s.stateAssignments(), s.metrics)
 	})
 }
 
@@ -493,7 +416,7 @@ func (s *Session) MarkCompactBarrier() (int, error) {
 		seq  int
 		ferr error
 	)
-	err := s.inspect(func(*inspectState) {
+	err := s.inspect(func() {
 		if s.wal == nil {
 			ferr = fmt.Errorf("serve: session %q has no WAL to mark a barrier in", s.id)
 			return
@@ -519,21 +442,17 @@ func (s *Session) MarkCompactBarrier() (int, error) {
 // segment and retires every sealed segment it supersedes — the explicit
 // form of the CompactEvery auto-compaction, for callers (the cluster
 // compaction coordinator) that must gate truncation on replication
-// progress. Engine-backed durable sessions only: sharded sessions
-// recover by full-log replay and must keep their history.
+// progress. Durable sessions only.
 func (s *Session) Compact() error {
 	var ferr error
-	err := s.inspect(func(*inspectState) {
-		switch {
-		case s.wal == nil:
+	err := s.inspect(func() {
+		if s.wal == nil {
 			ferr = fmt.Errorf("serve: session %q has no WAL to compact", s.id)
-		case s.eng == nil:
-			ferr = fmt.Errorf("serve: sharded session %q cannot compact its WAL", s.id)
-		default:
-			if err := s.compact(); err != nil {
-				s.poison(err)
-				ferr = err
-			}
+			return
+		}
+		if err := s.compact(); err != nil {
+			s.poison(err)
+			ferr = err
 		}
 	})
 	if err != nil {
@@ -542,8 +461,9 @@ func (s *Session) Compact() error {
 	return ferr
 }
 
-// inspect runs fn on the writer goroutine against quiesced state.
-func (s *Session) inspect(fn func(*inspectState)) error {
+// inspect runs fn on the writer goroutine against quiesced state, so
+// fn may read the writer's private fields race-free.
+func (s *Session) inspect(fn func()) error {
 	res := make(chan error, 1)
 	if err := s.enqueueWait(request{kind: reqInspect, res: res, fn: fn}); err != nil {
 		return err
@@ -603,11 +523,7 @@ func (s *Session) run() {
 		case reqEvent:
 			err := s.err
 			if err == nil {
-				if s.coord != nil {
-					err = s.applyShard(req.ev, true)
-				} else {
-					err = s.applyEngine(req.ev, true)
-				}
+				err = s.applyEngine(req.ev, true)
 				if err == nil && req.enq != 0 {
 					// Applied: s.seq is now the event's real sequence
 					// number — the enqueue stage correlates exactly
@@ -620,9 +536,6 @@ func (s *Session) run() {
 			}
 		case reqBarrier, reqInspect:
 			err := s.err
-			if err == nil && s.coord != nil && s.pending > 0 {
-				err = s.syncShardView()
-			}
 			if err == nil && s.wal != nil {
 				// A barrier also publishes every accepted event to the
 				// OS: WAL tailers (replication shippers) see the full
@@ -632,7 +545,7 @@ func (s *Session) run() {
 				}
 			}
 			if err == nil && req.fn != nil {
-				req.fn(&inspectState{eng: s.eng, coord: s.coord, hosted: s.hosted, metrics: s.metrics})
+				req.fn()
 			}
 			req.res <- err
 		case reqClose, reqAbort:
@@ -649,18 +562,9 @@ func (s *Session) run() {
 }
 
 // drainPoint runs group-commit work when the mailbox empties: flush the
-// WAL and (sharded) publish a fresh view.
+// WAL.
 func (s *Session) drainPoint() {
-	if s.err != nil {
-		return
-	}
-	if s.coord != nil && s.pending > 0 {
-		if err := s.syncShardView(); err != nil {
-			s.poison(err)
-			return
-		}
-	}
-	if s.wal != nil {
+	if s.err == nil && s.wal != nil {
 		if err := s.wal.flush(); err != nil {
 			s.poison(err)
 		}
@@ -673,8 +577,8 @@ func (s *Session) poison(err error) {
 	}
 }
 
-// applyEngine is the single-engine per-event path. logIt is false only
-// during WAL restore (the event is already durable).
+// applyEngine is the per-event path. logIt is false only during WAL
+// restore (the event is already durable).
 func (s *Session) applyEngine(ev strategy.Event, logIt bool) error {
 	var t0 time.Time
 	if s.obs.on {
@@ -745,134 +649,10 @@ func (s *Session) applyEngine(ev strategy.Event, logIt bool) error {
 	return nil
 }
 
-// applyShard is the sharded per-event path: events stream into the
-// coordinator (interior ones run concurrently across region workers) and
-// the view is republished at sync points instead of per event.
-func (s *Session) applyShard(ev strategy.Event, logIt bool) error {
-	var t0 time.Time
-	if s.obs.on {
-		t0 = time.Now()
-	}
-	if err := s.coord.Apply([]strategy.Event{ev}); err != nil {
-		s.poison(err)
-		return err
-	}
-	if logIt && s.wal != nil {
-		if err := s.wal.append(ev); err != nil {
-			s.poison(err)
-			return err
-		}
-	}
-	s.seq++
-	if s.obs.on {
-		el := time.Since(t0)
-		if s.pending == 0 {
-			s.pendingSince = t0
-		}
-		if logIt {
-			s.obs.applied.Inc()
-		}
-		s.obs.applyLat.ObserveExemplar(el.Seconds(), int64(s.seq))
-		st := obs.StageApply
-		if s.obs.follower {
-			st = obs.StageFollowerApply
-		}
-		s.obs.tracer.Record(int64(s.seq), st)
-		s.obs.hub.NoteSlow(s.obs.id, int64(s.seq), int64(el))
-	}
-	s.pending++
-	return nil
-}
-
-// syncShardView drains the coordinator and republishes the view from its
-// authoritative global state, emitting one coalesced delta.
-func (s *Session) syncShardView() error {
-	names := s.cfg.Strategies
-	assigns := make([]toca.Assignment, len(names))
-	metrics := make([]strategy.Metrics, len(names))
-	for i, name := range names {
-		a, ok, err := s.coord.AssignmentOf(name)
-		if err != nil {
-			s.poison(err)
-			return err
-		}
-		if !ok {
-			err := fmt.Errorf("serve: strategy %q not hosted by coordinator", name)
-			s.poison(err)
-			return err
-		}
-		assigns[i] = a.Clone()
-		snap, _, err := s.coord.SnapshotOf(name)
-		if err != nil {
-			s.poison(err)
-			return err
-		}
-		if snap.MaxColor > s.peak[i] {
-			s.peak[i] = snap.MaxColor
-		}
-		metrics[i] = strategy.Metrics{
-			Events:         s.seq,
-			TotalRecodings: snap.TotalRecodings,
-			MaxColor:       snap.MaxColor,
-			PeakMaxColor:   s.peak[i],
-		}
-		*s.metrics[i] = metrics[i]
-	}
-	net, err := s.coord.Network()
-	if err != nil {
-		s.poison(err)
-		return err
-	}
-	prev := s.view.Load()
-	nv := rebuildView(s.seq, net, names, assigns, metrics)
-	s.view.Store(nv)
-	if s.obs.on {
-		s.obs.viewSeq.Set(int64(s.seq))
-		s.obs.viewPublishes.Inc()
-		if !s.pendingSince.IsZero() {
-			s.obs.viewAge.ObserveSince(s.pendingSince)
-			s.pendingSince = time.Time{}
-		}
-		s.obs.tracer.Record(int64(s.seq), obs.StageViewPublish)
-	}
-	s.pending = 0
-	// Coalesced delta: the diff between the two published views.
-	rec := make(map[string]map[graph.NodeID]toca.Color, len(names))
-	for _, name := range names {
-		prevA, _ := prev.Assignment(name)
-		curA, _ := nv.Assignment(name)
-		d := map[graph.NodeID]toca.Color{}
-		for id, c := range curA {
-			if prevA[id] != c {
-				d[id] = c
-			}
-		}
-		for id := range prevA {
-			if _, ok := curA[id]; !ok {
-				d[id] = toca.None
-			}
-		}
-		rec[name] = d
-	}
-	s.notify(Delta{Seq: s.seq, Batch: true, Recoded: rec})
-	return nil
-}
-
-// rebuild materializes the view from the engine backend's state (restore
-// path).
-func (s *Session) rebuild() *View {
-	assigns := s.stateAssignments()
-	metrics := make([]strategy.Metrics, len(s.metrics))
-	for i, m := range s.metrics {
-		metrics[i] = *m
-	}
-	return rebuildView(s.seq, s.eng.Network(), s.cfg.Strategies, assigns, metrics)
-}
-
 // compact captures the current state and rewrites the WAL to one
 // snapshot line.
 func (s *Session) compact() error {
-	snap, err := trace.CaptureSnapshot(s.seq, s.stateNetwork(), s.cfg.Strategies, s.stateAssignments(), s.metrics)
+	snap, err := trace.CaptureSnapshot(s.seq, s.eng.Network(), s.cfg.Strategies, s.stateAssignments(), s.metrics)
 	if err != nil {
 		return err
 	}
@@ -882,19 +662,11 @@ func (s *Session) compact() error {
 // finish is the writer's exit path.
 func (s *Session) finish(abort bool) error {
 	err := s.err
-	if s.coord != nil {
-		if !abort && err == nil && s.pending > 0 {
-			err = s.syncShardView()
-		}
-		if cerr := s.coord.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-	}
 	if s.wal != nil {
 		if abort {
 			s.wal.abort()
 		} else {
-			if err == nil && s.eng != nil && s.cfg.CompactEvery > 0 && s.wal.tail > 0 {
+			if err == nil && s.cfg.CompactEvery > 0 && s.wal.tail > 0 {
 				err = s.compact()
 			}
 			if cerr := s.wal.close(); err == nil && cerr != nil {
@@ -939,38 +711,14 @@ func (s *Session) notify(d Delta) {
 	}
 }
 
-// stateNetwork returns the backend's authoritative network (writer
-// goroutine or pre-start only).
-func (s *Session) stateNetwork() *adhoc.Network {
-	if s.eng != nil {
-		return s.eng.Network()
-	}
-	net, _ := s.coord.Network()
-	return net
-}
-
-// stateAssignments returns the backend's live assignments, aligned with
+// stateAssignments returns the live assignments, aligned with
 // cfg.Strategies (writer goroutine or pre-start only).
 func (s *Session) stateAssignments() []toca.Assignment {
 	out := make([]toca.Assignment, len(s.cfg.Strategies))
-	if s.eng != nil {
-		for i, h := range s.hosted {
-			out[i] = h.Assignment()
-		}
-		return out
-	}
-	for i, name := range s.cfg.Strategies {
-		a, _, _ := s.coord.AssignmentOf(name)
-		out[i] = a
+	for i, h := range s.hosted {
+		out[i] = h.Assignment()
 	}
 	return out
-}
-
-// releaseBackend tears down a half-built session.
-func (s *Session) releaseBackend() {
-	if s.coord != nil {
-		s.coord.Close()
-	}
 }
 
 func recodedByName(names []string, outs []strategy.Outcome) map[string]map[graph.NodeID]toca.Color {

@@ -319,8 +319,9 @@ func cloneKinds(m map[strategy.EventKind]int) map[strategy.EventKind]int {
 }
 
 // rebuildView materializes a full view from authoritative state — the
-// restore path and the sharded backend's sync points use it.
-func rebuildView(seq int, net *adhoc.Network, names []string, assigns []toca.Assignment, metrics []strategy.Metrics) *View {
+// restore path publishes the snapshot state with it before rolling the
+// WAL tail forward.
+func rebuildView(seq int, net *adhoc.Network, names []string, assigns []toca.Assignment, metrics []*strategy.Metrics) *View {
 	v := newView(names)
 	v.seq = seq
 	v.nodes = net.Size()
@@ -334,7 +335,7 @@ func rebuildView(seq int, net *adhoc.Network, names []string, assigns []toca.Ass
 				v.assigns[i].base[id] = c
 			}
 		}
-		v.metrics[i] = metrics[i]
+		v.metrics[i] = *metrics[i]
 		v.metrics[i].RecodingsByKind = cloneKinds(metrics[i].RecodingsByKind)
 	}
 	return v

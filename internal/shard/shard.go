@@ -64,7 +64,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/strategy"
 	"repro/internal/toca"
 )
@@ -78,19 +77,6 @@ type Config struct {
 	Validate bool
 	// QueueLen is the per-shard dispatch queue capacity (default 256).
 	QueueLen int
-	// Obs, when set, mirrors the routing stats into live metrics
-	// (package obs); nil costs nothing.
-	Obs *Obs
-}
-
-// Obs is the coordinator's metric bundle: counters for the same facts
-// Stats accumulates, updated as events route so a scrape sees them
-// live. Any field (or the whole struct) may be nil.
-type Obs struct {
-	Interior *obs.Counter   // events executed on region shards
-	Border   *obs.Counter   // events escalated to the border lane
-	Barriers *obs.Counter   // barrier drains performed
-	PerShard []*obs.Counter // interior events per region shard (row-major)
 }
 
 func (c Config) check() error {
@@ -458,12 +444,6 @@ func (c *Coordinator) step(ev strategy.Event) error {
 		}
 		c.stats.Interior++
 		c.stats.PerShard[s]++
-		if o := c.cfg.Obs; o != nil {
-			o.Interior.Inc()
-			if s < len(o.PerShard) {
-				o.PerShard[s].Inc()
-			}
-		}
 		c.shards[s].dispatch(ev)
 		return nil
 	}
@@ -474,9 +454,6 @@ func (c *Coordinator) step(ev strategy.Event) error {
 // first worker error.
 func (c *Coordinator) barrier() error {
 	c.stats.Barriers++
-	if o := c.cfg.Obs; o != nil {
-		o.Barriers.Inc()
-	}
 	for _, l := range c.shards {
 		l.pending.Wait()
 	}
@@ -531,9 +508,6 @@ func (c *Coordinator) applyBorder(ev strategy.Event) error {
 
 	c.borderSeqs = append(c.borderSeqs, c.mirror.Seq())
 	c.stats.Border++
-	if o := c.cfg.Obs; o != nil {
-		o.Border.Inc()
-	}
 	outs, err := c.mirror.Apply(ev)
 	if err != nil {
 		return err
