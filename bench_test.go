@@ -18,7 +18,6 @@ import (
 	bbbpkg "repro/internal/bbb"
 	"repro/internal/coloring"
 	"repro/internal/core"
-	cppkg "repro/internal/cp"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/geom"
@@ -75,11 +74,10 @@ func benchJoinEvent(b *testing.B, name sim.StrategyName, n int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st, err := sim.NewStrategy(name)
+		sess, err := sim.NewEngineSession([]sim.StrategyName{name}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sess := sim.NewSession(st, false)
 		if err := sess.Apply(base); err != nil {
 			b.Fatal(err)
 		}
@@ -117,63 +115,50 @@ func BenchmarkJoinEventBBB100(b *testing.B)   { benchJoinEvent(b, sim.BBB, 100) 
 // bench1000Arena is the constant-density arena side for n=1000.
 const bench1000Arena = 316.0
 
-// bench1000Base returns a session over st with the 1000-node join base
-// applied.
-func bench1000Base(b *testing.B, st strategy.Strategy) *sim.Session {
-	b.Helper()
-	p := workload.Defaults()
-	p.N = 1000
-	p.ArenaW, p.ArenaH = bench1000Arena, bench1000Arena
-	sess := sim.NewSession(st, false)
-	if err := sess.Apply(workload.JoinScript(7, p)); err != nil {
+func benchJoinEvent1000(b *testing.B, name sim.StrategyName, net *adhoc.Network) {
+	eng, err := host1000(name, net)
+	if err != nil {
 		b.Fatal(err)
 	}
-	return sess
-}
-
-func benchJoinEvent1000(b *testing.B, st strategy.Strategy) {
-	sess := bench1000Base(b, st)
 	rng := xrand.New(99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := graph.NodeID(2000 + i)
-		cfg := adhoc.Config{
-			Pos:   geom.Point{X: rng.Uniform(0, bench1000Arena), Y: rng.Uniform(0, bench1000Arena)},
-			Range: rng.Uniform(20.5, 30.5),
-		}
-		if err := sess.Apply([]strategy.Event{strategy.JoinEvent(id, cfg)}); err != nil {
+		id, cfg := join1000(rng, i)
+		if _, err := eng.Apply(strategy.JoinEvent(id, cfg)); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if err := sess.Apply([]strategy.Event{strategy.LeaveEvent(id)}); err != nil {
+		if _, err := eng.Apply(strategy.LeaveEvent(id)); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 	}
 }
 
-func benchMoveEvent1000(b *testing.B, st strategy.Strategy) {
-	sess := bench1000Base(b, st)
+func benchMoveEvent1000(b *testing.B, name sim.StrategyName, net *adhoc.Network) {
+	eng, err := host1000(name, net)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := xrand.New(99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := graph.NodeID(rng.Intn(1000))
-		pos := geom.Point{X: rng.Uniform(0, bench1000Arena), Y: rng.Uniform(0, bench1000Arena)}
-		if err := sess.Apply([]strategy.Event{strategy.MoveEvent(id, pos)}); err != nil {
+		if _, err := eng.Apply(move1000(rng)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func scanMinim() strategy.Strategy { return core.NewFrom(adhoc.NewScan(), make(toca.Assignment)) }
-func scanCP() strategy.Strategy    { return cppkg.NewFrom(adhoc.NewScan(), make(toca.Assignment)) }
-
-func BenchmarkJoinEventMinim1000(b *testing.B)     { benchJoinEvent1000(b, core.New()) }
-func BenchmarkJoinEventMinim1000Scan(b *testing.B) { benchJoinEvent1000(b, scanMinim()) }
-func BenchmarkJoinEventCP1000(b *testing.B)        { benchJoinEvent1000(b, cppkg.New()) }
-func BenchmarkJoinEventCP1000Scan(b *testing.B)    { benchJoinEvent1000(b, scanCP()) }
-func BenchmarkMoveEventMinim1000(b *testing.B)     { benchMoveEvent1000(b, core.New()) }
-func BenchmarkMoveEventMinim1000Scan(b *testing.B) { benchMoveEvent1000(b, scanMinim()) }
+func BenchmarkJoinEventMinim1000(b *testing.B) { benchJoinEvent1000(b, sim.Minim, adhoc.New()) }
+func BenchmarkJoinEventMinim1000Scan(b *testing.B) {
+	benchJoinEvent1000(b, sim.Minim, adhoc.NewScan())
+}
+func BenchmarkJoinEventCP1000(b *testing.B)     { benchJoinEvent1000(b, sim.CP, adhoc.New()) }
+func BenchmarkJoinEventCP1000Scan(b *testing.B) { benchJoinEvent1000(b, sim.CP, adhoc.NewScan()) }
+func BenchmarkMoveEventMinim1000(b *testing.B)  { benchMoveEvent1000(b, sim.Minim, adhoc.New()) }
+func BenchmarkMoveEventMinim1000Scan(b *testing.B) {
+	benchMoveEvent1000(b, sim.Minim, adhoc.NewScan())
+}
 
 // Network-layer n=1000 benches: the topology maintenance the engine
 // performs once per event for all subscribers — candidate discovery,
@@ -270,14 +255,10 @@ func newShardBenchRunner(b *testing.B, shards int) shardBenchRunner {
 	if !ok {
 		b.Fatalf("no grid for %d shards", shards)
 	}
-	specs, err := shardpkg.DefaultSpecs(string(sim.Minim))
-	if err != nil {
-		b.Fatal(err)
-	}
 	coord, err := shardpkg.New(shardpkg.Config{
 		GridX: g[0], GridY: g[1],
 		ArenaW: shardBenchArena, ArenaH: shardBenchArena,
-	}, specs)
+	}, []sim.StrategyName{sim.Minim})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -439,11 +420,11 @@ func BenchmarkAblationGossip(b *testing.B) {
 		b.Run("gossip="+name, func(b *testing.B) {
 			var maxColor toca.Color
 			for i := 0; i < b.N; i++ {
-				st, err := sim.NewStrategy(sim.Minim)
+				sess, err := sim.NewEngineSession([]sim.StrategyName{sim.Minim}, false)
 				if err != nil {
 					b.Fatal(err)
 				}
-				sess := sim.NewSession(st, false)
+				st, _ := sess.StrategyOf(sim.Minim)
 				p := workload.Defaults()
 				p.N = 60
 				if err := sess.Apply(workload.Churn(uint64(21+i), p, 120,
@@ -451,7 +432,7 @@ func BenchmarkAblationGossip(b *testing.B) {
 					b.Fatal(err)
 				}
 				if enabled {
-					gossip.Compact(st.Network(), st.Assignment(), 0)
+					gossip.Compact(sess.Engine().Network(), st.Assignment(), 0)
 				}
 				maxColor = st.Assignment().MaxColor()
 			}
@@ -482,33 +463,6 @@ func BenchmarkAblationCPMove(b *testing.B) {
 				delta = results[0].DeltaRecodings()
 			}
 			b.ReportMetric(float64(delta), "delta_recodings")
-		})
-	}
-}
-
-// ---- Ablation A6: BBB's centralized heuristic (DSATUR vs RLF) ----
-
-func BenchmarkAblationBBBColorer(b *testing.B) {
-	p := workload.Defaults()
-	p.N = 60
-	for _, variant := range []struct {
-		name string
-		c    bbbpkg.Colorer
-	}{
-		{"DSATUR", coloring.DSATUR},
-		{"RLF", coloring.RLF},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			var maxColor toca.Color
-			for i := 0; i < b.N; i++ {
-				st := bbbpkg.NewWithColorer(variant.c)
-				sess := sim.NewSession(st, false)
-				if err := sess.Apply(workload.JoinScript(uint64(41+i), p)); err != nil {
-					b.Fatal(err)
-				}
-				maxColor = st.Assignment().MaxColor()
-			}
-			b.ReportMetric(float64(maxColor), "max_color")
 		})
 	}
 }
@@ -561,15 +515,11 @@ func BenchmarkMatcherSSP(b *testing.B) {
 // index is built once, before the timer).
 func BenchmarkDSATURConflictGraph100(b *testing.B) {
 	p := workload.Defaults()
-	st, err := sim.NewStrategy(sim.Minim)
-	if err != nil {
+	eng := engine.New()
+	if err := eng.ApplyAll(workload.JoinScript(3, p)); err != nil {
 		b.Fatal(err)
 	}
-	sess := sim.NewSession(st, false)
-	if err := sess.Apply(workload.JoinScript(3, p)); err != nil {
-		b.Fatal(err)
-	}
-	net := st.Network()
+	net := eng.Network()
 	net.ConflictGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -583,7 +533,7 @@ func BenchmarkDSATURConflictGraph100(b *testing.B) {
 func BenchmarkBBBEvent100(b *testing.B) {
 	p := workload.Defaults()
 	eng := engine.New()
-	eng.Subscribe(bbbpkg.NewShared(eng.Network()))
+	eng.Subscribe(bbbpkg.New(eng.Network(), nil))
 	if err := eng.ApplyAll(workload.JoinScript(3, p)); err != nil {
 		b.Fatal(err)
 	}
@@ -606,23 +556,23 @@ func BenchmarkBBBEvent100(b *testing.B) {
 }
 
 func BenchmarkRadioSlot(b *testing.B) {
-	st, err := sim.NewStrategy(sim.Minim)
+	sess, err := sim.NewEngineSession([]sim.StrategyName{sim.Minim}, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess := sim.NewSession(st, false)
 	p := workload.Defaults()
 	p.N = 60
 	if err := sess.Apply(workload.JoinScript(5, p)); err != nil {
 		b.Fatal(err)
 	}
+	st, _ := sess.StrategyOf(sim.Minim)
 	book, err := radio.BookFor(st.Assignment())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := radio.BroadcastAll(st.Network(), st.Assignment(), book, nil); err != nil {
+		if _, err := radio.BroadcastAll(sess.Engine().Network(), st.Assignment(), book, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

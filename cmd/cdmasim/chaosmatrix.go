@@ -39,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -157,19 +158,22 @@ func chaosScript(rng *xrand.RNG, n, events int, arena float64) []strategy.Event 
 	return out
 }
 
-// chaosBase builds the base population the scripts churn against.
-func chaosBase(rng *xrand.RNG, n int, arena float64) *core.Recoder {
-	r := core.New()
+// chaosBase builds the base population the scripts churn against: a
+// Minim-colored network.
+func chaosBase(rng *xrand.RNG, n int, arena float64) (*adhoc.Network, toca.Assignment) {
+	eng := engine.New()
+	r := core.New(eng.Network(), nil)
+	eng.Subscribe(r)
 	for i := 0; i < n; i++ {
 		cfg := adhoc.Config{
 			Pos:   geom.Point{X: rng.Uniform(0, arena), Y: rng.Uniform(0, arena)},
 			Range: rng.Uniform(15, 30),
 		}
-		if _, err := r.Join(graph.NodeID(i), cfg); err != nil {
+		if _, err := eng.Apply(strategy.JoinEvent(graph.NodeID(i), cfg)); err != nil {
 			fail(err)
 		}
 	}
-	return r
+	return eng.Network(), r.Assignment()
 }
 
 // matrixOutcome is one distributed run's verifiable result.
@@ -188,25 +192,27 @@ func runMatrixPhase(sched *chaos.Schedule, phase int, proto string, seed uint64,
 	// cell reproduces standalone.
 	rng := xrand.New(seed ^ sched.PhaseSeed(phase) ^ uint64(len(proto)))
 	n := 10 + rng.Intn(14)
-	base := chaosBase(rng, n, 100)
+	baseNet, baseAssign := chaosBase(rng, n, 100)
 	script := chaosScript(rng, n, 25, 100)
 
-	var ref strategy.Strategy
+	refEng := engine.Adopt(baseNet.Clone())
+	var ref sim.Hosted
 	switch proto {
 	case "minim":
-		ref = core.NewFrom(base.Network().Clone(), base.Assignment().Clone())
+		ref = core.New(refEng.Network(), baseAssign.Clone())
 	case "cp":
-		ref = cp.NewFrom(base.Network().Clone(), base.Assignment().Clone())
+		ref = cp.New(refEng.Network(), baseAssign.Clone())
 	}
+	refEng.Subscribe(ref)
 	for i, ev := range script {
-		if _, err := ref.Apply(ev); err != nil {
+		if _, err := refEng.Apply(ev); err != nil {
 			fail(fmt.Errorf("chaos matrix: sequential event %d: %w", i, err))
 		}
 	}
 	want := ref.Assignment()
 
 	run := func() matrixOutcome {
-		rt := dist.NewRuntime(99, base.Network().Clone(), base.Assignment().Clone())
+		rt := dist.NewRuntime(99, baseNet.Clone(), baseAssign.Clone())
 		sched.Apply(phase, rt.Engine, nil)
 		for i, ev := range script {
 			if err := rt.Start(ev, proto); err != nil {

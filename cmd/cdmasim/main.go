@@ -127,11 +127,7 @@ func main() {
 	if *shards > 1 {
 		// Region-partitioned parallel runtime: one engine per region
 		// shard, border lane for cross-region interference.
-		specs, err := shard.DefaultSpecs(string(name))
-		if err != nil {
-			fail(err)
-		}
-		coord, err := shard.New(shard.Config{GridX: gx, GridY: gy, ArenaW: p.ArenaW, ArenaH: p.ArenaH}, specs)
+		coord, err := shard.New(shard.Config{GridX: gx, GridY: gy, ArenaW: p.ArenaW, ArenaH: p.ArenaH}, []sim.StrategyName{name})
 		if err != nil {
 			fail(err)
 		}
@@ -142,16 +138,16 @@ func main() {
 		if err := coord.Apply(events); err != nil {
 			fail(err)
 		}
-		s, ok, err := coord.SnapshotOf(string(name))
+		var ok bool
+		snap, ok, err = coord.SnapshotOf(name)
 		if err != nil || !ok {
 			fail(fmt.Errorf("sharded snapshot: ok=%v err=%v", ok, err))
 		}
-		snap = sim.Snapshot{TotalRecodings: s.TotalRecodings, MaxColor: s.MaxColor, Nodes: s.Nodes}
 		net, err := coord.Network()
 		if err != nil {
 			fail(err)
 		}
-		assign, _, err := coord.AssignmentOf(string(name))
+		assign, _, err := coord.AssignmentOf(name)
 		if err != nil {
 			fail(err)
 		}
@@ -182,7 +178,7 @@ func main() {
 			fail(err)
 		}
 		snap, _ = sess.SnapshotOf(name)
-		finalNet = &networkView{net: st.Network(), assign: st.Assignment()}
+		finalNet = &networkView{net: sess.Engine().Network(), assign: st.Assignment()}
 	}
 
 	fmt.Printf("strategy         : %s\n", name)

@@ -22,8 +22,8 @@ import (
 	"repro/internal/adhoc"
 	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/cp"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/gossip"
 	"repro/internal/graph"
@@ -77,14 +77,16 @@ func batchScenario(rng *xrand.RNG) error {
 
 	// Sequential on an indexed network vs batched-parallel on a naive
 	// one: both must produce the identical assignment.
-	seq := core.NewFrom(adhoc.NewIndexed(30.5), make(toca.Assignment))
-	for _, ev := range events {
-		if _, err := seq.Apply(ev); err != nil {
-			return err
-		}
+	seqEng := engine.Adopt(adhoc.NewIndexed(30.5))
+	seq := core.New(seqEng.Network(), nil)
+	seqEng.Subscribe(seq)
+	if err := seqEng.ApplyAll(events); err != nil {
+		return err
 	}
-	par := core.New()
-	if _, err := batch.Apply(par, events, 8); err != nil {
+	parEng := engine.New()
+	par := core.New(parEng.Network(), nil)
+	parEng.Subscribe(par)
+	if _, err := batch.Apply(parEng, par, events, 8); err != nil {
 		return err
 	}
 	want, got := seq.Assignment(), par.Assignment()
@@ -96,12 +98,12 @@ func batchScenario(rng *xrand.RNG) error {
 			return fmt.Errorf("batch: node %d: parallel %d, sequential-indexed %d", id, got[id], c)
 		}
 	}
-	if err := seq.Network().CheckConsistency(); err != nil {
+	if err := seqEng.Network().CheckConsistency(); err != nil {
 		return fmt.Errorf("indexed network: %w", err)
 	}
 
 	// Incremental checker vs full verifier under random recoloring.
-	g := par.Network().Graph()
+	g := parEng.Network().Graph()
 	assign := par.Assignment().Clone()
 	checker := toca.NewChecker(g, assign)
 	nodes := g.Nodes()
@@ -116,21 +118,22 @@ func batchScenario(rng *xrand.RNG) error {
 	return nil
 }
 
-// scenario drives one mixed event stream through all strategies with
-// validation, checking Minim's minimality bounds on each join and move.
+// scenario drives one mixed event stream through all strategies on one
+// engine, re-verifying CA1/CA2 for each after every event and checking
+// Minim's minimality bounds on each join and move.
 func scenario(rng *xrand.RNG, events int) error {
-	minim := core.New()
-	runners := []*strategy.Runner{strategy.NewRunner(minim)}
-	for _, name := range []sim.StrategyName{sim.CP, sim.BBB} {
-		s, err := sim.NewStrategy(name)
+	eng := engine.New()
+	net := eng.Network()
+	var strats []sim.Hosted
+	for _, name := range sim.AllStrategies {
+		s, err := sim.NewSharedStrategy(name, net)
 		if err != nil {
 			return err
 		}
-		runners = append(runners, strategy.NewRunner(s))
+		eng.Subscribe(s)
+		strats = append(strats, s)
 	}
-	for _, r := range runners {
-		r.Validate = true
-	}
+	minim := strats[0]
 
 	next := 0
 	var present []graph.NodeID
@@ -149,7 +152,7 @@ func scenario(rng *xrand.RNG, events int) error {
 				geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)})
 		case k < 8:
 			id := present[rng.Intn(len(present))]
-			cfg, _ := minim.Network().Config(id)
+			cfg, _ := net.Config(id)
 			ev = strategy.PowerEvent(id, cfg.Range*rng.Uniform(0.5, 2.5))
 		default:
 			i := rng.Intn(len(present))
@@ -162,7 +165,7 @@ func scenario(rng *xrand.RNG, events int) error {
 		checkBound := false
 		switch ev.Kind {
 		case strategy.Join:
-			part := minim.Network().PartitionFor(ev.ID, ev.Cfg)
+			part := net.PartitionFor(ev.ID, ev.Cfg)
 			bound = core.MinimalJoinBound(minim.Assignment(), part.InOrBoth()) + 1
 			checkBound = true
 		case strategy.Leave:
@@ -170,34 +173,38 @@ func scenario(rng *xrand.RNG, events int) error {
 			checkBound = true
 		}
 
-		for _, r := range runners {
-			out, err := r.Apply(ev)
-			if err != nil {
-				return err
+		outs, err := eng.Apply(ev)
+		if err != nil {
+			return err
+		}
+		for _, s := range strats {
+			if vs := toca.Verify(net.Graph(), s.Assignment()); len(vs) > 0 {
+				return fmt.Errorf("%s: step %d (%v on node %d) left %d violations, first: %v",
+					s.Name(), step, ev.Kind, ev.ID, len(vs), vs[0])
 			}
-			if r.S == strategy.Strategy(minim) && checkBound && out.Recodings() != bound {
-				return fmt.Errorf("step %d (%v): Minim recoded %d, bound %d",
-					step, ev.Kind, out.Recodings(), bound)
+		}
+		out := outs[0] // Minim's
+		if checkBound && out.Recodings() != bound {
+			return fmt.Errorf("step %d (%v): Minim recoded %d, bound %d",
+				step, ev.Kind, out.Recodings(), bound)
+		}
+		if ev.Kind == strategy.PowerChange && out.Recodings() > 1 {
+			return fmt.Errorf("step %d: Minim power change recoded %d > 1", step, out.Recodings())
+		}
+		// Locality (I5): every Minim join/move recoding is confined to the
+		// event node's 2-hop ball (recodings touch only 1n ∪ 2n ∪ {n}).
+		if ev.Kind == strategy.Join || ev.Kind == strategy.Move {
+			ball := make(map[graph.NodeID]struct{})
+			for _, u := range net.Graph().WithinHops(ev.ID, 2) {
+				ball[u] = struct{}{}
 			}
-			if r.S == strategy.Strategy(minim) && ev.Kind == strategy.PowerChange && out.Recodings() > 1 {
-				return fmt.Errorf("step %d: Minim power change recoded %d > 1", step, out.Recodings())
-			}
-			// Locality (I5): every Minim join/move recoding is confined to
-			// the event node's 2-hop ball (recodings touch only 1n ∪ 2n ∪
-			// {n}).
-			if r.S == strategy.Strategy(minim) && (ev.Kind == strategy.Join || ev.Kind == strategy.Move) {
-				ball := make(map[graph.NodeID]struct{})
-				for _, u := range minim.Network().Graph().WithinHops(ev.ID, 2) {
-					ball[u] = struct{}{}
+			for id := range out.Recoded {
+				if id == ev.ID {
+					continue
 				}
-				for id := range out.Recoded {
-					if id == ev.ID {
-						continue
-					}
-					if _, ok := ball[id]; !ok {
-						return fmt.Errorf("step %d (%v on %d): Minim recoded %d outside the 2-hop ball",
-							step, ev.Kind, ev.ID, id)
-					}
+				if _, ok := ball[id]; !ok {
+					return fmt.Errorf("step %d (%v on %d): Minim recoded %d outside the 2-hop ball",
+						step, ev.Kind, ev.ID, id)
 				}
 			}
 		}
@@ -206,14 +213,14 @@ func scenario(rng *xrand.RNG, events int) error {
 	// Gossip invariants on the final Minim state.
 	assign := minim.Assignment()
 	before := assign.MaxColor()
-	res := gossip.Compact(minim.Network(), assign, 0)
+	res := gossip.Compact(net, assign, 0)
 	if res.MaxAfter > before {
 		return fmt.Errorf("gossip raised max color %d -> %d", before, res.MaxAfter)
 	}
-	if !toca.Valid(minim.Network().Graph(), assign) {
+	if !toca.Valid(net.Graph(), assign) {
 		return fmt.Errorf("gossip broke validity")
 	}
-	if !gossip.Quiescent(minim.Network(), assign) {
+	if !gossip.Quiescent(net, assign) {
 		return fmt.Errorf("gossip not quiescent after Compact")
 	}
 	return nil
@@ -222,14 +229,16 @@ func scenario(rng *xrand.RNG, events int) error {
 // distScenario checks the distributed join protocols against the
 // sequential algorithms on one random join.
 func distScenario(rng *xrand.RNG) error {
-	base := core.New()
+	baseEng := engine.New()
+	base := core.New(baseEng.Network(), nil)
+	baseEng.Subscribe(base)
 	n := 5 + rng.Intn(25)
 	for i := 0; i < n; i++ {
 		cfg := adhoc.Config{
 			Pos:   geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)},
 			Range: rng.Uniform(20.5, 30.5),
 		}
-		if _, err := base.Join(graph.NodeID(i), cfg); err != nil {
+		if _, err := baseEng.Apply(strategy.JoinEvent(graph.NodeID(i), cfg)); err != nil {
 			return err
 		}
 	}
@@ -240,22 +249,24 @@ func distScenario(rng *xrand.RNG) error {
 	}
 
 	for _, proto := range []string{"minim", "cp"} {
-		var want toca.Assignment
-		switch proto {
-		case "minim":
-			seq := core.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-			if _, err := seq.Join(joiner, cfg); err != nil {
-				return err
-			}
-			want = seq.Assignment()
-		case "cp":
-			seq := cp.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-			if _, err := seq.Join(joiner, cfg); err != nil {
-				return err
-			}
-			want = seq.Assignment()
+		// Sequential reference: the protocol's strategy on its own
+		// engine over a copy of the base state.
+		seqEng := engine.Adopt(baseEng.Network().Clone())
+		name := sim.Minim
+		if proto == "cp" {
+			name = sim.CP
 		}
-		rt := dist.NewRuntime(rng.Uint64(), base.Network().Clone(), base.Assignment().Clone())
+		spec, err := sim.SpecOf(name)
+		if err != nil {
+			return err
+		}
+		ref := spec.New(seqEng.Network(), base.Assignment().Clone())
+		seqEng.Subscribe(ref)
+		if _, err := seqEng.Apply(strategy.JoinEvent(joiner, cfg)); err != nil {
+			return err
+		}
+		want := ref.Assignment()
+		rt := dist.NewRuntime(rng.Uint64(), baseEng.Network().Clone(), base.Assignment().Clone())
 		if err := rt.StartJoin(joiner, cfg, proto); err != nil {
 			return err
 		}

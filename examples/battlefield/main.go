@@ -69,22 +69,22 @@ func main() {
 	}
 
 	// Radio check on the Minim endpoint: every unit transmits at once.
-	st, err := sim.NewStrategy(sim.Minim)
+	sess, err := sim.NewEngineSession([]sim.StrategyName{sim.Minim}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess := sim.NewSession(st, false)
 	if err := sess.Apply(base); err != nil {
 		log.Fatal(err)
 	}
 	if err := sess.Apply(maneuver); err != nil {
 		log.Fatal(err)
 	}
+	st, _ := sess.StrategyOf(sim.Minim)
 	book, err := radio.BookFor(st.Assignment())
 	if err != nil {
 		log.Fatal(err)
 	}
-	rs, err := radio.BroadcastAll(st.Network(), st.Assignment(), book, nil)
+	rs, err := radio.BroadcastAll(sess.Engine().Network(), st.Assignment(), book, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

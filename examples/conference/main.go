@@ -38,23 +38,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var minimSess *sim.Session
-	_ = minimSess
 	for _, r := range results {
 		fmt.Printf("%-8s %-18d %-16d\n", r.Name, r.Final.TotalRecodings, r.Final.MaxColor)
 	}
 
 	// Re-run Minim alone to keep its state for the gossip demo.
-	st, err := sim.NewStrategy(sim.Minim)
+	sess, err := sim.NewEngineSession([]sim.StrategyName{sim.Minim}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess := sim.NewSession(st, false)
 	if err := sess.Apply(script); err != nil {
 		log.Fatal(err)
 	}
+	st, _ := sess.StrategyOf(sim.Minim)
 	fmt.Println("\ncoffee break: gossip compaction while nobody moves...")
-	res := gossip.Compact(st.Network(), st.Assignment(), 0)
+	res := gossip.Compact(sess.Engine().Network(), st.Assignment(), 0)
 	fmt.Printf("gossip: %d nodes recoded over %d rounds, max code %d -> %d\n",
 		res.Recodings, res.Rounds, res.MaxBefore, res.MaxAfter)
 }

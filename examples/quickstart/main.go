@@ -11,21 +11,31 @@ import (
 
 	"repro/internal/adhoc"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/strategy"
 	"repro/internal/toca"
 )
 
 func main() {
-	r := core.New()
+	// The engine owns the network and decodes each event once; the Minim
+	// recoder subscribes to it and recodes from the decoded event.
+	eng := engine.New()
+	r := core.New(eng.Network(), nil)
+	eng.Subscribe(r)
+	apply := func(ev strategy.Event) strategy.Outcome {
+		outs, err := eng.Apply(ev)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return outs[0]
+	}
 
 	// Two clusters of two nodes each, far apart: each cluster reuses the
 	// low codes independently.
 	join := func(id graph.NodeID, x, y, rng float64) {
-		out, err := r.Join(id, adhoc.Config{Pos: geom.Point{X: x, Y: y}, Range: rng})
-		if err != nil {
-			log.Fatal(err)
-		}
+		out := apply(strategy.JoinEvent(id, adhoc.Config{Pos: geom.Point{X: x, Y: y}, Range: rng}))
 		fmt.Printf("join %d: %d recoded, max code %d, codes now %v\n",
 			id, out.Recodings(), out.MaxColor, sorted(r.Assignment()))
 	}
@@ -41,27 +51,18 @@ func main() {
 	join(5, 41, 0, 45)
 
 	// A power increase recodes at most the initiator (Theorem 4.2.3).
-	out, err := r.SetRange(1, 50)
-	if err != nil {
-		log.Fatal(err)
-	}
+	out := apply(strategy.PowerEvent(1, 50))
 	fmt.Printf("power up 1: %d recoded, max code %d\n", out.Recodings(), out.MaxColor)
 
 	// Movement runs the same matching machinery as a join (Fig 8).
-	out, err = r.Move(3, geom.Point{X: 5, Y: 5})
-	if err != nil {
-		log.Fatal(err)
-	}
+	out = apply(strategy.MoveEvent(3, geom.Point{X: 5, Y: 5}))
 	fmt.Printf("move 3: %d recoded, max code %d\n", out.Recodings(), out.MaxColor)
 
 	// Leaves never recode anybody (Theorem 4.3.3).
-	out, err = r.Leave(4)
-	if err != nil {
-		log.Fatal(err)
-	}
+	out = apply(strategy.LeaveEvent(4))
 	fmt.Printf("leave 4: %d recoded\n", out.Recodings())
 
-	if vs := toca.Verify(r.Network().Graph(), r.Assignment()); len(vs) > 0 {
+	if vs := toca.Verify(eng.Network().Graph(), r.Assignment()); len(vs) > 0 {
 		log.Fatalf("violations: %v", vs)
 	}
 	fmt.Println("final assignment is CA1/CA2 valid:", sorted(r.Assignment()))

@@ -18,10 +18,10 @@ import (
 	"math"
 
 	"repro/internal/adhoc"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
 )
@@ -41,36 +41,41 @@ func satPos(i int, phase float64) geom.Point {
 }
 
 func main() {
-	r := core.New()
-	run := strategy.NewRunner(r)
-	run.Validate = true
+	// One Minim recoder on its engine, CA1/CA2 re-verified after every
+	// event.
+	sess, err := sim.NewEngineSession([]sim.StrategyName{sim.Minim}, true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, _ := sess.MetricsOf(sim.Minim)
 
 	// Deploy the constellation.
 	phase := 0.0
 	for i := 0; i < numSats; i++ {
 		ev := strategy.JoinEvent(graph.NodeID(i), adhoc.Config{Pos: satPos(i, phase), Range: satRange})
-		if _, err := run.Apply(ev); err != nil {
+		if err := sess.Apply([]strategy.Event{ev}); err != nil {
 			log.Fatal(err)
 		}
 	}
 	fmt.Printf("constellation deployed: %d satellites, max code %d, %d recodings\n",
-		numSats, run.M.MaxColor, run.M.TotalRecodings)
+		numSats, m.MaxColor, m.TotalRecodings)
 
 	// Orbit for 32 steps: every satellite moves each step.
-	beforeOrbit := run.M.TotalRecodings
+	beforeOrbit := m.TotalRecodings
 	for step := 0; step < 32; step++ {
 		phase += orbitStep
 		for i := 0; i < numSats; i++ {
-			if _, err := run.Apply(strategy.MoveEvent(graph.NodeID(i), satPos(i, phase))); err != nil {
+			if err := sess.Apply([]strategy.Event{strategy.MoveEvent(graph.NodeID(i), satPos(i, phase))}); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 	fmt.Printf("after 32 orbit steps (%d moves): %d additional recodings, max code %d\n",
-		32*numSats, run.M.TotalRecodings-beforeOrbit, run.M.MaxColor)
+		32*numSats, m.TotalRecodings-beforeOrbit, m.MaxColor)
 
 	// Ground terminals join underneath via the distributed protocol.
-	rt := dist.NewRuntime(7, r.Network(), r.Assignment())
+	st, _ := sess.StrategyOf(sim.Minim)
+	rt := dist.NewRuntime(7, sess.Engine().Network(), st.Assignment())
 	terminals := []geom.Point{{X: 50, Y: 50}, {X: 30, Y: 45}, {X: 70, Y: 55}}
 	for i, pos := range terminals {
 		id := graph.NodeID(100 + i)

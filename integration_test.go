@@ -55,23 +55,24 @@ func TestPipelineJoinWorkload(t *testing.T) {
 // Minim stays valid, gossip compacts it without breaking validity, and
 // the chip-level radio decodes everything under full simultaneous load.
 func TestPipelineChurnThenGossipThenRadio(t *testing.T) {
-	st, err := sim.NewStrategy(sim.Minim)
+	sess, err := sim.NewEngineSession([]sim.StrategyName{sim.Minim}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := sim.NewSession(st, true)
 	p := workload.Defaults()
 	p.N = 50
 	events := workload.Churn(77, p, 150, workload.ChurnWeights{Join: 1, Leave: 1, Move: 3, Power: 2})
 	if err := sess.Apply(events); err != nil {
 		t.Fatal(err)
 	}
+	st, _ := sess.StrategyOf(sim.Minim)
+	net := sess.Engine().Network()
 
-	res := gossip.Compact(st.Network(), st.Assignment(), 0)
+	res := gossip.Compact(net, st.Assignment(), 0)
 	if res.MaxAfter > res.MaxBefore {
 		t.Fatalf("gossip raised max color %d -> %d", res.MaxBefore, res.MaxAfter)
 	}
-	if vs := toca.Verify(st.Network().Graph(), st.Assignment()); len(vs) > 0 {
+	if vs := toca.Verify(net.Graph(), st.Assignment()); len(vs) > 0 {
 		t.Fatalf("gossip broke validity: %v", vs)
 	}
 
@@ -79,15 +80,15 @@ func TestPipelineChurnThenGossipThenRadio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := radio.BroadcastAll(st.Network(), st.Assignment(), book, nil)
+	rs, err := radio.BroadcastAll(net, st.Assignment(), book, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g := radio.Garbled(rs); len(g) != 0 {
 		t.Fatalf("%d garbled receptions after churn+gossip", len(g))
 	}
-	if len(rs) != st.Network().Graph().NumEdges() {
-		t.Fatalf("receptions %d != edges %d", len(rs), st.Network().Graph().NumEdges())
+	if len(rs) != net.Graph().NumEdges() {
+		t.Fatalf("receptions %d != edges %d", len(rs), net.Graph().NumEdges())
 	}
 }
 

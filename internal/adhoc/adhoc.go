@@ -204,11 +204,14 @@ func (n *Network) Nodes() []graph.NodeID { return n.g.Nodes() }
 func (n *Network) MaxRange() float64 { return n.maxRange }
 
 // Join adds a node with the given configuration and wires up its induced
-// edges. It returns an error if the id is already present or the range is
-// negative.
+// edges. It returns an error if the id is already present, the position
+// is not finite, or the range is negative or not finite.
 func (n *Network) Join(id graph.NodeID, cfg Config) error {
 	if _, ok := n.configs[id]; ok {
 		return fmt.Errorf("adhoc: node %d already in network", id)
+	}
+	if !finite(cfg.Pos) {
+		return fmt.Errorf("adhoc: node %d has invalid position (%g, %g)", id, cfg.Pos.X, cfg.Pos.Y)
 	}
 	if cfg.Range < 0 || math.IsNaN(cfg.Range) || math.IsInf(cfg.Range, 0) {
 		return fmt.Errorf("adhoc: node %d has invalid range %g", id, cfg.Range)
@@ -253,11 +256,15 @@ func (n *Network) Leave(id graph.NodeID) error {
 
 // Move changes a node's position and rewires its incident edges in both
 // directions (its own coverage changes, and other nodes may gain or lose
-// coverage of it).
+// coverage of it). It returns an error if the id is absent or the
+// position is not finite.
 func (n *Network) Move(id graph.NodeID, pos geom.Point) error {
 	cfg, ok := n.configs[id]
 	if !ok {
 		return fmt.Errorf("adhoc: node %d not in network", id)
+	}
+	if !finite(pos) {
+		return fmt.Errorf("adhoc: node %d moved to invalid position (%g, %g)", id, pos.X, pos.Y)
 	}
 	cfg.Pos = pos
 	n.configs[id] = cfg
@@ -266,6 +273,11 @@ func (n *Network) Move(id graph.NodeID, pos geom.Point) error {
 	}
 	n.rewire(id)
 	return nil
+}
+
+// finite reports whether both coordinates of p are finite.
+func finite(p geom.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // SetRange changes a node's maximum transmission range. Only the node's

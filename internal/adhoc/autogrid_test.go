@@ -174,3 +174,38 @@ func TestNonFiniteRangeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNonFinitePositionRejected: a join at a non-finite position and a
+// move to one are refused before anything is mutated, on both the grid
+// and the scan backend, and the network stays consistent.
+func TestNonFinitePositionRejected(t *testing.T) {
+	bad := []geom.Point{
+		{X: math.NaN(), Y: 10},
+		{X: 10, Y: math.NaN()},
+		{X: math.Inf(1), Y: 0},
+		{X: 0, Y: math.Inf(-1)},
+	}
+	for _, mk := range []func() *Network{New, NewScan} {
+		n := mk()
+		if err := n.Join(1, Config{Pos: geom.Point{X: 0, Y: 0}, Range: 20}); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range bad {
+			if err := n.Join(99, Config{Pos: p, Range: 10}); err == nil {
+				t.Fatalf("Join accepted position %v", p)
+			}
+			if err := n.Move(1, p); err == nil {
+				t.Fatalf("Move accepted position %v", p)
+			}
+		}
+		if n.Has(99) || n.Size() != 1 {
+			t.Fatalf("rejected join left %d nodes", n.Size())
+		}
+		if cfg, _ := n.Config(1); cfg.Pos != (geom.Point{}) {
+			t.Fatalf("rejected move left node 1 at %v", cfg.Pos)
+		}
+		if err := n.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -96,32 +96,17 @@ type proposal struct {
 	newColors map[graph.NodeID]toca.Color
 }
 
-// Apply executes a script on a standalone recoder, running each wave's
-// proposals concurrently across at most workers goroutines (values < 1
-// mean 1). It returns the total number of recodings. The result is
-// identical to applying the script sequentially through the recoder.
-//
-// Internally the recoder's network is adopted by a private engine for
-// the duration of the script, so all topology changes flow through the
-// engine's decode-once Step and are event-sourced in its log.
-func Apply(r *core.Recoder, events []strategy.Event, workers int) (int, error) {
-	if r.Shared() {
-		// An engine-hosted recoder's network belongs to that engine;
-		// adopting it here would mutate topology behind the owner's back
-		// (its log and co-subscribers would silently diverge). Route
-		// through ApplyEngine with the owning engine instead.
-		return 0, fmt.Errorf("batch: recoder is engine-hosted; use ApplyEngine with its engine")
-	}
-	eng := engine.Adopt(r.Network())
-	return run(eng, r, events, workers, 0)
-}
-
-// ApplyEngine executes a script on an engine that hosts rec as its
-// single Minim subscriber: barrier events fan out through the engine as
-// usual, and independent join waves are proposed in parallel against the
-// engine's read-view and committed via CommitPrepared. It errors if the
-// engine hosts any other subscriber (they would miss the wave commits).
-func ApplyEngine(eng *engine.Engine, rec *core.Recoder, events []strategy.Event, workers int) (int, error) {
+// Apply executes a script on an engine that hosts rec as its single
+// Minim subscriber, running each wave's proposals concurrently across at
+// most workers goroutines (values < 1 mean 1), and returns the total
+// number of recodings. Barrier events go through the engine's Step and
+// rec's OnDelta; independent join waves are proposed in parallel
+// against the engine's read-view and committed via CommitPrepared, so
+// every event lands in the engine log. The result is identical to
+// applying the script event by event through the engine. It errors if
+// the engine hosts any other subscriber (it would miss the wave
+// commits).
+func Apply(eng *engine.Engine, rec *core.Recoder, events []strategy.Event, workers int) (int, error) {
 	subs := eng.Subscribers()
 	if len(subs) != 1 {
 		return 0, fmt.Errorf("batch: engine hosts %d subscribers, want exactly the recoder", len(subs))
@@ -129,13 +114,13 @@ func ApplyEngine(eng *engine.Engine, rec *core.Recoder, events []strategy.Event,
 	if s, ok := subs[0].(*core.Recoder); !ok || s != rec {
 		return 0, fmt.Errorf("batch: engine's subscriber is not the given recoder")
 	}
-	return run(eng, rec, events, workers, 1)
+	return run(eng, rec, events, workers)
 }
 
 // run plans the script into waves and executes them: barriers and
 // singleton waves go through Step + the recoder's OnDelta; multi-join
 // waves are proposed in parallel and committed through the engine.
-func run(eng *engine.Engine, r *core.Recoder, events []strategy.Event, workers, allowSubs int) (int, error) {
+func run(eng *engine.Engine, r *core.Recoder, events []strategy.Event, workers int) (int, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -167,7 +152,7 @@ func run(eng *engine.Engine, r *core.Recoder, events []strategy.Event, workers, 
 	recodings := 0
 	for _, w := range waves {
 		if w.Barrier || len(w.Events) == 1 {
-			d, err := eng.CommitPrepared(w.Events[0], allowSubs)
+			d, err := eng.CommitPrepared(w.Events[0], 1)
 			if err != nil {
 				return recodings, err
 			}
@@ -178,7 +163,7 @@ func run(eng *engine.Engine, r *core.Recoder, events []strategy.Event, workers, 
 			recodings += out.Recodings()
 			continue
 		}
-		n, err := applyWave(eng, r, w.Events, workers, allowSubs)
+		n, err := applyWave(eng, r, w.Events, workers)
 		if err != nil {
 			return recodings, err
 		}
@@ -189,7 +174,7 @@ func run(eng *engine.Engine, r *core.Recoder, events []strategy.Event, workers, 
 
 // applyWave computes every join's proposal against the pre-wave state in
 // parallel, then commits them through the engine.
-func applyWave(eng *engine.Engine, r *core.Recoder, joins []strategy.Event, workers, allowSubs int) (int, error) {
+func applyWave(eng *engine.Engine, r *core.Recoder, joins []strategy.Event, workers int) (int, error) {
 	net := eng.Network()
 	assign := r.Assignment()
 
@@ -218,7 +203,7 @@ func applyWave(eng *engine.Engine, r *core.Recoder, joins []strategy.Event, work
 	// proposals touch the same node.
 	recodings := 0
 	for _, p := range proposals {
-		if _, err := eng.CommitPrepared(p.ev, allowSubs); err != nil {
+		if _, err := eng.CommitPrepared(p.ev, 1); err != nil {
 			return recodings, err
 		}
 		for id, c := range p.newColors {

@@ -1,10 +1,12 @@
 package batch
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/adhoc"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/strategy"
@@ -24,6 +26,28 @@ func sparseJoins(seed uint64, n int, arena float64) []strategy.Event {
 		}))
 	}
 	return events
+}
+
+// hostMinim returns an engine hosting one Minim recoder.
+func hostMinim() (*engine.Engine, *core.Recoder) {
+	eng := engine.New()
+	rec := core.New(eng.Network(), nil)
+	eng.Subscribe(rec)
+	return eng, rec
+}
+
+// applySeq applies events one by one through the engine and returns the
+// total recodings.
+func applySeq(eng *engine.Engine, events []strategy.Event) (int, error) {
+	recodings := 0
+	for _, ev := range events {
+		outs, err := eng.Apply(ev)
+		if err != nil {
+			return recodings, err
+		}
+		recodings += outs[0].Recodings()
+	}
+	return recodings, nil
 }
 
 // TestPlanBarriers: non-join events each form their own barrier wave.
@@ -120,39 +144,78 @@ func TestWavesCoverScript(t *testing.T) {
 }
 
 // TestApplyMatchesSequential (the load-bearing test): batched parallel
-// execution equals the plain sequential recoder on the same script.
+// execution equals the plain sequential engine-hosted recoder on the
+// same script, event for event: same assignment, same digraph, same
+// recodings, and the engine log records the whole script.
 func TestApplyMatchesSequential(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 4, 5} {
-		events := sparseJoins(seed, 80, 600)
+	for _, seed := range []uint64{1, 2, 3, 4, 5, 31} {
+		n, arena := 80, 600.0
+		if seed == 31 {
+			n, arena = 60, 900
+		}
+		events := sparseJoins(seed, n, arena)
 
-		seq := core.New()
-		seqRecodings := 0
-		for _, ev := range events {
-			out, err := seq.Apply(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqRecodings += out.Recodings()
+		seqEng, seq := hostMinim()
+		seqRecodings, err := applySeq(seqEng, events)
+		if err != nil {
+			t.Fatal(err)
 		}
 
-		par := core.New()
-		parRecodings, err := Apply(par, events, 8)
+		parEng, par := hostMinim()
+		parRecodings, err := Apply(parEng, par, events, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if parRecodings != seqRecodings {
 			t.Fatalf("seed %d: parallel %d recodings, sequential %d", seed, parRecodings, seqRecodings)
 		}
-		want := seq.Assignment()
-		got := par.Assignment()
-		for id, c := range want {
-			if got[id] != c {
-				t.Fatalf("seed %d: node %d: parallel %d, sequential %d", seed, id, got[id], c)
-			}
+		if !reflect.DeepEqual(seq.Assignment(), par.Assignment()) {
+			t.Fatalf("seed %d: parallel assignment diverges from sequential", seed)
 		}
-		if !toca.Valid(par.Network().Graph(), got) {
+		if !reflect.DeepEqual(seqEng.Network().Graph().Edges(), parEng.Network().Graph().Edges()) {
+			t.Fatalf("seed %d: parallel digraph diverges from sequential", seed)
+		}
+		if parEng.Seq() != len(events) {
+			t.Fatalf("seed %d: engine log has %d events, want %d", seed, parEng.Seq(), len(events))
+		}
+		if !toca.Valid(parEng.Network().Graph(), par.Assignment()) {
 			t.Fatalf("seed %d: parallel result invalid", seed)
 		}
+	}
+}
+
+// TestApplyGuards: Apply insists on exactly the given recoder as the
+// engine's single subscriber.
+func TestApplyGuards(t *testing.T) {
+	eng := engine.New()
+	rec := core.New(eng.Network(), nil)
+	if _, err := Apply(eng, rec, nil, 1); err == nil {
+		t.Fatal("unsubscribed recoder accepted")
+	}
+	eng.Subscribe(rec)
+	other := core.New(eng.Network(), nil)
+	if _, err := Apply(eng, other, nil, 1); err == nil {
+		t.Fatal("wrong recoder accepted")
+	}
+	eng.Subscribe(core.New(eng.Network(), nil))
+	if _, err := Apply(eng, rec, nil, 1); err == nil {
+		t.Fatal("second subscriber accepted")
+	}
+}
+
+// TestApplyLogsThroughEngine: every event of a batched script lands in
+// the engine's network and log.
+func TestApplyLogsThroughEngine(t *testing.T) {
+	eng, r := hostMinim()
+	events := sparseJoins(7, 20, 600)
+	if _, err := Apply(eng, r, events, 4); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Network().Size() != 20 || eng.Seq() != 20 {
+		t.Fatalf("network has %d nodes and log %d events, want 20", eng.Network().Size(), eng.Seq())
+	}
+	if !toca.Valid(eng.Network().Graph(), r.Assignment()) {
+		t.Fatal("assignment invalid after batch apply")
 	}
 }
 
@@ -174,14 +237,12 @@ func TestApplyMixedScriptWithBarriers(t *testing.T) {
 		}
 	}
 
-	seq := core.New()
-	for _, ev := range events {
-		if _, err := seq.Apply(ev); err != nil {
-			t.Fatal(err)
-		}
+	seqEng, seq := hostMinim()
+	if _, err := applySeq(seqEng, events); err != nil {
+		t.Fatal(err)
 	}
-	par := core.New()
-	if _, err := Apply(par, events, 4); err != nil {
+	parEng, par := hostMinim()
+	if _, err := Apply(parEng, par, events, 4); err != nil {
 		t.Fatal(err)
 	}
 	want := seq.Assignment()
@@ -202,8 +263,8 @@ func TestApplyErrorPropagation(t *testing.T) {
 		strategy.JoinEvent(1, adhoc.Config{Pos: geom.Point{X: 0, Y: 0}, Range: 10}),
 		strategy.JoinEvent(1, adhoc.Config{Pos: geom.Point{X: 1, Y: 0}, Range: 10}),
 	}
-	r := core.New()
-	if _, err := Apply(r, events, 2); err == nil {
+	eng, r := hostMinim()
+	if _, err := Apply(eng, r, events, 2); err == nil {
 		t.Fatal("duplicate join did not error")
 	}
 }
@@ -211,11 +272,9 @@ func TestApplyErrorPropagation(t *testing.T) {
 func BenchmarkApplySequential(b *testing.B) {
 	events := sparseJoins(7, 300, 2000)
 	for i := 0; i < b.N; i++ {
-		r := core.New()
-		for _, ev := range events {
-			if _, err := r.Apply(ev); err != nil {
-				b.Fatal(err)
-			}
+		eng, _ := hostMinim()
+		if _, err := applySeq(eng, events); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -223,8 +282,8 @@ func BenchmarkApplySequential(b *testing.B) {
 func BenchmarkApplyParallel8(b *testing.B) {
 	events := sparseJoins(7, 300, 2000)
 	for i := 0; i < b.N; i++ {
-		r := core.New()
-		if _, err := Apply(r, events, 8); err != nil {
+		eng, r := hostMinim()
+		if _, err := Apply(eng, r, events, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

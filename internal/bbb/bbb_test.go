@@ -4,15 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/adhoc"
+	"repro/internal/coloring"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/strategy"
 	"repro/internal/toca"
+	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
-func mustJoin(t *testing.T, s *Strategy, id graph.NodeID, x, y, rng float64) strategy.Outcome {
+func mustJoin(t *testing.T, s *host, id graph.NodeID, x, y, rng float64) strategy.Outcome {
 	t.Helper()
 	out, err := s.Join(id, adhoc.Config{Pos: geom.Point{X: x, Y: y}, Range: rng})
 	if err != nil {
@@ -21,7 +24,7 @@ func mustJoin(t *testing.T, s *Strategy, id graph.NodeID, x, y, rng float64) str
 	return out
 }
 
-func checkValid(t *testing.T, s *Strategy) {
+func checkValid(t *testing.T, s *host) {
 	t.Helper()
 	if vs := toca.Verify(s.Network().Graph(), s.Assignment()); len(vs) > 0 {
 		t.Fatalf("assignment invalid: %v", vs)
@@ -29,14 +32,14 @@ func checkValid(t *testing.T, s *Strategy) {
 }
 
 func TestName(t *testing.T) {
-	if New().Name() != "BBB" {
+	if New(adhoc.New(), nil).Name() != "BBB" {
 		t.Fatal("name")
 	}
 }
 
 func TestJoinSequenceValid(t *testing.T) {
 	rng := xrand.New(111)
-	s := New()
+	s := newHost()
 	for i := 0; i < 40; i++ {
 		mustJoin(t, s, graph.NodeID(i),
 			rng.Uniform(0, 100), rng.Uniform(0, 100), rng.Uniform(20.5, 30.5))
@@ -51,7 +54,7 @@ func TestJoinSequenceValid(t *testing.T) {
 }
 
 func TestAllEventKindsValid(t *testing.T) {
-	s := New()
+	s := newHost()
 	mustJoin(t, s, 1, 10, 10, 25)
 	mustJoin(t, s, 2, 20, 10, 25)
 	mustJoin(t, s, 3, 15, 18, 25)
@@ -93,8 +96,9 @@ func TestGlobalRecoloringRecodesMany(t *testing.T) {
 			rng.Uniform(0, 100), rng.Uniform(0, 100), rng.Uniform(20.5, 30.5)})
 	}
 	bbbTotal, minimTotal := 0, 0
-	s := New()
-	m := core.New()
+	s := newHost()
+	minim := engine.New()
+	minim.Subscribe(core.New(minim.Network(), nil))
 	var bbbMax, minimMax toca.Color
 	for _, j := range joins {
 		cfg := adhoc.Config{Pos: geom.Point{X: j.x, Y: j.y}, Range: j.r}
@@ -104,12 +108,12 @@ func TestGlobalRecoloringRecodesMany(t *testing.T) {
 		}
 		bbbTotal += out.Recodings()
 		bbbMax = out.MaxColor
-		mout, err := m.Join(j.id, cfg)
+		mouts, err := minim.Apply(strategy.JoinEvent(j.id, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		minimTotal += mout.Recodings()
-		minimMax = mout.MaxColor
+		minimTotal += mouts[0].Recodings()
+		minimMax = mouts[0].MaxColor
 	}
 	if bbbTotal <= minimTotal {
 		t.Fatalf("BBB total recodings %d <= Minim %d — global recoloring should dominate",
@@ -126,7 +130,7 @@ func TestGlobalRecoloringRecodesMany(t *testing.T) {
 // assignment delta.
 func TestRecodedSetMatchesDiff(t *testing.T) {
 	rng := xrand.New(333)
-	s := New()
+	s := newHost()
 	prev := s.Assignment().Clone()
 	for i := 0; i < 25; i++ {
 		out := mustJoin(t, s, graph.NodeID(i),
@@ -140,9 +144,7 @@ func TestRecodedSetMatchesDiff(t *testing.T) {
 
 func TestMixedEventStreamValid(t *testing.T) {
 	rng := xrand.New(444)
-	s := New()
-	run := strategy.NewRunner(s)
-	run.Validate = true
+	s := newHost()
 	next := 0
 	var present []graph.NodeID
 	for step := 0; step < 200; step++ {
@@ -167,8 +169,36 @@ func TestMixedEventStreamValid(t *testing.T) {
 			ev = strategy.LeaveEvent(present[i])
 			present = append(present[:i], present[i+1:]...)
 		}
-		if _, err := run.Apply(ev); err != nil {
+		if _, err := s.Apply(ev); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		checkValid(t, s)
+	}
+}
+
+// BenchmarkAblationBBBColorer (ablation A6): BBB's centralized heuristic,
+// DSATUR against RLF, on the paper's join workload.
+func BenchmarkAblationBBBColorer(b *testing.B) {
+	p := workload.Defaults()
+	p.N = 60
+	for _, variant := range []struct {
+		name string
+		c    func(coloring.Graph) toca.Assignment
+	}{
+		{"DSATUR", coloring.DSATUR},
+		{"RLF", coloring.RLF},
+	} {
+		b.Run(variant.name, func(b *testing.B) {
+			var maxColor toca.Color
+			for i := 0; i < b.N; i++ {
+				s := newHost()
+				s.colorer = variant.c
+				if err := s.eng.ApplyAll(workload.JoinScript(uint64(41+i), p)); err != nil {
+					b.Fatal(err)
+				}
+				maxColor = s.Assignment().MaxColor()
+			}
+			b.ReportMetric(float64(maxColor), "max_color")
+		})
 	}
 }

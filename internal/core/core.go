@@ -17,8 +17,9 @@
 //   - RecodeOnMove (Fig 8): equivalent to a leave followed by a join at
 //     the new position (Theorem 4.4.1), executed as one event.
 //
-// The Recoder implements strategy.Strategy so it can be driven by the
-// simulation harness side by side with the CP and BBB baselines.
+// The Recoder is an engine.Subscriber: an engine owns the network,
+// decodes each event once, and hands the Recoder the Delta, so Minim
+// runs side by side with the CP and BBB baselines on one topology.
 package core
 
 import (
@@ -26,7 +27,6 @@ import (
 
 	"repro/internal/adhoc"
 	"repro/internal/engine"
-	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/strategy"
@@ -42,15 +42,13 @@ const (
 	weightNew int64 = 1
 )
 
-// Recoder is the Minim strategy: an ad-hoc network view plus a TOCA
-// assignment maintained minimally under reconfiguration events. A
-// standalone recoder (New, NewFrom) owns its network and decodes events
-// itself via engine.Step; a shared recoder (NewShared) reads an
-// engine-owned network and is driven through OnDelta.
+// Recoder is the Minim strategy: a TOCA assignment maintained minimally
+// under reconfiguration events, read against an engine-owned network.
+// The recoder never mutates the network; its engine applies each
+// topology change and then calls OnDelta.
 type Recoder struct {
 	net    *adhoc.Network
 	assign toca.Assignment
-	shared bool // network is engine-owned; Apply must not mutate it
 	// scratch is the Hungarian solver's reusable working memory: one
 	// recoder runs its matchings sequentially, so the dense matrices are
 	// allocated once per recoder instead of once per event.
@@ -68,14 +66,13 @@ type Recoder struct {
 var _ strategy.Strategy = (*Recoder)(nil)
 var _ engine.Subscriber = (*Recoder)(nil)
 
-// New returns a Minim recoder over an empty network.
-func New() *Recoder {
-	return NewFrom(adhoc.New(), make(toca.Assignment))
-}
-
-// NewFrom returns a Minim recoder adopting an existing network and
-// assignment (both are used directly, not copied).
-func NewFrom(net *adhoc.Network, assign toca.Assignment) *Recoder {
+// New returns a Minim recoder reading net (owned by the engine the
+// recoder is subscribed to) and adopting assign, used directly, not
+// copied; a nil assign starts empty.
+func New(net *adhoc.Network, assign toca.Assignment) *Recoder {
+	if assign == nil {
+		assign = make(toca.Assignment)
+	}
 	r := &Recoder{net: net, assign: assign, scratch: matching.NewScratch(),
 		colorCount: make(map[toca.Color]int, len(assign))}
 	for _, c := range assign {
@@ -89,24 +86,8 @@ func NewFrom(net *adhoc.Network, assign toca.Assignment) *Recoder {
 	return r
 }
 
-// NewShared returns a Minim recoder reading an engine-owned network. It
-// never mutates the topology; subscribe it to the owning engine and
-// drive it through OnDelta.
-func NewShared(net *adhoc.Network) *Recoder {
-	r := NewFrom(net, make(toca.Assignment))
-	r.shared = true
-	return r
-}
-
 // Name implements strategy.Strategy.
 func (r *Recoder) Name() string { return "Minim" }
-
-// Shared reports whether the recoder's network is engine-owned (the
-// recoder must then be driven through OnDelta, never standalone).
-func (r *Recoder) Shared() bool { return r.shared }
-
-// Network implements strategy.Strategy.
-func (r *Recoder) Network() *adhoc.Network { return r.net }
 
 // Assignment implements strategy.Strategy. Callers must treat the map
 // as read-only; external writes go through SetColor so the incremental
@@ -148,20 +129,6 @@ func (r *Recoder) setColor(id graph.NodeID, c toca.Color) {
 	}
 }
 
-// Apply implements strategy.Strategy: decode the event on the recoder's
-// own network (via the shared engine decoder), then run the recoding.
-// Shared recoders are driven by their engine and reject direct Apply.
-func (r *Recoder) Apply(ev strategy.Event) (strategy.Outcome, error) {
-	if r.shared {
-		return strategy.Outcome{}, fmt.Errorf("core: recoder is engine-hosted; apply events through the engine")
-	}
-	d, err := engine.Step(r.net, ev)
-	if err != nil {
-		return strategy.Outcome{}, err
-	}
-	return r.OnDelta(d)
-}
-
 // OnDelta implements engine.Subscriber: the per-event recoding
 // algorithms, operating on an already-updated topology.
 func (r *Recoder) OnDelta(d engine.Delta) (strategy.Outcome, error) {
@@ -201,21 +168,6 @@ func (r *Recoder) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 	default:
 		return strategy.Outcome{}, fmt.Errorf("core: unknown event kind %v", d.Event.Kind)
 	}
-}
-
-// Join executes RecodeOnJoin (paper Fig 3) for a new node.
-func (r *Recoder) Join(id graph.NodeID, cfg adhoc.Config) (strategy.Outcome, error) {
-	return r.Apply(strategy.JoinEvent(id, cfg))
-}
-
-// Leave executes RecodeDecreasePowOrLeave for a departing node.
-func (r *Recoder) Leave(id graph.NodeID) (strategy.Outcome, error) {
-	return r.Apply(strategy.LeaveEvent(id))
-}
-
-// Move executes RecodeOnMove (paper Fig 8) as one event.
-func (r *Recoder) Move(id graph.NodeID, pos geom.Point) (strategy.Outcome, error) {
-	return r.Apply(strategy.MoveEvent(id, pos))
 }
 
 // recodeLocal runs steps 1-6 of RecodeOnJoin/RecodeOnMove for node n
@@ -354,13 +306,6 @@ func solveWeighted(s *matching.Scratch, v1 []graph.NodeID, old map[graph.NodeID]
 		}
 	}
 	return out
-}
-
-// SetRange changes a node's transmission range, running
-// RecodeOnPowIncrease (paper Fig 5) for increases and the passive
-// RecodeDecreasePowOrLeave for decreases.
-func (r *Recoder) SetRange(id graph.NodeID, newRange float64) (strategy.Outcome, error) {
-	return r.Apply(strategy.PowerEvent(id, newRange))
 }
 
 func (r *Recoder) outcome(recoded map[graph.NodeID]toca.Color) strategy.Outcome {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/adhoc"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/strategy"
@@ -11,7 +12,7 @@ import (
 	"repro/internal/xrand"
 )
 
-func mustJoin(t *testing.T, r *Recoder, id graph.NodeID, x, y, rng float64) strategy.Outcome {
+func mustJoin(t *testing.T, r *host, id graph.NodeID, x, y, rng float64) strategy.Outcome {
 	t.Helper()
 	out, err := r.Join(id, adhoc.Config{Pos: geom.Point{X: x, Y: y}, Range: rng})
 	if err != nil {
@@ -20,7 +21,7 @@ func mustJoin(t *testing.T, r *Recoder, id graph.NodeID, x, y, rng float64) stra
 	return out
 }
 
-func checkValid(t *testing.T, r *Recoder) {
+func checkValid(t *testing.T, r *host) {
 	t.Helper()
 	if vs := toca.Verify(r.Network().Graph(), r.Assignment()); len(vs) > 0 {
 		t.Fatalf("assignment invalid: %v", vs)
@@ -30,9 +31,9 @@ func checkValid(t *testing.T, r *Recoder) {
 // randomNet grows a network of n nodes via Minim joins, mirroring the
 // paper's section 5.1 setup (positions uniform in the arena, ranges
 // uniform in (minr, maxr)).
-func randomNet(t *testing.T, rng *xrand.RNG, n int, minr, maxr float64) *Recoder {
+func randomNet(t *testing.T, rng *xrand.RNG, n int, minr, maxr float64) *host {
 	t.Helper()
-	r := New()
+	r := newHost()
 	for i := 0; i < n; i++ {
 		mustJoin(t, r, graph.NodeID(i),
 			rng.Uniform(0, 100), rng.Uniform(0, 100), rng.Uniform(minr, maxr))
@@ -42,7 +43,7 @@ func randomNet(t *testing.T, rng *xrand.RNG, n int, minr, maxr float64) *Recoder
 }
 
 func TestFirstJoinGetsColorOne(t *testing.T) {
-	r := New()
+	r := newHost()
 	out := mustJoin(t, r, 1, 50, 50, 25)
 	if got := r.Assignment()[1]; got != 1 {
 		t.Fatalf("first node color = %d, want 1", got)
@@ -53,7 +54,7 @@ func TestFirstJoinGetsColorOne(t *testing.T) {
 }
 
 func TestJoinDuplicateErrors(t *testing.T) {
-	r := New()
+	r := newHost()
 	mustJoin(t, r, 1, 0, 0, 5)
 	if _, err := r.Join(1, adhoc.Config{}); err == nil {
 		t.Fatal("duplicate join did not error")
@@ -62,7 +63,7 @@ func TestJoinDuplicateErrors(t *testing.T) {
 
 func TestIsolatedJoinsShareColorOne(t *testing.T) {
 	// Far-apart nodes have no constraints; all may reuse color 1.
-	r := New()
+	r := newHost()
 	mustJoin(t, r, 1, 0, 0, 5)
 	mustJoin(t, r, 2, 50, 50, 5)
 	mustJoin(t, r, 3, 90, 90, 5)
@@ -78,7 +79,7 @@ func TestIsolatedJoinsShareColorOne(t *testing.T) {
 // join that bridges two previously independent clusters whose colorings
 // collide. The five nodes of 1n ∪ 2n ∪ {n} become a conflict clique.
 func TestWorkedJoinExample(t *testing.T) {
-	r := New()
+	r := newHost()
 	// Cluster 1: nodes 1,2 mutually connected (colors 1,2).
 	mustJoin(t, r, 1, 0, 0, 20)
 	mustJoin(t, r, 2, 3, 0, 20)
@@ -137,7 +138,7 @@ func TestWorkedJoinExample(t *testing.T) {
 // creates a conflict recodes only the initiator, to the lowest free
 // color.
 func TestWorkedPowerIncreaseExample(t *testing.T) {
-	r := New()
+	r := newHost()
 	mustJoin(t, r, 1, 0, 0, 5)  // color 1
 	mustJoin(t, r, 2, 4, 0, 5)  // color 2
 	mustJoin(t, r, 3, 20, 0, 5) // color 1 (independent cluster)
@@ -166,7 +167,7 @@ func TestWorkedPowerIncreaseExample(t *testing.T) {
 }
 
 func TestPowerIncreaseNoConflictNoRecode(t *testing.T) {
-	r := New()
+	r := newHost()
 	mustJoin(t, r, 1, 0, 0, 5)  // color 1
 	mustJoin(t, r, 2, 4, 0, 5)  // color 2
 	mustJoin(t, r, 3, 20, 0, 5) // color 1, isolated
@@ -220,7 +221,7 @@ func TestWorkedLeaveAndDecreaseExample(t *testing.T) {
 // TestWorkedMoveExample mirrors Fig 9: the mover keeps its color when the
 // matching can afford it, and only a duplicated neighbor recodes.
 func TestWorkedMoveExample(t *testing.T) {
-	r := New()
+	r := newHost()
 	mustJoin(t, r, 1, 0, 0, 20)  // color 1
 	mustJoin(t, r, 2, 3, 0, 20)  // color 2
 	mustJoin(t, r, 3, 60, 0, 20) // color 1
@@ -493,11 +494,10 @@ func TestOldColorEdgeAlwaysFeasible(t *testing.T) {
 	}
 }
 
-// TestApplyDispatch drives the Strategy interface end to end.
+// TestApplyDispatch drives every event kind through the engine end to
+// end, with CA1/CA2 checked after each.
 func TestApplyDispatch(t *testing.T) {
-	r := New()
-	run := strategy.NewRunner(r)
-	run.Validate = true
+	r := newHost()
 	events := []strategy.Event{
 		strategy.JoinEvent(1, adhoc.Config{Pos: geom.Point{X: 10, Y: 10}, Range: 25}),
 		strategy.JoinEvent(2, adhoc.Config{Pos: geom.Point{X: 20, Y: 10}, Range: 25}),
@@ -506,22 +506,25 @@ func TestApplyDispatch(t *testing.T) {
 		strategy.PowerEvent(1, 80),
 		strategy.LeaveEvent(2),
 	}
-	if err := run.ApplyAll(events); err != nil {
-		t.Fatal(err)
+	for _, ev := range events {
+		if _, err := r.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+		checkValid(t, r)
 	}
-	if run.M.Events != len(events) {
-		t.Fatalf("events = %d", run.M.Events)
+	if r.eng.Seq() != len(events) {
+		t.Fatalf("events = %d", r.eng.Seq())
 	}
 	if r.Name() != "Minim" {
 		t.Fatalf("Name = %q", r.Name())
 	}
-	if _, err := r.Apply(strategy.Event{Kind: 99}); err == nil {
+	if _, err := r.OnDelta(engine.Delta{Event: strategy.Event{Kind: 99}}); err == nil {
 		t.Fatal("unknown event kind did not error")
 	}
 }
 
 func TestErrorsOnAbsentNodes(t *testing.T) {
-	r := New()
+	r := newHost()
 	if _, err := r.Leave(9); err == nil {
 		t.Fatal("leave absent")
 	}
@@ -537,9 +540,7 @@ func TestErrorsOnAbsentNodes(t *testing.T) {
 // valid throughout (invariant I1).
 func TestLongRandomEventStream(t *testing.T) {
 	rng := xrand.New(6006)
-	r := New()
-	run := strategy.NewRunner(r)
-	run.Validate = true
+	r := newHost()
 	next := 0
 	var present []graph.NodeID
 	for step := 0; step < 600; step++ {
@@ -564,9 +565,10 @@ func TestLongRandomEventStream(t *testing.T) {
 			ev = strategy.LeaveEvent(present[i])
 			present = append(present[:i], present[i+1:]...)
 		}
-		if _, err := run.Apply(ev); err != nil {
+		if _, err := r.Apply(ev); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		checkValid(t, r)
 	}
 	if err := r.Network().CheckConsistency(); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // oracle outcome() used to compute.
 func TestMaxColorAccumulatorDifferential(t *testing.T) {
 	rng := xrand.New(7)
-	r := New()
+	r := newHost()
 	present := []graph.NodeID{}
 	next := graph.NodeID(0)
 	randCfg := func() adhoc.Config {
@@ -59,10 +59,10 @@ func TestMaxColorAccumulatorDifferential(t *testing.T) {
 // TestSetColorKeepsAccumulator: external writes through SetColor (the
 // shard writeback / batch wave path) keep the accumulator consistent,
 // including removals that lower the maximum and adoption of a non-empty
-// assignment via NewFrom.
+// assignment via New.
 func TestSetColorKeepsAccumulator(t *testing.T) {
 	seed := toca.Assignment{1: 2, 2: 5, 3: 5}
-	r := NewFrom(adhoc.New(), seed)
+	r := hostOn(adhoc.New(), seed)
 	check := func(tag string) {
 		t.Helper()
 		if got, want := r.maxColor, r.assign.MaxColor(); got != want {

@@ -17,6 +17,9 @@
 //
 // A move is handled as a leave from all neighbors followed by a join at
 // the new position, per the original CP formulation.
+//
+// The Strategy is an engine.Subscriber: its engine owns the network and
+// applies each topology change, then OnDelta re-selects.
 package cp
 
 import (
@@ -25,20 +28,16 @@ import (
 
 	"repro/internal/adhoc"
 	"repro/internal/engine"
-	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/strategy"
 	"repro/internal/toca"
 )
 
-// Strategy is the CP baseline recoder. A standalone instance (New,
-// NewFrom) owns its network and decodes events itself via engine.Step; a
-// shared instance (NewShared) reads an engine-owned network and is
-// driven through OnDelta.
+// Strategy is the CP baseline recoder. It reads an engine-owned network
+// and is driven through OnDelta; it never mutates the topology.
 type Strategy struct {
 	net    *adhoc.Network
 	assign toca.Assignment
-	shared bool // network is engine-owned; Apply must not mutate it
 	// StrictMove selects the literal reading of [3]'s movement handling:
 	// the mover leaves (dropping its code) and rejoins as a fresh node,
 	// so its re-selection always counts as a recoding. The default
@@ -50,37 +49,14 @@ type Strategy struct {
 var _ strategy.Strategy = (*Strategy)(nil)
 var _ engine.Subscriber = (*Strategy)(nil)
 
-// New returns a CP recoder over an empty network.
-func New() *Strategy {
-	return &Strategy{net: adhoc.New(), assign: make(toca.Assignment)}
-}
-
-// NewStrict returns a CP recoder whose movement handling is the literal
-// leave-then-join of [3] (see StrictMove).
-func NewStrict() *Strategy {
-	s := New()
-	s.StrictMove = true
-	return s
-}
-
-// NewFrom returns a CP recoder adopting an existing network and
-// assignment (used directly, not copied).
-func NewFrom(net *adhoc.Network, assign toca.Assignment) *Strategy {
+// New returns a CP recoder reading net (owned by the engine the
+// recoder is subscribed to) and adopting assign, used directly, not
+// copied; a nil assign starts empty.
+func New(net *adhoc.Network, assign toca.Assignment) *Strategy {
+	if assign == nil {
+		assign = make(toca.Assignment)
+	}
 	return &Strategy{net: net, assign: assign}
-}
-
-// NewShared returns a CP recoder reading an engine-owned network. It
-// never mutates the topology; subscribe it to the owning engine and
-// drive it through OnDelta.
-func NewShared(net *adhoc.Network) *Strategy {
-	return &Strategy{net: net, assign: make(toca.Assignment), shared: true}
-}
-
-// NewSharedStrict is NewShared with the strict movement reading.
-func NewSharedStrict(net *adhoc.Network) *Strategy {
-	s := NewShared(net)
-	s.StrictMove = true
-	return s
 }
 
 // Name implements strategy.Strategy.
@@ -91,9 +67,6 @@ func (s *Strategy) Name() string {
 	return "CP"
 }
 
-// Network implements strategy.Strategy.
-func (s *Strategy) Network() *adhoc.Network { return s.net }
-
 // Assignment implements strategy.Strategy.
 func (s *Strategy) Assignment() toca.Assignment { return s.assign }
 
@@ -102,21 +75,6 @@ func (s *Strategy) Assignment() toca.Assignment { return s.assign }
 // strategies can keep internal accounting consistent with external
 // assignment mutations.
 func (s *Strategy) SetColor(id graph.NodeID, c toca.Color) { s.assign.Set(id, c) }
-
-// Apply implements strategy.Strategy: decode the event on the
-// strategy's own network (via the shared engine decoder), then run the
-// CP re-selection. Shared instances are driven by their engine and
-// reject direct Apply.
-func (s *Strategy) Apply(ev strategy.Event) (strategy.Outcome, error) {
-	if s.shared {
-		return strategy.Outcome{}, fmt.Errorf("cp: strategy is engine-hosted; apply events through the engine")
-	}
-	d, err := engine.Step(s.net, ev)
-	if err != nil {
-		return strategy.Outcome{}, err
-	}
-	return s.OnDelta(d)
-}
 
 // OnDelta implements engine.Subscriber: the CP recoding rules, operating
 // on an already-updated topology.
@@ -172,26 +130,6 @@ func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 	default:
 		return strategy.Outcome{}, fmt.Errorf("cp: unknown event kind %v", d.Event.Kind)
 	}
-}
-
-// Join handles a node joining.
-func (s *Strategy) Join(id graph.NodeID, cfg adhoc.Config) (strategy.Outcome, error) {
-	return s.Apply(strategy.JoinEvent(id, cfg))
-}
-
-// Leave handles a departing node.
-func (s *Strategy) Leave(id graph.NodeID) (strategy.Outcome, error) {
-	return s.Apply(strategy.LeaveEvent(id))
-}
-
-// Move handles movement as a leave-then-join pair (the CP formulation).
-func (s *Strategy) Move(id graph.NodeID, pos geom.Point) (strategy.Outcome, error) {
-	return s.Apply(strategy.MoveEvent(id, pos))
-}
-
-// SetRange handles a power change.
-func (s *Strategy) SetRange(id graph.NodeID, newRange float64) (strategy.Outcome, error) {
-	return s.Apply(strategy.PowerEvent(id, newRange))
 }
 
 // duplicatedColorNodes returns every node of ids whose old color is held

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adhoc"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/strategy"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/xrand"
 )
 
-func mustJoin(t *testing.T, s *Strategy, id graph.NodeID, x, y, rng float64) strategy.Outcome {
+func mustJoin(t *testing.T, s *host, id graph.NodeID, x, y, rng float64) strategy.Outcome {
 	t.Helper()
 	out, err := s.Join(id, adhoc.Config{Pos: geom.Point{X: x, Y: y}, Range: rng})
 	if err != nil {
@@ -21,7 +22,7 @@ func mustJoin(t *testing.T, s *Strategy, id graph.NodeID, x, y, rng float64) str
 	return out
 }
 
-func checkValid(t *testing.T, s *Strategy) {
+func checkValid(t *testing.T, s *host) {
 	t.Helper()
 	if vs := toca.Verify(s.Network().Graph(), s.Assignment()); len(vs) > 0 {
 		t.Fatalf("assignment invalid: %v", vs)
@@ -29,7 +30,7 @@ func checkValid(t *testing.T, s *Strategy) {
 }
 
 func TestFirstJoin(t *testing.T) {
-	s := New()
+	s := newHost()
 	out := mustJoin(t, s, 1, 50, 50, 25)
 	if s.Assignment()[1] != 1 || out.Recodings() != 1 {
 		t.Fatalf("first join: %v, %+v", s.Assignment(), out)
@@ -43,7 +44,7 @@ func TestFirstJoin(t *testing.T) {
 // every member of a duplicated class re-select, so it can recode more
 // nodes than Minim on the same event (the paper's Fig 4 effect).
 func TestJoinRecolorsDuplicatedClasses(t *testing.T) {
-	s := New()
+	s := newHost()
 	mustJoin(t, s, 1, 0, 0, 20)  // color 1
 	mustJoin(t, s, 2, 3, 0, 20)  // color 2
 	mustJoin(t, s, 3, 30, 0, 20) // color 1
@@ -88,10 +89,16 @@ func TestCPvsMinimOnBridgeJoin(t *testing.T) {
 		}
 		return last
 	}
-	minim := core.New()
-	minOut := build(minim.Join)
-	cp := New()
-	cpOut := build(cp.Join)
+	eng := engine.New()
+	eng.Subscribe(core.New(eng.Network(), nil))
+	minOut := build(func(id graph.NodeID, cfg adhoc.Config) (strategy.Outcome, error) {
+		outs, err := eng.Apply(strategy.JoinEvent(id, cfg))
+		if err != nil {
+			return strategy.Outcome{}, err
+		}
+		return outs[0], nil
+	})
+	cpOut := build(newHost().Join)
 	if minOut.Recodings() >= cpOut.Recodings() {
 		t.Fatalf("Minim %d recodings, CP %d — expected Minim < CP",
 			minOut.Recodings(), cpOut.Recodings())
@@ -106,7 +113,7 @@ func TestCPvsMinimOnBridgeJoin(t *testing.T) {
 // both the initiator and the same-colored new neighbors, where Minim
 // recodes only the initiator.
 func TestPowerIncreaseRecoding(t *testing.T) {
-	s := New()
+	s := newHost()
 	mustJoin(t, s, 1, 0, 0, 5)    // color 1
 	mustJoin(t, s, 2, 4, 0, 5)    // color 2
 	mustJoin(t, s, 3, 20, 0, 5)   // color 1
@@ -136,7 +143,7 @@ func TestPowerIncreaseRecoding(t *testing.T) {
 }
 
 func TestPowerIncreaseNoConflict(t *testing.T) {
-	s := New()
+	s := newHost()
 	mustJoin(t, s, 1, 0, 0, 5)
 	mustJoin(t, s, 2, 4, 0, 5)
 	// Node 1 grows to cover nothing new that conflicts (2 already
@@ -152,7 +159,7 @@ func TestPowerIncreaseNoConflict(t *testing.T) {
 }
 
 func TestPowerDecreaseNoRecode(t *testing.T) {
-	s := New()
+	s := newHost()
 	mustJoin(t, s, 1, 0, 0, 10)
 	mustJoin(t, s, 2, 4, 0, 10)
 	out, err := s.SetRange(1, 2)
@@ -166,7 +173,7 @@ func TestPowerDecreaseNoRecode(t *testing.T) {
 }
 
 func TestLeave(t *testing.T) {
-	s := New()
+	s := newHost()
 	mustJoin(t, s, 1, 0, 0, 10)
 	mustJoin(t, s, 2, 4, 0, 10)
 	out, err := s.Leave(1)
@@ -187,7 +194,7 @@ func TestLeave(t *testing.T) {
 // TestMoveKeepsColorWhenFree mirrors Fig 9: the mover re-selects and may
 // land on its old color, counting zero recodings for itself.
 func TestMoveKeepsColorWhenFree(t *testing.T) {
-	s := New()
+	s := newHost()
 	mustJoin(t, s, 1, 0, 0, 20)  // color 1
 	mustJoin(t, s, 2, 3, 0, 20)  // color 2
 	mustJoin(t, s, 3, 60, 0, 20) // color 1
@@ -209,7 +216,7 @@ func TestMoveKeepsColorWhenFree(t *testing.T) {
 }
 
 func TestErrorsOnAbsent(t *testing.T) {
-	s := New()
+	s := newHost()
 	if _, err := s.Move(9, geom.Point{}); err == nil {
 		t.Fatal("move absent")
 	}
@@ -218,6 +225,9 @@ func TestErrorsOnAbsent(t *testing.T) {
 	}
 	if _, err := s.Apply(strategy.Event{Kind: 99}); err == nil {
 		t.Fatal("unknown kind")
+	}
+	if _, err := s.OnDelta(engine.Delta{Event: strategy.Event{Kind: 99}}); err == nil {
+		t.Fatal("unknown kind reached OnDelta without error")
 	}
 	mustJoin(t, s, 1, 0, 0, 5)
 	if _, err := s.Join(1, adhoc.Config{}); err == nil {
@@ -229,9 +239,7 @@ func TestErrorsOnAbsent(t *testing.T) {
 // event sequence (invariant I1 for the baseline).
 func TestLongRandomEventStream(t *testing.T) {
 	rng := xrand.New(8080)
-	s := New()
-	run := strategy.NewRunner(s)
-	run.Validate = true
+	s := newHost()
 	next := 0
 	var present []graph.NodeID
 	for step := 0; step < 500; step++ {
@@ -256,9 +264,10 @@ func TestLongRandomEventStream(t *testing.T) {
 			ev = strategy.LeaveEvent(present[i])
 			present = append(present[:i], present[i+1:]...)
 		}
-		if _, err := run.Apply(ev); err != nil {
+		if _, err := s.Apply(ev); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		checkValid(t, s)
 	}
 }
 
@@ -267,7 +276,7 @@ func TestLongRandomEventStream(t *testing.T) {
 func TestJoinLocality(t *testing.T) {
 	rng := xrand.New(9091)
 	for trial := 0; trial < 30; trial++ {
-		s := New()
+		s := newHost()
 		n := 5 + rng.Intn(30)
 		for i := 0; i < n; i++ {
 			mustJoin(t, s, graph.NodeID(i),

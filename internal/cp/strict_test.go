@@ -3,17 +3,19 @@ package cp
 import (
 	"testing"
 
+	"repro/internal/adhoc"
 	"repro/internal/geom"
-	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
 func TestStrictMoveName(t *testing.T) {
-	if NewStrict().Name() != "CP-strict" {
-		t.Fatal("strict name")
-	}
-	if New().Name() != "CP" {
+	s := New(adhoc.New(), nil)
+	if s.Name() != "CP" {
 		t.Fatal("default name")
+	}
+	s.StrictMove = true
+	if s.Name() != "CP-strict" {
+		t.Fatal("strict name")
 	}
 }
 
@@ -21,8 +23,8 @@ func TestStrictMoveName(t *testing.T) {
 // the mover's re-selection is always a fresh assignment (counts as a
 // recoding), even when it lands on the same color.
 func TestStrictMoveAlwaysRecodesMover(t *testing.T) {
-	build := func(strict bool) *Strategy {
-		s := New()
+	build := func(strict bool) *host {
+		s := newHost()
 		s.StrictMove = strict
 		mustJoin(t, s, 1, 0, 0, 20)
 		mustJoin(t, s, 2, 3, 0, 20)
@@ -63,20 +65,27 @@ func TestStrictMoveValidityOnWorkload(t *testing.T) {
 	base := workload.JoinScript(21, p)
 	phase := workload.MoveScript(21, p)
 
-	run := func(s *Strategy) (delta int) {
-		r := strategy.NewRunner(s)
-		r.Validate = true
-		if err := r.ApplyAll(base); err != nil {
-			t.Fatal(err)
+	run := func(strict bool) (delta int) {
+		s := newHost()
+		s.StrictMove = strict
+		for _, ev := range base {
+			if _, err := s.Apply(ev); err != nil {
+				t.Fatal(err)
+			}
+			checkValid(t, s)
 		}
-		afterBase := r.M.TotalRecodings
-		if err := r.ApplyAll(phase); err != nil {
-			t.Fatal(err)
+		for _, ev := range phase {
+			out, err := s.Apply(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkValid(t, s)
+			delta += out.Recodings()
 		}
-		return r.M.TotalRecodings - afterBase
+		return delta
 	}
-	laxDelta := run(New())
-	strictDelta := run(NewStrict())
+	laxDelta := run(false)
+	strictDelta := run(true)
 	if strictDelta < laxDelta {
 		t.Fatalf("strict Δ %d < lax Δ %d", strictDelta, laxDelta)
 	}

@@ -6,27 +6,39 @@ import (
 
 	"repro/internal/adhoc"
 	"repro/internal/core"
-	"repro/internal/cp"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/strategy"
 	"repro/internal/toca"
 	"repro/internal/xrand"
 )
 
+// baseState is a Minim-colored network the protocols start from.
+type baseState struct {
+	net    *adhoc.Network
+	assign toca.Assignment
+}
+
+func (b *baseState) Network() *adhoc.Network     { return b.net }
+func (b *baseState) Assignment() toca.Assignment { return b.assign }
+
 // buildBase joins n random nodes through a sequential Minim recoder and
-// returns it.
-func buildBase(rng *xrand.RNG, n int, arena float64) *core.Recoder {
-	r := core.New()
+// returns the result.
+func buildBase(rng *xrand.RNG, n int, arena float64) *baseState {
+	eng := engine.New()
+	r := core.New(eng.Network(), nil)
+	eng.Subscribe(r)
 	for i := 0; i < n; i++ {
 		cfg := adhoc.Config{
 			Pos:   geom.Point{X: rng.Uniform(0, arena), Y: rng.Uniform(0, arena)},
 			Range: rng.Uniform(15, 30),
 		}
-		if _, err := r.Join(graph.NodeID(i), cfg); err != nil {
+		if _, err := eng.Apply(strategy.JoinEvent(graph.NodeID(i), cfg)); err != nil {
 			panic(err)
 		}
 	}
-	return r
+	return &baseState{net: eng.Network(), assign: r.Assignment()}
 }
 
 // TestProtocolParity: for random base networks and joiners, the
@@ -43,21 +55,7 @@ func TestProtocolParity(t *testing.T) {
 			Range: rng.Uniform(15, 30),
 		}
 		for _, proto := range []string{"minim", "cp"} {
-			var want toca.Assignment
-			switch proto {
-			case "minim":
-				seq := core.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-				if _, err := seq.Join(joiner, cfg); err != nil {
-					t.Fatal(err)
-				}
-				want = seq.Assignment()
-			case "cp":
-				seq := cp.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-				if _, err := seq.Join(joiner, cfg); err != nil {
-					t.Fatal(err)
-				}
-				want = seq.Assignment()
-			}
+			want := seqReference(t, proto, base, []strategy.Event{strategy.JoinEvent(joiner, cfg)})
 			rt := NewRuntime(rng.Uint64(), base.Network().Clone(), base.Assignment().Clone())
 			if err := rt.StartJoin(joiner, cfg, proto); err != nil {
 				t.Fatal(err)
@@ -151,21 +149,7 @@ func TestDroppedMessagesConverge(t *testing.T) {
 			Range: rng.Uniform(15, 30),
 		}
 		for _, proto := range []string{"minim", "cp"} {
-			var want toca.Assignment
-			switch proto {
-			case "minim":
-				seq := core.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-				if _, err := seq.Join(joiner, cfg); err != nil {
-					t.Fatal(err)
-				}
-				want = seq.Assignment()
-			case "cp":
-				seq := cp.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-				if _, err := seq.Join(joiner, cfg); err != nil {
-					t.Fatal(err)
-				}
-				want = seq.Assignment()
-			}
+			want := seqReference(t, proto, base, []strategy.Event{strategy.JoinEvent(joiner, cfg)})
 			rt := NewRuntime(rng.Uint64(), base.Network().Clone(), base.Assignment().Clone())
 			rt.Engine.Unreliable(rng.Uint64(), 0.4, 8)
 			if err := rt.StartJoin(joiner, cfg, proto); err != nil {
@@ -243,21 +227,7 @@ func TestDuplicatedMessagesConverge(t *testing.T) {
 			Range: rng.Uniform(15, 30),
 		}
 		for _, proto := range []string{"minim", "cp"} {
-			var want toca.Assignment
-			switch proto {
-			case "minim":
-				seq := core.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-				if _, err := seq.Join(joiner, cfg); err != nil {
-					t.Fatal(err)
-				}
-				want = seq.Assignment()
-			case "cp":
-				seq := cp.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-				if _, err := seq.Join(joiner, cfg); err != nil {
-					t.Fatal(err)
-				}
-				want = seq.Assignment()
-			}
+			want := seqReference(t, proto, base, []strategy.Event{strategy.JoinEvent(joiner, cfg)})
 			rt := NewRuntime(rng.Uint64(), base.Network().Clone(), base.Assignment().Clone())
 			rt.Engine.Duplicate(rng.Uint64(), 0.4, 4)
 			if err := rt.StartJoin(joiner, cfg, proto); err != nil {
@@ -302,20 +272,7 @@ func TestDuplicateAndLossCompose(t *testing.T) {
 			Range: rng.Uniform(15, 30),
 		}
 		for _, proto := range []string{"minim", "cp"} {
-			seqMinim := core.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-			seqCP := cp.NewFrom(base.Network().Clone(), base.Assignment().Clone())
-			var want toca.Assignment
-			if proto == "minim" {
-				if _, err := seqMinim.Join(joiner, cfg); err != nil {
-					t.Fatal(err)
-				}
-				want = seqMinim.Assignment()
-			} else {
-				if _, err := seqCP.Join(joiner, cfg); err != nil {
-					t.Fatal(err)
-				}
-				want = seqCP.Assignment()
-			}
+			want := seqReference(t, proto, base, []strategy.Event{strategy.JoinEvent(joiner, cfg)})
 			rt := NewRuntime(rng.Uint64(), base.Network().Clone(), base.Assignment().Clone())
 			rt.Engine.Unreliable(rng.Uint64(), 0.3, 6)
 			rt.Engine.Duplicate(rng.Uint64(), 0.3, 3)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/adhoc"
 	"repro/internal/core"
 	"repro/internal/cp"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/strategy"
@@ -52,19 +53,24 @@ func mixedScript(rng *xrand.RNG, n, events int, arena float64) []strategy.Event 
 	return out
 }
 
-// seqReference applies the script through the sequential strategy,
-// returning the final assignment.
-func seqReference(t *testing.T, proto string, base *core.Recoder, script []strategy.Event) toca.Assignment {
+// seqReference applies the script through the sequential strategy on
+// its own engine over a copy of base, returning the final assignment.
+func seqReference(t *testing.T, proto string, base *baseState, script []strategy.Event) toca.Assignment {
 	t.Helper()
-	var s strategy.Strategy
+	eng := engine.Adopt(base.Network().Clone())
+	var s interface {
+		engine.Subscriber
+		Assignment() toca.Assignment
+	}
 	switch proto {
 	case "minim":
-		s = core.NewFrom(base.Network().Clone(), base.Assignment().Clone())
+		s = core.New(eng.Network(), base.Assignment().Clone())
 	case "cp":
-		s = cp.NewFrom(base.Network().Clone(), base.Assignment().Clone())
+		s = cp.New(eng.Network(), base.Assignment().Clone())
 	}
+	eng.Subscribe(s)
 	for i, ev := range script {
-		if _, err := s.Apply(ev); err != nil {
+		if _, err := eng.Apply(ev); err != nil {
 			t.Fatalf("%s sequential event %d: %v", proto, i, err)
 		}
 	}
@@ -73,7 +79,7 @@ func seqReference(t *testing.T, proto string, base *core.Recoder, script []strat
 
 // runDistributed drives the same script through the message-passing
 // runtime, with optional fault injection configured by prep.
-func runDistributed(t *testing.T, proto string, base *core.Recoder, script []strategy.Event, prep func(*Engine)) *Runtime {
+func runDistributed(t *testing.T, proto string, base *baseState, script []strategy.Event, prep func(*Engine)) *Runtime {
 	t.Helper()
 	rt := NewRuntime(99, base.Network().Clone(), base.Assignment().Clone())
 	if prep != nil {

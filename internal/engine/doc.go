@@ -27,9 +27,8 @@
 //
 // The result is a Delta. Subscribers receive the Delta plus read access
 // to the shared network and perform only assignment work; they must not
-// mutate the topology. The same Step powers the standalone strategy
-// constructors (core.New etc.), so engine-hosted and standalone runs are
-// bit-identical by construction.
+// mutate the topology. Hosting on an engine is the only way a strategy
+// runs: a single strategy is an engine with one subscriber.
 //
 // # Event sourcing
 //

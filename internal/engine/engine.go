@@ -14,8 +14,8 @@ import (
 // event: everything the recoding strategies need that does not depend on
 // their private code assignments, computed exactly once per event.
 type Delta struct {
-	// Seq is the event's position in the engine log (0 for standalone
-	// Step use).
+	// Seq is the event's position in the engine log (Step itself leaves
+	// it 0; the engine sets it).
 	Seq int
 	// Event is the decoded event.
 	Event strategy.Event
@@ -35,9 +35,9 @@ type Delta struct {
 }
 
 // Step decodes one event against net, applies the topology change, and
-// returns the Delta. It is the shared decoder: the Engine calls it for
-// the one network it owns, and standalone strategies call it for the
-// network they own, so both paths run identical maintenance code.
+// returns the Delta. It is the one decoder: the Engine calls it for the
+// network it owns, and offline replays that time decode and recode
+// separately call it directly.
 func Step(net *adhoc.Network, ev strategy.Event) (Delta, error) {
 	d := Delta{Event: ev}
 	switch ev.Kind {

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -46,74 +47,79 @@ func mixedScript(seed uint64, n int) (phases [][]strategy.Event) {
 	return [][]strategy.Event{base, raise, move, leaves}
 }
 
-// standalone is the scan-path oracle: each strategy owns a NewScan
-// network and decodes every event itself, exactly the pre-engine
-// architecture.
-func standaloneScan() []strategy.Strategy {
-	return []strategy.Strategy{
-		core.NewFrom(adhoc.NewScan(), make(toca.Assignment)),
-		cp.NewFrom(adhoc.NewScan(), make(toca.Assignment)),
-		bbb.NewFrom(adhoc.NewScan(), make(toca.Assignment)),
-	}
+// hosted is the interface the tests read strategies through.
+type hosted interface {
+	engine.Subscriber
+	Assignment() toca.Assignment
+}
+
+// trio builds Minim, CP and BBB over net.
+func trio(net *adhoc.Network) []hosted {
+	return []hosted{core.New(net, nil), cp.New(net, nil), bbb.New(net, nil)}
 }
 
 // TestEngineMatchesScanStandalone is the scan-vs-grid differential test:
-// the same random join/leave/move/power script replayed through (a) the
-// naive scan path with per-strategy replicas and (b) the indexed shared
-// engine must produce identical digraphs and identical Minim/CP/BBB
-// metrics at every phase boundary.
+// the same random join/leave/move/power script replayed through (a) one
+// engine per strategy, each over its own naive scan network, and (b) one
+// indexed engine shared by all three must produce identical digraphs and
+// identical Minim/CP/BBB metrics at every phase boundary.
 func TestEngineMatchesScanStandalone(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		phases := mixedScript(seed, 40)
 
-		// (a) scan-path standalone replicas.
-		oracle := standaloneScan()
-		oracleRunners := make([]*strategy.Runner, len(oracle))
-		for i, s := range oracle {
-			oracleRunners[i] = strategy.NewRunner(s)
+		// (a) one scan-backed engine per strategy.
+		var oracleEngs []*engine.Engine
+		var oracle []hosted
+		for i := range 3 {
+			eng := engine.Adopt(adhoc.NewScan())
+			s := trio(eng.Network())[i]
+			eng.Subscribe(s)
+			oracleEngs = append(oracleEngs, eng)
+			oracle = append(oracle, s)
 		}
 
 		// (b) one shared indexed engine.
 		eng := engine.New()
-		shared := []strategy.Strategy{
-			core.NewShared(eng.Network()),
-			cp.NewShared(eng.Network()),
-			bbb.NewShared(eng.Network()),
-		}
-		metrics := make([]*strategy.Metrics, len(shared))
-		for i, s := range shared {
-			eng.Subscribe(s.(engine.Subscriber))
-			metrics[i] = strategy.NewMetrics()
+		shared := trio(eng.Network())
+		for _, s := range shared {
+			eng.Subscribe(s)
 		}
 
+		om := make([]*strategy.Metrics, len(shared))
+		sm := make([]*strategy.Metrics, len(shared))
+		for i := range shared {
+			om[i], sm[i] = strategy.NewMetrics(), strategy.NewMetrics()
+		}
 		for pi, phase := range phases {
 			for _, ev := range phase {
-				for _, r := range oracleRunners {
-					if _, err := r.Apply(ev); err != nil {
+				for i, oe := range oracleEngs {
+					outs, err := oe.Apply(ev)
+					if err != nil {
 						t.Fatalf("seed %d phase %d: oracle: %v", seed, pi, err)
 					}
+					om[i].Record(ev.Kind, outs[0])
 				}
 				outs, err := eng.Apply(ev)
 				if err != nil {
 					t.Fatalf("seed %d phase %d: engine: %v", seed, pi, err)
 				}
 				for i := range shared {
-					metrics[i].Record(ev.Kind, outs[i])
+					sm[i].Record(ev.Kind, outs[i])
 				}
 			}
 			// Phase boundary: digraph and per-strategy metric parity.
 			for i := range shared {
 				name := shared[i].Name()
-				og := oracle[i].Network().Graph()
+				og := oracleEngs[i].Network().Graph()
 				if !reflect.DeepEqual(og.Edges(), eng.Network().Graph().Edges()) {
 					t.Fatalf("seed %d phase %d: %s: digraphs diverge", seed, pi, name)
 				}
-				om, sm := oracleRunners[i].M, metrics[i]
-				if om.TotalRecodings != sm.TotalRecodings || om.MaxColor != sm.MaxColor || om.PeakMaxColor != sm.PeakMaxColor {
+				o, s := om[i], sm[i]
+				if o.TotalRecodings != s.TotalRecodings || o.MaxColor != s.MaxColor || o.PeakMaxColor != s.PeakMaxColor {
 					t.Fatalf("seed %d phase %d: %s: metrics diverge: oracle (%d rec, max %d, peak %d) vs engine (%d rec, max %d, peak %d)",
 						seed, pi, name,
-						om.TotalRecodings, om.MaxColor, om.PeakMaxColor,
-						sm.TotalRecodings, sm.MaxColor, sm.PeakMaxColor)
+						o.TotalRecodings, o.MaxColor, o.PeakMaxColor,
+						s.TotalRecodings, s.MaxColor, s.PeakMaxColor)
 				}
 				if !reflect.DeepEqual(oracle[i].Assignment(), shared[i].Assignment()) {
 					t.Fatalf("seed %d phase %d: %s: assignments diverge", seed, pi, name)
@@ -127,25 +133,24 @@ func TestEngineMatchesScanStandalone(t *testing.T) {
 }
 
 // TestEngineSharesOneReplica: every subscriber reads the engine's own
-// network object — no clones on the shared path.
+// network object — a join through the engine reaches all three, each of
+// which colors the joiner against the shared topology.
 func TestEngineSharesOneReplica(t *testing.T) {
 	eng := engine.New()
-	subs := []strategy.Strategy{
-		core.NewShared(eng.Network()),
-		cp.NewShared(eng.Network()),
-		bbb.NewShared(eng.Network()),
-	}
+	subs := trio(eng.Network())
 	for _, s := range subs {
-		if s.Network() != eng.Network() {
-			t.Fatalf("%s holds a different network replica", s.Name())
-		}
-		eng.Subscribe(s.(engine.Subscriber))
+		eng.Subscribe(s)
 	}
 	if _, err := eng.Apply(strategy.JoinEvent(1, adhoc.Config{Pos: geom.Point{X: 1, Y: 1}, Range: 5})); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Network().Size() != 1 {
 		t.Fatal("join did not reach the shared replica")
+	}
+	for _, s := range subs {
+		if s.Assignment()[1] != 1 {
+			t.Fatalf("%s did not color the joiner on the shared replica", s.Name())
+		}
 	}
 }
 
@@ -154,7 +159,7 @@ func TestEngineSharesOneReplica(t *testing.T) {
 func TestEngineLogReplay(t *testing.T) {
 	phases := mixedScript(11, 30)
 	eng := engine.New()
-	minim := core.NewShared(eng.Network())
+	minim := core.New(eng.Network(), nil)
 	eng.Subscribe(minim)
 	for _, phase := range phases {
 		for _, ev := range phase {
@@ -166,7 +171,7 @@ func TestEngineLogReplay(t *testing.T) {
 
 	var replayed *core.Recoder
 	re, err := engine.Replay(eng.Log(), func(net *adhoc.Network) []engine.Subscriber {
-		replayed = core.NewShared(net)
+		replayed = core.New(net, nil)
 		return []engine.Subscriber{replayed}
 	})
 	if err != nil {
@@ -183,26 +188,11 @@ func TestEngineLogReplay(t *testing.T) {
 	}
 }
 
-// TestSharedRejectsDirectApply: engine-hosted strategies refuse Apply —
-// topology mutation must flow through the engine.
-func TestSharedRejectsDirectApply(t *testing.T) {
-	eng := engine.New()
-	for _, s := range []strategy.Strategy{
-		core.NewShared(eng.Network()),
-		cp.NewShared(eng.Network()),
-		bbb.NewShared(eng.Network()),
-	} {
-		if _, err := s.Apply(strategy.JoinEvent(1, adhoc.Config{Range: 1})); err == nil {
-			t.Fatalf("%s accepted a direct Apply", s.Name())
-		}
-	}
-}
-
 // TestCommitPreparedGuard: CommitPrepared refuses to skip subscribers
 // the caller did not acknowledge.
 func TestCommitPreparedGuard(t *testing.T) {
 	eng := engine.New()
-	eng.Subscribe(core.NewShared(eng.Network()))
+	eng.Subscribe(core.New(eng.Network(), nil))
 	if _, err := eng.CommitPrepared(strategy.JoinEvent(1, adhoc.Config{Range: 1}), 0); err == nil {
 		t.Fatal("CommitPrepared ignored an unacknowledged subscriber")
 	}
@@ -218,7 +208,7 @@ func TestCommitPreparedGuard(t *testing.T) {
 // subscribers or the log.
 func TestEngineTopologyErrors(t *testing.T) {
 	eng := engine.New()
-	minim := core.NewShared(eng.Network())
+	minim := core.New(eng.Network(), nil)
 	eng.Subscribe(minim)
 	if _, err := eng.Apply(strategy.LeaveEvent(99)); err == nil {
 		t.Fatal("leave of absent node did not error")
@@ -234,6 +224,12 @@ func TestEngineTopologyErrors(t *testing.T) {
 	}
 	if _, err := eng.Apply(strategy.JoinEvent(1, adhoc.Config{Range: 3})); err == nil {
 		t.Fatal("duplicate join did not error")
+	}
+	if _, err := eng.Apply(strategy.JoinEvent(2, adhoc.Config{Pos: geom.Point{X: math.NaN(), Y: 10}, Range: 3})); err == nil {
+		t.Fatal("join at a NaN position did not error")
+	}
+	if _, err := eng.Apply(strategy.MoveEvent(1, geom.Point{X: math.Inf(1)})); err == nil {
+		t.Fatal("move to +Inf did not error")
 	}
 	if eng.Seq() != 1 {
 		t.Fatalf("log recorded %d events, want only the valid join", eng.Seq())

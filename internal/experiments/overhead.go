@@ -63,19 +63,19 @@ func messageOverhead(cfg Config, f figure) (Figure, error) {
 // messages one distributed join exchanges under the given protocol.
 func messagesPerJoin(seed uint64, n int, arena float64, proto string) (float64, error) {
 	rng := xrand.New(seed)
-	st, err := sim.NewStrategy(sim.Minim)
+	sess, err := sim.NewEngineSession([]sim.StrategyName{sim.Minim}, false)
 	if err != nil {
 		return 0, err
 	}
 	p := workload.Defaults()
 	p.N = n
 	p.ArenaW, p.ArenaH = arena, arena
-	sess := sim.NewSession(st, false)
 	if err := sess.Apply(workload.JoinScript(seed, p)); err != nil {
 		return 0, err
 	}
 
-	rt := dist.NewRuntime(rng.Uint64(), st.Network(), st.Assignment())
+	st, _ := sess.StrategyOf(sim.Minim)
+	rt := dist.NewRuntime(rng.Uint64(), sess.Engine().Network(), st.Assignment())
 	joiner := graph.NodeID(n + 1)
 	cfg := adhoc.Config{
 		Pos:   geom.Point{X: rng.Uniform(0, arena), Y: rng.Uniform(0, arena)},

@@ -4,9 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/adhoc"
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/sim"
+	"repro/internal/strategy"
 	"repro/internal/toca"
 	"repro/internal/xrand"
 )
@@ -16,23 +17,28 @@ import (
 func churnedNet(t *testing.T, seed uint64, n int) (*adhoc.Network, toca.Assignment) {
 	t.Helper()
 	rng := xrand.New(seed)
-	r := core.New()
+	sess, err := sim.NewEngineSession([]sim.StrategyName{sim.Minim}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(ev strategy.Event) {
+		if err := sess.Apply([]strategy.Event{ev}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < n; i++ {
 		cfg := adhoc.Config{
 			Pos:   geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)},
 			Range: rng.Uniform(20.5, 30.5),
 		}
-		if _, err := r.Join(graph.NodeID(i), cfg); err != nil {
-			t.Fatal(err)
-		}
+		apply(strategy.JoinEvent(graph.NodeID(i), cfg))
 	}
 	for step := 0; step < 3*n; step++ {
 		id := graph.NodeID(rng.Intn(n))
-		if _, err := r.Move(id, geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)}); err != nil {
-			t.Fatal(err)
-		}
+		apply(strategy.MoveEvent(id, geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)}))
 	}
-	return r.Network(), r.Assignment()
+	st, _ := sess.StrategyOf(sim.Minim)
+	return sess.Engine().Network(), st.Assignment()
 }
 
 func TestCompactPreservesValidity(t *testing.T) {

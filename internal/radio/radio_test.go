@@ -6,8 +6,10 @@ import (
 	"repro/internal/adhoc"
 	"repro/internal/codes"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/strategy"
 	"repro/internal/toca"
 	"repro/internal/xrand"
 )
@@ -16,20 +18,33 @@ import (
 func buildMinimNet(t *testing.T, seed uint64, n int) (*adhoc.Network, toca.Assignment) {
 	t.Helper()
 	rng := xrand.New(seed)
-	r := core.New()
+	net, r, apply := hostMinim(t)
 	for i := 0; i < n; i++ {
 		cfg := adhoc.Config{
 			Pos:   geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)},
 			Range: rng.Uniform(20.5, 30.5),
 		}
-		if _, err := r.Join(graph.NodeID(i), cfg); err != nil {
+		apply(strategy.JoinEvent(graph.NodeID(i), cfg))
+	}
+	if !toca.Valid(net.Graph(), r.Assignment()) {
+		t.Fatal("setup produced invalid assignment")
+	}
+	return net, r.Assignment()
+}
+
+// hostMinim returns a Minim recoder on its own engine, the engine's
+// network, and a function applying one event through it.
+func hostMinim(t *testing.T) (*adhoc.Network, *core.Recoder, func(strategy.Event)) {
+	t.Helper()
+	eng := engine.New()
+	r := core.New(eng.Network(), nil)
+	eng.Subscribe(r)
+	return eng.Network(), r, func(ev strategy.Event) {
+		t.Helper()
+		if _, err := eng.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !toca.Valid(r.Network().Graph(), r.Assignment()) {
-		t.Fatal("setup produced invalid assignment")
-	}
-	return r.Network(), r.Assignment()
 }
 
 // TestValidAssignmentDecodesCleanly: with every node transmitting at
@@ -212,28 +227,22 @@ func TestBookForEmptyAssignment(t *testing.T) {
 // sequence handled by Minim — the integration the paper motivates.
 func TestEndToEndAfterEvents(t *testing.T) {
 	rng := xrand.New(321)
-	r := core.New()
+	net, r, apply := hostMinim(t)
 	for i := 0; i < 25; i++ {
 		cfg := adhoc.Config{
 			Pos:   geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)},
 			Range: rng.Uniform(20.5, 30.5),
 		}
-		if _, err := r.Join(graph.NodeID(i), cfg); err != nil {
-			t.Fatal(err)
-		}
+		apply(strategy.JoinEvent(graph.NodeID(i), cfg))
 	}
 	for step := 0; step < 50; step++ {
 		id := graph.NodeID(rng.Intn(25))
 		switch rng.Intn(3) {
 		case 0:
-			if _, err := r.Move(id, geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)}); err != nil {
-				t.Fatal(err)
-			}
+			apply(strategy.MoveEvent(id, geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)}))
 		case 1:
-			cfg, _ := r.Network().Config(id)
-			if _, err := r.SetRange(id, cfg.Range*rng.Uniform(0.7, 1.8)); err != nil {
-				t.Fatal(err)
-			}
+			cfg, _ := net.Config(id)
+			apply(strategy.PowerEvent(id, cfg.Range*rng.Uniform(0.7, 1.8)))
 		case 2:
 			// no-op step (quiet period)
 		}
@@ -244,7 +253,7 @@ func TestEndToEndAfterEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := BroadcastAll(r.Network(), r.Assignment(), book, nil)
+		rs, err := BroadcastAll(net, r.Assignment(), book, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/shard"
+	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
 	"repro/internal/trace"
@@ -164,7 +164,7 @@ type Session struct {
 	// Writer-goroutine state.
 	seq     int
 	eng     *engine.Engine
-	hosted  []shard.Hosted
+	hosted  []sim.Hosted
 	metrics []*strategy.Metrics
 	wal     *wal
 	err     error
@@ -180,18 +180,17 @@ type Session struct {
 func newSession(id string, cfg Config, walPath string) (*Session, error) {
 	cfg = cfg.withDefaults()
 	s := &Session{id: id, cfg: cfg, mail: make(chan request, cfg.Mailbox), done: make(chan struct{})}
-	specs, err := shard.DefaultSpecs(cfg.Strategies...)
-	if err != nil {
-		return nil, err
-	}
 	s.eng = engine.New()
-	for _, spec := range specs {
-		h := spec.New(s.eng.Network(), make(toca.Assignment))
+	for _, name := range cfg.Strategies {
+		h, err := sim.NewSharedStrategy(sim.StrategyName(name), s.eng.Network())
+		if err != nil {
+			return nil, err
+		}
 		s.eng.Subscribe(h)
 		s.hosted = append(s.hosted, h)
 	}
 	s.eng.InstrumentRecode(cfg.metrics.forRecode(id, cfg.Strategies))
-	s.metrics = make([]*strategy.Metrics, len(specs))
+	s.metrics = make([]*strategy.Metrics, len(s.hosted))
 	for i := range s.metrics {
 		s.metrics[i] = strategy.NewMetrics()
 	}
@@ -251,9 +250,11 @@ func buildSession(id string, cfg Config, walPath string) (*Session, error) {
 		}
 	}
 	s := &Session{id: id, cfg: cfg, mail: make(chan request, cfg.Mailbox), done: make(chan struct{}), wal: w}
-	specs, err := shard.DefaultSpecs(cfg.Strategies...)
-	if err != nil {
-		return fail(err)
+	specs := make([]sim.Spec, len(cfg.Strategies))
+	for i, name := range cfg.Strategies {
+		if specs[i], err = sim.SpecOf(sim.StrategyName(name)); err != nil {
+			return fail(err)
+		}
 	}
 	// Rebuild the network from the snapshot (join order is the sorted
 	// snapshot order; the digraph is a pure function of the configs, so

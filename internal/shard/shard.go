@@ -64,6 +64,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
 )
@@ -92,40 +93,6 @@ func (c Config) check() error {
 // Shards returns the number of region shards.
 func (c Config) Shards() int { return c.GridX * c.GridY }
 
-// Hosted is a strategy instance the coordinator can host: an engine
-// subscriber exposing its private code assignment.
-type Hosted interface {
-	engine.Subscriber
-	Assignment() toca.Assignment
-	// SetColor installs an externally computed color (toca.None removes
-	// the entry). The coordinator's fold and writeback paths mutate
-	// hosted assignments only through it, so strategies with internal
-	// accounting (Minim's incremental max-color accumulator) stay
-	// consistent.
-	SetColor(id graph.NodeID, c toca.Color)
-}
-
-// Spec describes one strategy to host on a sharded run.
-type Spec struct {
-	Name string
-	// Local marks the strategy's recoding as interference-local (its
-	// reads and writes for an event stay within the routing rule's
-	// ball). Local strategies run partitioned across region shards;
-	// non-local ones (BBB's global recolor) run on the global lane.
-	Local bool
-	// New builds an instance over the given network adopting the given
-	// assignment (both used directly, not copied).
-	New func(net *adhoc.Network, assign toca.Assignment) Hosted
-}
-
-// Snapshot is the cumulative global metric state of one strategy, shaped
-// like sim.Snapshot (the shard package cannot import sim).
-type Snapshot struct {
-	TotalRecodings int
-	MaxColor       toca.Color
-	Nodes          int
-}
-
 // Stats summarizes a run's routing behavior.
 type Stats struct {
 	Interior int   // events executed on region shards
@@ -145,7 +112,7 @@ type laneOutcome struct {
 // lane is one worker-driven engine: a region shard or the global lane.
 type lane struct {
 	eng  *engine.Engine
-	subs []Hosted
+	subs []sim.Hosted
 	// metrics accumulates per-subscriber outcome totals for events this
 	// lane executed.
 	metrics []*strategy.Metrics
@@ -157,7 +124,7 @@ type lane struct {
 	err      error
 }
 
-func newLane(eng *engine.Engine, subs []Hosted, queue int, buffer bool) *lane {
+func newLane(eng *engine.Engine, subs []sim.Hosted, queue int, buffer bool) *lane {
 	l := &lane{
 		eng:     eng,
 		subs:    subs,
@@ -209,14 +176,14 @@ func (l *lane) dispatch(ev strategy.Event) {
 // use; one goroutine drives it.
 type Coordinator struct {
 	cfg   Config
-	specs []Spec
+	names []sim.StrategyName
 
 	// mirror is the global reference engine: every event is applied to
 	// it in dispatch order (topology only for interior events), so its
 	// network answers routing queries and its log is the total order.
 	// The border-hosted local strategy instances are its subscribers.
 	mirror     *engine.Engine
-	borderSubs []Hosted            // aligned with localIdx
+	borderSubs []sim.Hosted        // aligned with localIdx
 	borderM    []*strategy.Metrics // aligned with localIdx
 
 	shards []*lane // region shards, row-major (ix*GridY + iy)
@@ -231,19 +198,27 @@ type Coordinator struct {
 	failed     error
 }
 
-// New starts a coordinator with one worker per region shard (plus a
-// global lane when a non-local spec is present). Callers must Close it.
-func New(cfg Config, specs []Spec) (*Coordinator, error) {
+// New starts a coordinator hosting the named strategies, with one worker
+// per region shard (plus a global lane when a non-local strategy is
+// named). Callers must Close it.
+func New(cfg Config, names []sim.StrategyName) (*Coordinator, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 256
 	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("shard: no strategy specs")
+	if len(names) == 0 {
+		return nil, fmt.Errorf("shard: no strategies")
 	}
-	c := &Coordinator{cfg: cfg, specs: specs, mirror: engine.New()}
+	specs := make([]sim.Spec, len(names))
+	for i, name := range names {
+		var err error
+		if specs[i], err = sim.SpecOf(name); err != nil {
+			return nil, err
+		}
+	}
+	c := &Coordinator{cfg: cfg, names: names, mirror: engine.New()}
 	c.stats.PerShard = make([]int, cfg.Shards())
 	for i, s := range specs {
 		if s.Local {
@@ -258,25 +233,25 @@ func New(cfg Config, specs []Spec) (*Coordinator, error) {
 		c.borderM = append(c.borderM, strategy.NewMetrics())
 	}
 	for _, si := range c.localIdx {
-		sub := specs[si].New(c.mirror.Network(), make(toca.Assignment))
+		sub := specs[si].New(c.mirror.Network(), nil)
 		c.borderSubs = append(c.borderSubs, sub)
 		c.mirror.Subscribe(sub)
 	}
 	// Region shards: private networks restricted to their regions.
 	for s := 0; s < cfg.Shards(); s++ {
 		eng := engine.New()
-		subs := make([]Hosted, 0, len(c.localIdx))
+		subs := make([]sim.Hosted, 0, len(c.localIdx))
 		for _, si := range c.localIdx {
-			subs = append(subs, specs[si].New(eng.Network(), make(toca.Assignment)))
+			subs = append(subs, specs[si].New(eng.Network(), nil))
 		}
 		c.shards = append(c.shards, newLane(eng, subs, cfg.QueueLen, true))
 	}
 	// Global lane for centralized strategies: full replica, every event.
 	if len(c.globalIdx) > 0 {
 		eng := engine.New()
-		subs := make([]Hosted, 0, len(c.globalIdx))
+		subs := make([]sim.Hosted, 0, len(c.globalIdx))
 		for _, si := range c.globalIdx {
-			subs = append(subs, specs[si].New(eng.Network(), make(toca.Assignment)))
+			subs = append(subs, specs[si].New(eng.Network(), nil))
 		}
 		c.global = newLane(eng, subs, cfg.QueueLen, false)
 	}
@@ -624,7 +599,7 @@ func (c *Coordinator) validateLocal() error {
 	g := c.mirror.Network().Graph()
 	for i, si := range c.localIdx {
 		if vs := toca.Verify(g, c.borderSubs[i].Assignment()); len(vs) > 0 {
-			return fmt.Errorf("shard: %s: %d violations, first: %v", c.specs[si].Name, len(vs), vs[0])
+			return fmt.Errorf("shard: %s: %d violations, first: %v", c.names[si], len(vs), vs[0])
 		}
 	}
 	return nil
@@ -639,7 +614,7 @@ func (c *Coordinator) validateGlobal() error {
 	gg := c.global.eng.Network().Graph()
 	for i, si := range c.globalIdx {
 		if vs := toca.Verify(gg, c.global.subs[i].Assignment()); len(vs) > 0 {
-			return fmt.Errorf("shard: %s: %d violations, first: %v", c.specs[si].Name, len(vs), vs[0])
+			return fmt.Errorf("shard: %s: %d violations, first: %v", c.names[si], len(vs), vs[0])
 		}
 	}
 	return nil
@@ -709,18 +684,18 @@ func (c *Coordinator) Network() (*adhoc.Network, error) {
 // AssignmentOf drains the run and returns the named strategy's global
 // code assignment (the live map for local strategies; callers must not
 // mutate it).
-func (c *Coordinator) AssignmentOf(name string) (toca.Assignment, bool, error) {
+func (c *Coordinator) AssignmentOf(name sim.StrategyName) (toca.Assignment, bool, error) {
 	if err := c.sync(); err != nil {
 		return nil, false, err
 	}
 	for i, si := range c.localIdx {
-		if c.specs[si].Name == name {
+		if c.names[si] == name {
 			return c.borderSubs[i].Assignment(), true, nil
 		}
 	}
 	if c.global != nil {
 		for i, si := range c.globalIdx {
-			if c.specs[si].Name == name {
+			if c.names[si] == name {
 				return c.global.subs[i].Assignment(), true, nil
 			}
 		}
@@ -730,20 +705,20 @@ func (c *Coordinator) AssignmentOf(name string) (toca.Assignment, bool, error) {
 
 // SnapshotOf drains the run and reports the named strategy's cumulative
 // global metrics, matching a single-engine session's snapshot.
-func (c *Coordinator) SnapshotOf(name string) (Snapshot, bool, error) {
+func (c *Coordinator) SnapshotOf(name sim.StrategyName) (sim.Snapshot, bool, error) {
 	if err := c.sync(); err != nil {
-		return Snapshot{}, false, err
+		return sim.Snapshot{}, false, err
 	}
 	nodes := c.mirror.Network().Size()
 	for i, si := range c.localIdx {
-		if c.specs[si].Name != name {
+		if c.names[si] != name {
 			continue
 		}
 		total := c.borderM[i].TotalRecodings
 		for _, l := range c.shards {
 			total += l.metrics[i].TotalRecodings
 		}
-		return Snapshot{
+		return sim.Snapshot{
 			TotalRecodings: total,
 			MaxColor:       c.borderSubs[i].Assignment().MaxColor(),
 			Nodes:          nodes,
@@ -751,17 +726,17 @@ func (c *Coordinator) SnapshotOf(name string) (Snapshot, bool, error) {
 	}
 	if c.global != nil {
 		for i, si := range c.globalIdx {
-			if c.specs[si].Name != name {
+			if c.names[si] != name {
 				continue
 			}
-			return Snapshot{
+			return sim.Snapshot{
 				TotalRecodings: c.global.metrics[i].TotalRecodings,
 				MaxColor:       c.global.subs[i].Assignment().MaxColor(),
 				Nodes:          nodes,
 			}, true, nil
 		}
 	}
-	return Snapshot{}, false, nil
+	return sim.Snapshot{}, false, nil
 }
 
 // CheckConsistency drains the run and verifies the sharding invariants:
@@ -811,12 +786,12 @@ func (c *Coordinator) CheckConsistency() error {
 }
 
 // Replay reconstructs a run deterministically from a total-order event
-// log (a prior run's Log()) under the same configuration and specs: the
+// log (a prior run's Log()) under the same configuration and strategies: the
 // routing decisions, shard logs, border lane order, and final state are
 // all pure functions of the log. The returned coordinator is synced;
 // callers must Close it.
-func Replay(log []strategy.Event, cfg Config, specs []Spec) (*Coordinator, error) {
-	c, err := New(cfg, specs)
+func Replay(log []strategy.Event, cfg Config, names []sim.StrategyName) (*Coordinator, error) {
+	c, err := New(cfg, names)
 	if err != nil {
 		return nil, err
 	}

@@ -15,17 +15,13 @@ import (
 	"repro/internal/workload"
 )
 
-var allNames = []string{"Minim", "CP", "CP-strict", "BBB"}
+var allNames = []sim.StrategyName{sim.Minim, sim.CP, sim.CPStrict, sim.BBB}
 
 // singleEngine runs the same strategies on the one-engine session and
 // returns it, applying phases with a Mark between each.
 func singleEngine(t *testing.T, phases [][]strategy.Event) *sim.EngineSession {
 	t.Helper()
-	names := make([]sim.StrategyName, len(allNames))
-	for i, n := range allNames {
-		names[i] = sim.StrategyName(n)
-	}
-	sess, err := sim.NewEngineSession(names, false)
+	sess, err := sim.NewEngineSession(allNames, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +37,7 @@ func singleEngine(t *testing.T, phases [][]strategy.Event) *sim.EngineSession {
 // sharded runs the same phases on a coordinator over the given grid.
 func sharded(t *testing.T, cfg shard.Config, phases [][]strategy.Event) *shard.Coordinator {
 	t.Helper()
-	specs, err := shard.DefaultSpecs(allNames...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := shard.New(cfg, specs)
+	c, err := shard.New(cfg, allNames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +77,7 @@ func assertIdentical(t *testing.T, sess *sim.EngineSession, c *shard.Coordinator
 	}
 	sameGraph(t, sess.Engine().Network().Graph(), net.Graph(), label)
 	for _, name := range allNames {
-		st, ok := sess.StrategyOf(sim.StrategyName(name))
+		st, ok := sess.StrategyOf(name)
 		if !ok {
 			t.Fatalf("%s: single-engine lost strategy %s", label, name)
 		}
@@ -97,7 +89,7 @@ func assertIdentical(t *testing.T, sess *sim.EngineSession, c *shard.Coordinator
 			t.Fatalf("%s: %s assignments differ:\nsingle: %v\nsharded: %v",
 				label, name, st.Assignment(), got)
 		}
-		want, _ := sess.SnapshotOf(sim.StrategyName(name))
+		want, _ := sess.SnapshotOf(name)
 		snap, ok, err := c.SnapshotOf(name)
 		if err != nil || !ok {
 			t.Fatalf("%s: SnapshotOf(%s): ok=%v err=%v", label, name, ok, err)
@@ -267,8 +259,7 @@ func TestShardedReplay(t *testing.T) {
 	phases := mixedPhases(7, 30)
 	cfg := shard.Config{GridX: 2, GridY: 2, ArenaW: 100, ArenaH: 100}
 	c := sharded(t, cfg, phases)
-	specs, _ := shard.DefaultSpecs(allNames...)
-	r, err := shard.Replay(c.Log(), cfg, specs)
+	r, err := shard.Replay(c.Log(), cfg, allNames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +297,7 @@ func TestShardedReplay(t *testing.T) {
 // TestShardedErrors: malformed events surface the single-engine error
 // and poison the run.
 func TestShardedErrors(t *testing.T) {
-	specs, _ := shard.DefaultSpecs("Minim")
-	c, err := shard.New(shard.Config{GridX: 2, GridY: 1, ArenaW: 100, ArenaH: 100}, specs)
+	c, err := shard.New(shard.Config{GridX: 2, GridY: 1, ArenaW: 100, ArenaH: 100}, []sim.StrategyName{sim.Minim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +316,7 @@ func TestShardedErrors(t *testing.T) {
 
 // TestConfigValidation rejects nonsense grids.
 func TestConfigValidation(t *testing.T) {
-	specs, _ := shard.DefaultSpecs("Minim")
+	specs := []sim.StrategyName{sim.Minim}
 	if _, err := shard.New(shard.Config{GridX: 0, GridY: 1, ArenaW: 100, ArenaH: 100}, specs); err == nil {
 		t.Fatal("zero grid accepted")
 	}
@@ -334,9 +324,66 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("zero arena accepted")
 	}
 	if _, err := shard.New(shard.Config{GridX: 1, GridY: 1, ArenaW: 100, ArenaH: 100}, nil); err == nil {
-		t.Fatal("no specs accepted")
+		t.Fatal("no strategies accepted")
 	}
-	if _, err := shard.DefaultSpecs("nope"); err == nil {
+	if _, err := shard.New(shard.Config{GridX: 1, GridY: 1, ArenaW: 100, ArenaH: 100}, []sim.StrategyName{"nope"}); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+}
+
+// phaseResults drives names through base then phase on a coordinator
+// and reports sim.PhaseResults at both boundaries, the shape
+// sim.RunPhases reports for a single-engine run.
+func phaseResults(t *testing.T, cfg shard.Config, names []sim.StrategyName, base, phase []strategy.Event) []sim.PhaseResult {
+	t.Helper()
+	c := sharded(t, cfg, [][]strategy.Event{base})
+	snaps := func() []sim.Snapshot {
+		out := make([]sim.Snapshot, len(names))
+		for i, name := range names {
+			s, ok, err := c.SnapshotOf(name)
+			if err != nil || !ok {
+				t.Fatalf("SnapshotOf(%s): ok=%v err=%v", name, ok, err)
+			}
+			out[i] = s
+		}
+		return out
+	}
+	afterBase := snaps()
+	if err := c.Apply(phase); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Mark(); err != nil {
+		t.Fatal(err)
+	}
+	final := snaps()
+	results := make([]sim.PhaseResult, len(names))
+	for i, name := range names {
+		results[i] = sim.PhaseResult{Name: name, AfterBase: afterBase[i], Final: final[i]}
+	}
+	return results
+}
+
+// TestCoordinatorMatchesRunPhases: a sharded run yields the exact
+// PhaseResults of sim.RunPhases, for all hosted strategies, on a join
+// base followed by a movement phase, with CA1/CA2 re-verified at every
+// barrier and mark.
+func TestCoordinatorMatchesRunPhases(t *testing.T) {
+	p := workload.Defaults()
+	p.N = 40
+	p.MaxDisp = 30
+	p.RoundNo = 2
+	base := workload.JoinScript(5, p)
+	phase := workload.MoveScript(5, p)
+
+	want, err := sim.RunPhases(allNames, base, phase, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, grid := range []struct{ gx, gy int }{{1, 1}, {2, 2}} {
+		cfg := shard.Config{GridX: grid.gx, GridY: grid.gy, ArenaW: p.ArenaW, ArenaH: p.ArenaH, Validate: true}
+		got := phaseResults(t, cfg, allNames, base, phase)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("grid %dx%d: sharded results %+v, want %+v", grid.gx, grid.gy, got, want)
+		}
 	}
 }

@@ -4,25 +4,38 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/adhoc"
+	"repro/internal/engine"
 	"repro/internal/strategy"
+	"repro/internal/toca"
 	"repro/internal/workload"
 )
 
 // TestEngineSessionSharesNetwork: every hosted strategy reads the one
-// engine-owned replica — the acceptance criterion of the engine
-// refactor.
+// engine-owned replica — each colors exactly the engine network's nodes,
+// validly, with no replica of its own to keep in step.
 func TestEngineSessionSharesNetwork(t *testing.T) {
 	sess, err := NewEngineSession(AllStrategies, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := workload.Defaults()
+	p.N = 20
+	if err := sess.Apply(workload.JoinScript(4, p)); err != nil {
+		t.Fatal(err)
+	}
+	net := sess.Engine().Network()
 	for _, name := range AllStrategies {
 		st, ok := sess.StrategyOf(name)
 		if !ok {
 			t.Fatalf("%s not hosted", name)
 		}
-		if st.Network() != sess.Engine().Network() {
-			t.Fatalf("%s holds a private network replica", name)
+		a := st.Assignment()
+		if len(a) != net.Size() {
+			t.Fatalf("%s colors %d nodes, engine network holds %d", name, len(a), net.Size())
+		}
+		if !toca.Valid(net.Graph(), a) {
+			t.Fatalf("%s assignment invalid on the engine network", name)
 		}
 	}
 }
@@ -58,9 +71,10 @@ func TestEngineSessionEventLog(t *testing.T) {
 	}
 }
 
-// TestRunPhasesMatchesLegacySemantics: the engine-backed RunPhases
-// produces the same per-strategy results as driving standalone
-// strategies through runners (the pre-engine architecture).
+// TestRunPhasesMatchesLegacySemantics: the shared-engine RunPhases
+// produces the same per-strategy results as hosting each strategy alone
+// on its own engine over a scan-backed network (the pre-engine
+// architecture: one replica per strategy, naive candidate scans).
 func TestRunPhasesMatchesLegacySemantics(t *testing.T) {
 	p := workload.Defaults()
 	p.N = 30
@@ -75,21 +89,27 @@ func TestRunPhasesMatchesLegacySemantics(t *testing.T) {
 	}
 
 	for i, name := range AllStrategies {
-		st, err := NewStrategy(name)
+		eng := engine.Adopt(adhoc.NewScan())
+		st, err := NewSharedStrategy(name, eng.Network())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := NewSession(st, false)
-		if err := sess.Apply(base); err != nil {
-			t.Fatal(err)
+		eng.Subscribe(st)
+		m := strategy.NewMetrics()
+		snapshot := func(events []strategy.Event) Snapshot {
+			for _, ev := range events {
+				outs, err := eng.Apply(ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Record(ev.Kind, outs[0])
+			}
+			return Snapshot{TotalRecodings: m.TotalRecodings, MaxColor: m.MaxColor, Nodes: eng.Network().Size()}
 		}
-		afterBase := sess.Snapshot()
-		if err := sess.Apply(phase); err != nil {
-			t.Fatal(err)
-		}
-		final := sess.Snapshot()
+		afterBase := snapshot(base)
+		final := snapshot(phase)
 		if got[i].AfterBase != afterBase || got[i].Final != final {
-			t.Fatalf("%s: engine run %+v/%+v, standalone %+v/%+v",
+			t.Fatalf("%s: shared engine %+v/%+v, own scan engine %+v/%+v",
 				name, got[i].AfterBase, got[i].Final, afterBase, final)
 		}
 	}

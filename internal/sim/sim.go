@@ -5,10 +5,12 @@
 //
 // Since the engine refactor a run hosts all of its strategies on one
 // shared incremental network engine (internal/engine): each event is
-// decoded once and its delta fanned out, instead of every strategy
-// cloning and re-maintaining its own adhoc.Network replica. The
-// EngineSession is the event-sourced pipeline the figure sweeps run on;
-// the single-strategy Session remains as a thin wrapper over it.
+// decoded once and its delta fanned out. The EngineSession is the one
+// way to run a script: the event-sourced pipeline the figure sweeps, the
+// tools and the examples use, for one strategy or several.
+//
+// The name table (specs) is the single place a strategy name becomes an
+// instance; serve, shard and the command-line tools all read it.
 package sim
 
 import (
@@ -19,7 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/engine"
-	"repro/internal/shard"
+	"repro/internal/graph"
 	"repro/internal/strategy"
 	"repro/internal/toca"
 )
@@ -47,46 +49,68 @@ const (
 // AllStrategies lists the paper's three competitors in plot order.
 var AllStrategies = []StrategyName{Minim, CP, BBB}
 
-// NewStrategy constructs a fresh standalone instance of the named
-// strategy (it owns its own network replica). Engine-hosted runs use
-// NewSharedStrategy instead.
-func NewStrategy(name StrategyName) (strategy.Strategy, error) {
-	switch name {
-	case Minim:
-		return core.New(), nil
-	case CP:
-		return cp.New(), nil
-	case CPStrict:
-		return cp.NewStrict(), nil
-	case BBB:
-		return bbb.New(), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown strategy %q", name)
-	}
+// Hosted is a strategy instance as its hosts drive it: an engine
+// subscriber exposing its private code assignment.
+type Hosted interface {
+	engine.Subscriber
+	Assignment() toca.Assignment
+	// SetColor installs an externally computed color (toca.None removes
+	// the entry). Hosts that fold or write back recodings computed
+	// elsewhere (the shard coordinator, the batch scheduler) mutate an
+	// assignment only through it, so strategies with internal accounting
+	// (Minim's incremental max-color accumulator) stay consistent.
+	SetColor(id graph.NodeID, c toca.Color)
 }
 
-// NewSharedStrategy constructs an instance of the named strategy hosted
-// on an engine-owned network: it reads net but never mutates it, and
-// must be subscribed to the owning engine.
-func NewSharedStrategy(name StrategyName, net *adhoc.Network) (strategy.Strategy, error) {
-	switch name {
-	case Minim:
-		return core.NewShared(net), nil
-	case CP:
-		return cp.NewShared(net), nil
-	case CPStrict:
-		return cp.NewSharedStrict(net), nil
-	case BBB:
-		return bbb.NewShared(net), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown strategy %q", name)
+// Spec is how to host one named strategy.
+type Spec struct {
+	// Local marks the strategy's recoding as interference-local: its
+	// reads and writes for an event stay within a ball around the event
+	// (the paper's locality theorems). The sharded runtime partitions
+	// local strategies across regions; BBB's global recolor is not local.
+	Local bool
+	// New builds an instance reading net, which the subscribing engine
+	// owns, and adopting assign (used directly, not copied; nil starts
+	// empty).
+	New func(net *adhoc.Network, assign toca.Assignment) Hosted
+}
+
+// specs is the one name table every host reads.
+var specs = map[StrategyName]Spec{
+	Minim: {Local: true, New: func(net *adhoc.Network, a toca.Assignment) Hosted { return core.New(net, a) }},
+	CP:    {Local: true, New: func(net *adhoc.Network, a toca.Assignment) Hosted { return cp.New(net, a) }},
+	CPStrict: {Local: true, New: func(net *adhoc.Network, a toca.Assignment) Hosted {
+		s := cp.New(net, a)
+		s.StrictMove = true
+		return s
+	}},
+	BBB: {Local: false, New: func(net *adhoc.Network, a toca.Assignment) Hosted { return bbb.New(net, a) }},
+}
+
+// SpecOf resolves a strategy name.
+func SpecOf(name StrategyName) (Spec, error) {
+	s, ok := specs[name]
+	if !ok {
+		return Spec{}, fmt.Errorf("sim: unknown strategy %q", name)
 	}
+	return s, nil
+}
+
+// NewSharedStrategy constructs an instance of the named strategy with an
+// empty assignment, reading net: subscribe it to the engine that owns
+// net.
+func NewSharedStrategy(name StrategyName, net *adhoc.Network) (Hosted, error) {
+	spec, err := SpecOf(name)
+	if err != nil {
+		return nil, err
+	}
+	return spec.New(net, nil), nil
 }
 
 // entry is one strategy hosted on an EngineSession.
 type entry struct {
 	name  StrategyName
-	strat strategy.Strategy // also an engine.Subscriber
+	strat Hosted
 	m     *strategy.Metrics
 }
 
@@ -112,11 +136,7 @@ func NewEngineSession(names []StrategyName, validate bool) (*EngineSession, erro
 		if err != nil {
 			return nil, err
 		}
-		sub, ok := st.(engine.Subscriber)
-		if !ok {
-			return nil, fmt.Errorf("sim: strategy %q is not engine-hostable", name)
-		}
-		eng.Subscribe(sub)
+		eng.Subscribe(st)
 		s.entries = append(s.entries, entry{name: name, strat: st, m: strategy.NewMetrics()})
 	}
 	return s, nil
@@ -163,7 +183,7 @@ func (s *EngineSession) Apply(events []strategy.Event) error {
 }
 
 // StrategyOf returns the hosted instance of the named strategy.
-func (s *EngineSession) StrategyOf(name StrategyName) (strategy.Strategy, bool) {
+func (s *EngineSession) StrategyOf(name StrategyName) (Hosted, bool) {
 	for _, e := range s.entries {
 		if e.name == name {
 			return e.strat, true
@@ -194,39 +214,6 @@ func (s *EngineSession) SnapshotOf(name StrategyName) (Snapshot, bool) {
 		}
 	}
 	return Snapshot{}, false
-}
-
-// Session couples a single strategy with metric accounting across script
-// phases. Standalone strategies (from NewStrategy) are driven through a
-// runner over their own network; it remains the convenience wrapper for
-// tools that need direct access to one strategy's state.
-type Session struct {
-	runner *strategy.Runner
-}
-
-// NewSession wraps s. When validate is set, CA1/CA2 are re-verified after
-// every event (slow; meant for tests and the verify tool).
-func NewSession(s strategy.Strategy, validate bool) *Session {
-	r := strategy.NewRunner(s)
-	r.Validate = validate
-	return &Session{runner: r}
-}
-
-// Strategy returns the wrapped strategy.
-func (s *Session) Strategy() strategy.Strategy { return s.runner.S }
-
-// Apply runs one phase of events.
-func (s *Session) Apply(events []strategy.Event) error {
-	return s.runner.ApplyAll(events)
-}
-
-// Snapshot reports the cumulative metrics so far.
-func (s *Session) Snapshot() Snapshot {
-	return Snapshot{
-		TotalRecodings: s.runner.M.TotalRecodings,
-		MaxColor:       s.runner.M.MaxColor,
-		Nodes:          s.runner.S.Network().Size(),
-	}
 }
 
 // PhaseResult reports the snapshots around a two-phase run.
@@ -283,64 +270,4 @@ func RunPhases(names []StrategyName, base, phase []strategy.Event, validate bool
 // Run drives a single-phase script (base only) for each strategy.
 func Run(names []StrategyName, events []strategy.Event, validate bool) ([]PhaseResult, error) {
 	return RunPhases(names, events, nil, validate)
-}
-
-// RunPhasesSharded is RunPhases on the region-partitioned parallel
-// runtime (internal/shard): the arena is split into cfg's grid of
-// regions, interference-local strategies execute interior events on one
-// worker per shard, and border events plus centralized strategies are
-// serialized — with results bit-identical to RunPhases. cfg.Validate is
-// overridden by the validate argument for signature parity.
-func RunPhasesSharded(names []StrategyName, base, phase []strategy.Event, validate bool, cfg shard.Config) ([]PhaseResult, error) {
-	strs := make([]string, len(names))
-	for i, n := range names {
-		strs[i] = string(n)
-	}
-	specs, err := shard.DefaultSpecs(strs...)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Validate = validate
-	coord, err := shard.New(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	defer coord.Close()
-	snapshotOf := func(name StrategyName) (Snapshot, error) {
-		s, ok, err := coord.SnapshotOf(string(name))
-		if err != nil {
-			return Snapshot{}, err
-		}
-		if !ok {
-			return Snapshot{}, fmt.Errorf("sim: strategy %q not hosted", name)
-		}
-		return Snapshot{TotalRecodings: s.TotalRecodings, MaxColor: s.MaxColor, Nodes: s.Nodes}, nil
-	}
-	if err := coord.Apply(base); err != nil {
-		return nil, fmt.Errorf("base phase: %w", err)
-	}
-	if _, err := coord.Mark(); err != nil {
-		return nil, err
-	}
-	afterBase := make([]Snapshot, len(names))
-	for i, name := range names {
-		if afterBase[i], err = snapshotOf(name); err != nil {
-			return nil, err
-		}
-	}
-	if err := coord.Apply(phase); err != nil {
-		return nil, fmt.Errorf("second phase: %w", err)
-	}
-	if _, err := coord.Mark(); err != nil {
-		return nil, err
-	}
-	results := make([]PhaseResult, 0, len(names))
-	for i, name := range names {
-		final, err := snapshotOf(name)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, PhaseResult{Name: name, AfterBase: afterBase[i], Final: final})
-	}
-	return results, nil
 }

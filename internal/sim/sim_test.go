@@ -3,14 +3,18 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/adhoc"
+	"repro/internal/geom"
 	"repro/internal/strategy"
 	"repro/internal/toca"
 	"repro/internal/workload"
 )
 
+// TestNewStrategy: every name in the table builds an instance reporting
+// that name; an unknown name errors.
 func TestNewStrategy(t *testing.T) {
-	for _, name := range AllStrategies {
-		s, err := NewStrategy(name)
+	for _, name := range append(AllStrategies, CPStrict) {
+		s, err := NewSharedStrategy(name, adhoc.New())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -18,8 +22,14 @@ func TestNewStrategy(t *testing.T) {
 			t.Fatalf("Name = %q, want %q", s.Name(), name)
 		}
 	}
-	if _, err := NewStrategy("nope"); err == nil {
+	if _, err := NewSharedStrategy("nope", adhoc.New()); err == nil {
 		t.Fatal("unknown strategy did not error")
+	}
+	if _, err := SpecOf("nope"); err == nil {
+		t.Fatal("unknown spec did not error")
+	}
+	if s, _ := SpecOf(BBB); s.Local {
+		t.Fatal("BBB's global recolor marked local")
 	}
 }
 
@@ -100,14 +110,55 @@ func TestIdenticalScriptsAcrossStrategies(t *testing.T) {
 }
 
 func TestSessionErrorPropagates(t *testing.T) {
-	s, err := NewStrategy(Minim)
+	sess, err := NewEngineSession([]StrategyName{Minim}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(s, false)
 	// Leaving an absent node must surface the error.
 	if err := sess.Apply([]strategy.Event{strategy.LeaveEvent(99)}); err == nil {
 		t.Fatal("error not propagated")
+	}
+}
+
+// corruptedSession hosts Minim on two mutually linked nodes, then forces
+// both onto one code behind the strategy's back (a CA1 violation the
+// next far-away join does not repair).
+func corruptedSession(t *testing.T, validate bool) *EngineSession {
+	t.Helper()
+	sess, err := NewEngineSession([]StrategyName{Minim}, validate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Apply([]strategy.Event{
+		strategy.JoinEvent(1, adhoc.Config{Pos: geom.Point{X: 0, Y: 0}, Range: 10}),
+		strategy.JoinEvent(2, adhoc.Config{Pos: geom.Point{X: 5, Y: 0}, Range: 10}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := sess.StrategyOf(Minim)
+	st.SetColor(2, st.Assignment()[1])
+	return sess
+}
+
+// TestEngineSessionValidateCatchesViolations: a validating session
+// refuses to continue past an event that leaves CA1/CA2 broken.
+func TestEngineSessionValidateCatchesViolations(t *testing.T) {
+	far := []strategy.Event{strategy.JoinEvent(3, adhoc.Config{Pos: geom.Point{X: 90, Y: 90}, Range: 5})}
+	if err := corruptedSession(t, true).Apply(far); err == nil {
+		t.Fatal("validating session accepted an invalid assignment")
+	}
+}
+
+// TestEngineSessionWithoutValidateSkipsCheck: without validation the
+// same event is applied and counted.
+func TestEngineSessionWithoutValidateSkipsCheck(t *testing.T) {
+	sess := corruptedSession(t, false)
+	far := []strategy.Event{strategy.JoinEvent(3, adhoc.Config{Pos: geom.Point{X: 90, Y: 90}, Range: 5})}
+	if err := sess.Apply(far); err != nil {
+		t.Fatalf("non-validating session errored: %v", err)
+	}
+	if m, _ := sess.MetricsOf(Minim); m.Events != 3 {
+		t.Fatalf("metrics recorded %d events, want 3", m.Events)
 	}
 }
 

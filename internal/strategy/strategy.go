@@ -83,20 +83,18 @@ type Outcome struct {
 // Recodings returns the number of nodes recoded by the event.
 func (o Outcome) Recodings() int { return len(o.Recoded) }
 
-// Strategy is a dynamic TOCA recoding strategy: it owns a network replica
-// and a code assignment, and restores CA1/CA2 after every event.
+// Strategy is a dynamic TOCA recoding strategy as its readers see it:
+// a name and a code assignment that the strategy keeps CA1/CA2-valid
+// after every event. Strategies are hosted on an engine (package
+// engine), which owns the network and hands each strategy the decoded
+// event; they never own or mutate a network themselves.
 type Strategy interface {
 	// Name identifies the strategy in experiment output ("Minim", "CP",
 	// "BBB").
 	Name() string
-	// Network returns the strategy's network replica (read-only for
-	// callers).
-	Network() *adhoc.Network
 	// Assignment returns the current code assignment (read-only for
 	// callers).
 	Assignment() toca.Assignment
-	// Apply executes one event and the strategy's recoding for it.
-	Apply(Event) (Outcome, error)
 }
 
 // Metrics accumulates the paper's two performance metrics over a sequence
@@ -123,44 +121,4 @@ func (m *Metrics) Record(kind EventKind, o Outcome) {
 		m.PeakMaxColor = o.MaxColor
 	}
 	m.RecodingsByKind[kind] += o.Recodings()
-}
-
-// Runner couples a strategy with metric accounting and (optionally)
-// per-event validity checking.
-type Runner struct {
-	S        Strategy
-	M        *Metrics
-	Validate bool // when set, verify CA1/CA2 after every event
-}
-
-// NewRunner returns a runner over s with fresh metrics.
-func NewRunner(s Strategy) *Runner {
-	return &Runner{S: s, M: NewMetrics()}
-}
-
-// Apply executes one event, updates metrics, and (if Validate is set)
-// checks the resulting assignment.
-func (r *Runner) Apply(ev Event) (Outcome, error) {
-	out, err := r.S.Apply(ev)
-	if err != nil {
-		return out, fmt.Errorf("%s: event %v on node %d: %w", r.S.Name(), ev.Kind, ev.ID, err)
-	}
-	r.M.Record(ev.Kind, out)
-	if r.Validate {
-		if vs := toca.Verify(r.S.Network().Graph(), r.S.Assignment()); len(vs) > 0 {
-			return out, fmt.Errorf("%s: event %v on node %d left %d violations, first: %v",
-				r.S.Name(), ev.Kind, ev.ID, len(vs), vs[0])
-		}
-	}
-	return out, nil
-}
-
-// ApplyAll executes a script of events, stopping at the first error.
-func (r *Runner) ApplyAll(events []Event) error {
-	for i, ev := range events {
-		if _, err := r.Apply(ev); err != nil {
-			return fmt.Errorf("event %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -68,52 +68,3 @@ func TestMetricsRecord(t *testing.T) {
 		t.Fatalf("by kind = %v", m.RecodingsByKind)
 	}
 }
-
-// fakeStrategy returns canned outcomes and optionally corrupts its
-// assignment to trigger the runner's validation.
-type fakeStrategy struct {
-	net     *adhoc.Network
-	assign  toca.Assignment
-	corrupt bool
-}
-
-func newFake(corrupt bool) *fakeStrategy {
-	n := adhoc.New()
-	_ = n.Join(1, adhoc.Config{Pos: geom.Point{X: 0, Y: 0}, Range: 10})
-	_ = n.Join(2, adhoc.Config{Pos: geom.Point{X: 5, Y: 0}, Range: 10})
-	a := toca.Assignment{1: 1, 2: 2}
-	if corrupt {
-		a[2] = 1 // CA1 violation on the mutual edge
-	}
-	return &fakeStrategy{net: n, assign: a, corrupt: corrupt}
-}
-
-func (f *fakeStrategy) Name() string                { return "fake" }
-func (f *fakeStrategy) Network() *adhoc.Network     { return f.net }
-func (f *fakeStrategy) Assignment() toca.Assignment { return f.assign }
-func (f *fakeStrategy) Apply(ev Event) (Outcome, error) {
-	return Outcome{MaxColor: f.assign.MaxColor()}, nil
-}
-
-func TestRunnerValidateCatchesViolations(t *testing.T) {
-	r := NewRunner(newFake(true))
-	r.Validate = true
-	if _, err := r.Apply(LeaveEvent(99)); err == nil {
-		t.Fatal("runner accepted an invalid assignment")
-	}
-	r2 := NewRunner(newFake(false))
-	r2.Validate = true
-	if _, err := r2.Apply(LeaveEvent(99)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunnerWithoutValidateSkipsCheck(t *testing.T) {
-	r := NewRunner(newFake(true))
-	if _, err := r.Apply(LeaveEvent(99)); err != nil {
-		t.Fatalf("non-validating runner errored: %v", err)
-	}
-	if r.M.Events != 1 {
-		t.Fatal("metrics not recorded")
-	}
-}
