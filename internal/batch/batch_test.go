@@ -148,39 +148,48 @@ func TestWavesCoverScript(t *testing.T) {
 // same script, event for event: same assignment, same digraph, same
 // recodings, and the engine log records the whole script.
 func TestApplyMatchesSequential(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3, 4, 5, 31} {
-		n, arena := 80, 600.0
-		if seed == 31 {
-			n, arena = 60, 900
-		}
-		events := sparseJoins(seed, n, arena)
+	for _, seed := range []uint64{1, 2, 3, 4, 5} {
+		checkMatchesSequential(t, seed, 80, 600)
+	}
+}
 
-		seqEng, seq := hostMinim()
-		seqRecodings, err := applySeq(seqEng, events)
-		if err != nil {
-			t.Fatal(err)
-		}
+// TestApplyEngineMatchesSequential: on a sparser arena, where waves pack
+// more joins, the batched path still equals the sequential one.
+func TestApplyEngineMatchesSequential(t *testing.T) {
+	checkMatchesSequential(t, 31, 60, 900)
+}
 
-		parEng, par := hostMinim()
-		parRecodings, err := Apply(parEng, par, events, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parRecodings != seqRecodings {
-			t.Fatalf("seed %d: parallel %d recodings, sequential %d", seed, parRecodings, seqRecodings)
-		}
-		if !reflect.DeepEqual(seq.Assignment(), par.Assignment()) {
-			t.Fatalf("seed %d: parallel assignment diverges from sequential", seed)
-		}
-		if !reflect.DeepEqual(seqEng.Network().Graph().Edges(), parEng.Network().Graph().Edges()) {
-			t.Fatalf("seed %d: parallel digraph diverges from sequential", seed)
-		}
-		if parEng.Seq() != len(events) {
-			t.Fatalf("seed %d: engine log has %d events, want %d", seed, parEng.Seq(), len(events))
-		}
-		if !toca.Valid(parEng.Network().Graph(), par.Assignment()) {
-			t.Fatalf("seed %d: parallel result invalid", seed)
-		}
+// checkMatchesSequential runs the join script sparseJoins(seed, n, arena)
+// sequentially and batched on two fresh engines and compares the results.
+func checkMatchesSequential(t *testing.T, seed uint64, n int, arena float64) {
+	t.Helper()
+	events := sparseJoins(seed, n, arena)
+
+	seqEng, seq := hostMinim()
+	seqRecodings, err := applySeq(seqEng, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	parEng, par := hostMinim()
+	parRecodings, err := Apply(parEng, par, events, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parRecodings != seqRecodings {
+		t.Fatalf("seed %d: parallel %d recodings, sequential %d", seed, parRecodings, seqRecodings)
+	}
+	if !reflect.DeepEqual(seq.Assignment(), par.Assignment()) {
+		t.Fatalf("seed %d: parallel assignment diverges from sequential", seed)
+	}
+	if !reflect.DeepEqual(seqEng.Network().Graph().Edges(), parEng.Network().Graph().Edges()) {
+		t.Fatalf("seed %d: parallel digraph diverges from sequential", seed)
+	}
+	if parEng.Seq() != len(events) {
+		t.Fatalf("seed %d: engine log has %d events, want %d", seed, parEng.Seq(), len(events))
+	}
+	if !toca.Valid(parEng.Network().Graph(), par.Assignment()) {
+		t.Fatalf("seed %d: parallel result invalid", seed)
 	}
 }
 
