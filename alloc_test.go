@@ -13,15 +13,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// host1000 returns an engine over net hosting the named strategy, with
-// the constant-density 1000-node join base (seed 7) applied.
+// host1000 returns an engine over net hosting the named strategy (none
+// for an empty name), with the constant-density 1000-node join base
+// (seed 7) applied.
 func host1000(name sim.StrategyName, net *adhoc.Network) (*engine.Engine, error) {
 	eng := engine.Adopt(net)
-	st, err := sim.NewSharedStrategy(name, net)
-	if err != nil {
-		return nil, err
+	if name != "" {
+		st, err := sim.NewSharedStrategy(name, net)
+		if err != nil {
+			return nil, err
+		}
+		eng.Subscribe(st)
 	}
-	eng.Subscribe(st)
 	p := workload.Defaults()
 	p.N = 1000
 	p.ArenaW, p.ArenaH = bench1000Arena, bench1000Arena
@@ -47,15 +50,17 @@ func move1000(rng *xrand.RNG) strategy.Event {
 // nodes), measured by testing.AllocsPerRun. Each ceiling is the largest
 // of five measured runs plus 2, because identical runs can differ by
 // one allocation (map-hash variance). A ceiling may be lowered, never
-// raised.
+// raised. allocCeilStepMove covers engine.Step alone: the decode and
+// topology change of one move, with no strategy hosted.
 const (
-	allocCeilMinimJoin = 248
-	allocCeilMinimMove = 233
-	allocCeilCPJoin    = 51
+	allocCeilMinimJoin = 46
+	allocCeilMinimMove = 35
+	allocCeilCPJoin    = 46
+	allocCeilStepMove  = 20
 )
 
-// allocsPerEvent hosts name on a fresh n=1000 engine and reports the
-// mean allocations of apply over 50 runs.
+// allocsPerEvent hosts name (none if empty) on a fresh n=1000 engine
+// and reports the mean allocations of apply over 50 runs.
 func allocsPerEvent(t *testing.T, name sim.StrategyName, apply func(*engine.Engine, *xrand.RNG, int) error) float64 {
 	t.Helper()
 	eng, err := host1000(name, adhoc.New())
@@ -74,6 +79,7 @@ func allocsPerEvent(t *testing.T, name sim.StrategyName, apply func(*engine.Engi
 	if failed != nil {
 		t.Fatal(failed)
 	}
+	t.Logf("%.0f allocs/event", allocs)
 	return allocs
 }
 
@@ -108,5 +114,19 @@ func TestAllocsCPJoin1000(t *testing.T) {
 	got := allocsPerEvent(t, sim.CP, joinOnly)
 	if got > allocCeilCPJoin {
 		t.Fatalf("CP join at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilCPJoin)
+	}
+}
+
+// stepOnly decodes and applies the next move of the event list with
+// engine.Step, bypassing the engine's log and fan-out.
+func stepOnly(eng *engine.Engine, rng *xrand.RNG, _ int) error {
+	_, err := engine.Step(eng.Network(), move1000(rng))
+	return err
+}
+
+func TestAllocsStepMove1000(t *testing.T) {
+	got := allocsPerEvent(t, "", stepOnly)
+	if got > allocCeilStepMove {
+		t.Fatalf("engine.Step move at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilStepMove)
 	}
 }

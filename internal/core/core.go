@@ -47,20 +47,17 @@ const (
 // The recoder never mutates the network; its engine applies each
 // topology change and then calls OnDelta.
 type Recoder struct {
-	net    *adhoc.Network
-	assign toca.Assignment
-	// scratch is the Hungarian solver's reusable working memory: one
-	// recoder runs its matchings sequentially, so the dense matrices are
-	// allocated once per recoder instead of once per event.
+	net *adhoc.Network
+	// colors is the assignment with its incremental max-color count, so
+	// outcome() reads the maximum in O(1). Every write goes through
+	// colors.Set; external writers (the shard coordinator's writeback,
+	// the batch scheduler's wave commit) use SetColor, never the raw map.
+	colors *toca.Tally
+	// scratch and forb are the matching solver's and the constraint
+	// walk's reusable working memory: one recoder recodes sequentially,
+	// so both are allocated once per recoder instead of once per event.
 	scratch *matching.Scratch
-	// colorCount and maxColor form the incremental max-color
-	// accumulator: every assignment mutation flows through setColor, so
-	// outcome() reads the current maximum in O(1) instead of rescanning
-	// the whole assignment after each event. External writers (the shard
-	// coordinator's writeback, the batch scheduler's wave commit) must
-	// use SetColor, never the raw map.
-	colorCount map[toca.Color]int
-	maxColor   toca.Color
+	forb    *toca.ForbiddenScratch
 }
 
 var _ strategy.Strategy = (*Recoder)(nil)
@@ -70,20 +67,8 @@ var _ engine.Subscriber = (*Recoder)(nil)
 // recoder is subscribed to) and adopting assign, used directly, not
 // copied; a nil assign starts empty.
 func New(net *adhoc.Network, assign toca.Assignment) *Recoder {
-	if assign == nil {
-		assign = make(toca.Assignment)
-	}
-	r := &Recoder{net: net, assign: assign, scratch: matching.NewScratch(),
-		colorCount: make(map[toca.Color]int, len(assign))}
-	for _, c := range assign {
-		if c != toca.None {
-			r.colorCount[c]++
-			if c > r.maxColor {
-				r.maxColor = c
-			}
-		}
-	}
-	return r
+	return &Recoder{net: net, colors: toca.NewTally(assign),
+		scratch: matching.NewScratch(), forb: toca.NewForbiddenScratch()}
 }
 
 // Name implements strategy.Strategy.
@@ -92,42 +77,13 @@ func (r *Recoder) Name() string { return "Minim" }
 // Assignment implements strategy.Strategy. Callers must treat the map
 // as read-only; external writes go through SetColor so the incremental
 // max-color accumulator stays consistent.
-func (r *Recoder) Assignment() toca.Assignment { return r.assign }
+func (r *Recoder) Assignment() toca.Assignment { return r.colors.Assignment() }
 
 // SetColor installs a color computed outside the recoder (the shard
 // coordinator's writeback, the batch scheduler's wave commits);
 // toca.None removes the entry. It keeps the max-color accumulator in
 // sync with the mutation.
-func (r *Recoder) SetColor(id graph.NodeID, c toca.Color) { r.setColor(id, c) }
-
-// setColor is the single assignment write path: it updates the map and
-// the color-count/max-color accumulator together.
-func (r *Recoder) setColor(id graph.NodeID, c toca.Color) {
-	old := r.assign[id]
-	if old == c {
-		return
-	}
-	if old != toca.None {
-		if n := r.colorCount[old] - 1; n > 0 {
-			r.colorCount[old] = n
-		} else {
-			delete(r.colorCount, old)
-			if old == r.maxColor {
-				for r.maxColor > toca.None && r.colorCount[r.maxColor] == 0 {
-					r.maxColor--
-				}
-			}
-		}
-	}
-	r.assign.Set(id, c)
-	if c == toca.None {
-		return
-	}
-	r.colorCount[c]++
-	if c > r.maxColor {
-		r.maxColor = c
-	}
-}
+func (r *Recoder) SetColor(id graph.NodeID, c toca.Color) { r.colors.Set(id, c) }
 
 // OnDelta implements engine.Subscriber: the per-event recoding
 // algorithms, operating on an already-updated topology.
@@ -145,7 +101,7 @@ func (r *Recoder) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 	case strategy.Leave:
 		// RecodeDecreasePowOrLeave: nobody is recoded (Theorem 4.3.3:
 		// removals introduce no conflicts).
-		r.setColor(d.Event.ID, toca.None)
+		r.colors.Set(d.Event.ID, toca.None)
 		return r.outcome(nil), nil
 	case strategy.PowerChange:
 		if !d.Increase {
@@ -157,13 +113,14 @@ func (r *Recoder) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 		// itself (section 4.2), so recoding it alone suffices — and only
 		// if its current color now conflicts.
 		id := d.Event.ID
-		forb := toca.Forbidden(r.net.Graph(), r.assign, id, nil)
-		cur := r.assign[id]
+		assign := r.colors.Assignment()
+		forb := toca.Forbidden(r.net.Graph(), assign, id, nil)
+		cur := assign[id]
 		if cur != toca.None && !forb.Has(cur) {
 			return r.outcome(nil), nil
 		}
 		c := forb.LowestFree()
-		r.setColor(id, c)
+		r.colors.Set(id, c)
 		return r.outcome(map[graph.NodeID]toca.Color{id: c}), nil
 	default:
 		return strategy.Outcome{}, fmt.Errorf("core: unknown event kind %v", d.Event.Kind)
@@ -186,17 +143,18 @@ func (r *Recoder) recodeLocal(n graph.NodeID, inOrBoth []graph.NodeID) map[graph
 	// members' colors are lifted out of the assignment for the duration
 	// of the walks: an excluded node then contributes None, which
 	// ColorSet.Add ignores. Same semantics, zero membership tests. The
-	// lift bypasses setColor deliberately — it is restored below before
+	// lift bypasses colors.Set deliberately — it is restored below before
 	// any accumulator-visible mutation.
+	assign := r.colors.Assignment()
 	old := make(map[graph.NodeID]toca.Color, len(v1))
 	for _, u := range v1 {
-		old[u] = r.assign[u]
-		delete(r.assign, u)
+		old[u] = assign[u]
+		delete(assign, u)
 	}
-	forb := toca.ForbiddenAll(r.net.Graph(), r.assign, v1)
+	forb := toca.ForbiddenAll(r.forb, r.net.Graph(), assign, v1)
 	for _, u := range v1 {
 		if c := old[u]; c != toca.None {
-			r.assign[u] = c
+			assign[u] = c
 		}
 	}
 
@@ -205,10 +163,10 @@ func (r *Recoder) recodeLocal(n graph.NodeID, inOrBoth []graph.NodeID) map[graph
 	recoded := make(map[graph.NodeID]toca.Color)
 	for _, u := range v1 {
 		c := newColors[u]
-		if r.assign[u] != c {
+		if assign[u] != c {
 			recoded[u] = c
 		}
-		r.setColor(u, c)
+		r.colors.Set(u, c)
 	}
 	return recoded
 }
@@ -309,7 +267,7 @@ func solveWeighted(s *matching.Scratch, v1 []graph.NodeID, old map[graph.NodeID]
 }
 
 func (r *Recoder) outcome(recoded map[graph.NodeID]toca.Color) strategy.Outcome {
-	return strategy.Outcome{Recoded: recoded, MaxColor: r.maxColor}
+	return strategy.Outcome{Recoded: recoded, MaxColor: r.colors.Max()}
 }
 
 // MinimalJoinBound returns the paper's Lemma 4.1.1 lower bound on the

@@ -65,7 +65,7 @@ func TestSetColorKeepsAccumulator(t *testing.T) {
 	r := hostOn(adhoc.New(), seed)
 	check := func(tag string) {
 		t.Helper()
-		if got, want := r.maxColor, r.assign.MaxColor(); got != want {
+		if got, want := r.colors.Max(), r.Assignment().MaxColor(); got != want {
 			t.Fatalf("%s: accumulator max %d, rescan %d", tag, got, want)
 		}
 	}
@@ -81,7 +81,7 @@ func TestSetColorKeepsAccumulator(t *testing.T) {
 	r.SetColor(2, toca.None)
 	r.SetColor(3, toca.None)
 	check("empty")
-	if r.maxColor != toca.None {
-		t.Fatalf("empty assignment accumulator max %d, want None", r.maxColor)
+	if r.colors.Max() != toca.None {
+		t.Fatalf("empty assignment accumulator max %d, want None", r.colors.Max())
 	}
 }

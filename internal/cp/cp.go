@@ -36,8 +36,10 @@ import (
 // Strategy is the CP baseline recoder. It reads an engine-owned network
 // and is driven through OnDelta; it never mutates the topology.
 type Strategy struct {
-	net    *adhoc.Network
-	assign toca.Assignment
+	net *adhoc.Network
+	// colors is the assignment with its incremental max-color count;
+	// every write goes through colors.Set.
+	colors *toca.Tally
 	// StrictMove selects the literal reading of [3]'s movement handling:
 	// the mover leaves (dropping its code) and rejoins as a fresh node,
 	// so its re-selection always counts as a recoding. The default
@@ -53,10 +55,7 @@ var _ engine.Subscriber = (*Strategy)(nil)
 // recoder is subscribed to) and adopting assign, used directly, not
 // copied; a nil assign starts empty.
 func New(net *adhoc.Network, assign toca.Assignment) *Strategy {
-	if assign == nil {
-		assign = make(toca.Assignment)
-	}
-	return &Strategy{net: net, assign: assign}
+	return &Strategy{net: net, colors: toca.NewTally(assign)}
 }
 
 // Name implements strategy.Strategy.
@@ -68,13 +67,13 @@ func (s *Strategy) Name() string {
 }
 
 // Assignment implements strategy.Strategy.
-func (s *Strategy) Assignment() toca.Assignment { return s.assign }
+func (s *Strategy) Assignment() toca.Assignment { return s.colors.Assignment() }
 
 // SetColor installs an externally computed color (toca.None removes the
 // entry). It is the write path the shard coordinator uses so hosted
 // strategies can keep internal accounting consistent with external
 // assignment mutations.
-func (s *Strategy) SetColor(id graph.NodeID, c toca.Color) { s.assign.Set(id, c) }
+func (s *Strategy) SetColor(id graph.NodeID, c toca.Color) { s.colors.Set(id, c) }
 
 // OnDelta implements engine.Subscriber: the CP recoding rules, operating
 // on an already-updated topology.
@@ -84,11 +83,11 @@ func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 	case strategy.Join:
 		// The joiner plus all duplicated-color in-neighbors re-select
 		// colors highest-identity-first.
-		recoded := s.reselect(append(duplicatedColorNodes(s.assign, d.Part.InOrBoth()), id))
+		recoded := s.reselect(append(duplicatedColorNodes(s.Assignment(), d.Part.InOrBoth()), id))
 		return s.outcome(recoded), nil
 	case strategy.Leave:
 		// Neighbors merely update constraint state; nobody recodes.
-		delete(s.assign, id)
+		s.colors.Set(id, toca.None)
 		return s.outcome(nil), nil
 	case strategy.Move:
 		// Movement is a leave-then-join pair (the CP formulation): the
@@ -99,9 +98,9 @@ func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 			// Literal leave+join: the mover's code is relinquished before
 			// the re-selection, so whatever it picks is a fresh
 			// assignment.
-			delete(s.assign, id)
+			s.colors.Set(id, toca.None)
 		}
-		recoded := s.reselect(append(duplicatedColorNodes(s.assign, d.Part.InOrBoth()), id))
+		recoded := s.reselect(append(duplicatedColorNodes(s.Assignment(), d.Part.InOrBoth()), id))
 		return s.outcome(recoded), nil
 	case strategy.PowerChange:
 		// Decreases recode nobody. For an increase by n, every node with
@@ -111,13 +110,14 @@ func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 		if !d.Increase {
 			return s.outcome(nil), nil
 		}
-		myColor := s.assign[id]
+		assign := s.Assignment()
+		myColor := assign[id]
 		var group []graph.NodeID
 		for u := range d.ConflictAfter {
 			if _, old := d.ConflictBefore[u]; old {
 				continue // constraint existed before the increase
 			}
-			if s.assign[u] == myColor && myColor != toca.None {
+			if assign[u] == myColor && myColor != toca.None {
 				group = append(group, u)
 			}
 		}
@@ -171,17 +171,18 @@ func (s *Strategy) reselect(group []graph.NodeID) map[graph.NodeID]toca.Color {
 	for _, u := range order {
 		undecided[u] = struct{}{}
 	}
+	assign := s.Assignment()
 	recoded := make(map[graph.NodeID]toca.Color)
 	for _, u := range order {
 		delete(undecided, u) // u now decides; its pick constrains later members
-		forbidden := toca.Forbidden(s.net.Graph(), s.assign, u, undecided)
-		old := s.assign[u]
+		forbidden := toca.Forbidden(s.net.Graph(), assign, u, undecided)
+		old := assign[u]
 		// The node's own stale entry must not forbid re-selecting itself;
 		// Forbidden only consults neighbors, so no correction is needed —
 		// but a neighbor that decided earlier is consulted through its
 		// already-updated assignment, which is exactly the CP rule.
 		c := forbidden.LowestFree()
-		s.assign[u] = c
+		s.colors.Set(u, c)
 		if c != old {
 			recoded[u] = c
 		}
@@ -190,5 +191,5 @@ func (s *Strategy) reselect(group []graph.NodeID) map[graph.NodeID]toca.Color {
 }
 
 func (s *Strategy) outcome(recoded map[graph.NodeID]toca.Color) strategy.Outcome {
-	return strategy.Outcome{Recoded: recoded, MaxColor: s.assign.MaxColor()}
+	return strategy.Outcome{Recoded: recoded, MaxColor: s.colors.Max()}
 }

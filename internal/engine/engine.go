@@ -112,6 +112,8 @@ type Engine struct {
 	net  *adhoc.Network
 	subs []Subscriber
 	log  []strategy.Event
+	// outs is Apply's result buffer, reused from event to event.
+	outs []strategy.Outcome
 	// recodeObs, when attached, times each subscriber's OnDelta —
 	// "recode microseconds by strategy" on the serve dashboards. nil
 	// (the default) costs the fanout nothing.
@@ -155,7 +157,9 @@ func (e *Engine) Seq() int { return len(e.log) }
 
 // Apply decodes one event against the shared network (once), appends it
 // to the log, and invokes every subscriber with the Delta. The returned
-// outcomes align with Subscribers(). On a topology error nothing is
+// outcomes align with Subscribers(); the slice is the engine's own and
+// stays valid only until the next Apply, so a caller that keeps
+// outcomes must copy them. On a topology error nothing is
 // logged and no subscriber runs; on a subscriber error the topology
 // change and log entry stand (the network stays consistent) and the
 // error is returned.
@@ -166,7 +170,11 @@ func (e *Engine) Apply(ev strategy.Event) ([]strategy.Outcome, error) {
 	}
 	d.Seq = len(e.log)
 	e.log = append(e.log, ev)
-	outs := make([]strategy.Outcome, len(e.subs))
+	if cap(e.outs) < len(e.subs) {
+		e.outs = make([]strategy.Outcome, len(e.subs))
+	}
+	outs := e.outs[:len(e.subs)]
+	clear(outs)
 	for i, s := range e.subs {
 		var t0 time.Time
 		timed := i < len(e.recodeObs) && e.recodeObs[i] != nil

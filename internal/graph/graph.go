@@ -4,77 +4,111 @@
 //
 // The structure supports incremental node and edge updates, queries over
 // in- and out-neighborhoods, and BFS hop distances, all of which the
-// recoding strategies and the distributed runtime need. Iteration-order
-// determinism is provided by sorted-slice accessors so that simulations
-// are bit-reproducible.
+// recoding strategies and the distributed runtime need. Each node keeps
+// its out- and in-neighbors as ascending slices, so every accessor,
+// ForEachOut and ForEachIn included, visits neighbors in ascending ID
+// order and simulations are bit-reproducible.
 package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node (mobile) in the network.
 type NodeID int
 
-// nodeSet is a set of node IDs.
-type nodeSet map[NodeID]struct{}
+// adjacency is one node's neighbor lists, each ascending and without
+// duplicates.
+type adjacency struct {
+	out, in []NodeID
+}
 
-func (s nodeSet) sorted() []NodeID {
-	out := make([]NodeID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
+// insertSorted adds id to the ascending slice s, reporting whether it
+// was absent.
+func insertSorted(s []NodeID, id NodeID) ([]NodeID, bool) {
+	i, found := slices.BinarySearch(s, id)
+	if found {
+		return s, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Insert(s, i, id), true
+}
+
+// removeSorted deletes id from the ascending slice s, reporting whether
+// it was present.
+func removeSorted(s []NodeID, id NodeID) ([]NodeID, bool) {
+	i, found := slices.BinarySearch(s, id)
+	if !found {
+		return s, false
+	}
+	return slices.Delete(s, i, i+1), true
+}
+
+// copyOf returns a fresh non-nil copy of s.
+func copyOf(s []NodeID) []NodeID {
+	return append(make([]NodeID, 0, len(s)), s...)
 }
 
 // Digraph is a mutable directed graph. The zero value is not usable;
 // construct with New.
 type Digraph struct {
-	out map[NodeID]nodeSet
-	in  map[NodeID]nodeSet
+	adj map[NodeID]*adjacency
 	m   int // edge count
 }
 
 // New returns an empty directed graph.
 func New() *Digraph {
-	return &Digraph{
-		out: make(map[NodeID]nodeSet),
-		in:  make(map[NodeID]nodeSet),
+	return &Digraph{adj: make(map[NodeID]*adjacency)}
+}
+
+// out returns id's out-neighbors (nil for a missing node). The slice is
+// the graph's own: callers must not keep or modify it.
+func (g *Digraph) out(id NodeID) []NodeID {
+	if a := g.adj[id]; a != nil {
+		return a.out
 	}
+	return nil
+}
+
+// in returns id's in-neighbors, under the same terms as out.
+func (g *Digraph) in(id NodeID) []NodeID {
+	if a := g.adj[id]; a != nil {
+		return a.in
+	}
+	return nil
 }
 
 // AddNode inserts an isolated node. Adding an existing node is a no-op.
 func (g *Digraph) AddNode(id NodeID) {
-	if _, ok := g.out[id]; ok {
+	if _, ok := g.adj[id]; ok {
 		return
 	}
-	g.out[id] = make(nodeSet)
-	g.in[id] = make(nodeSet)
+	g.adj[id] = &adjacency{}
 }
 
 // RemoveNode deletes a node and all incident edges. Removing a missing
 // node is a no-op.
 func (g *Digraph) RemoveNode(id NodeID) {
-	if _, ok := g.out[id]; !ok {
+	a, ok := g.adj[id]
+	if !ok {
 		return
 	}
-	for v := range g.out[id] {
-		delete(g.in[v], id)
+	for _, v := range a.out {
+		av := g.adj[v]
+		av.in, _ = removeSorted(av.in, id)
 		g.m--
 	}
-	for u := range g.in[id] {
-		delete(g.out[u], id)
+	for _, u := range a.in {
+		au := g.adj[u]
+		au.out, _ = removeSorted(au.out, id)
 		g.m--
 	}
-	delete(g.out, id)
-	delete(g.in, id)
+	delete(g.adj, id)
 }
 
 // HasNode reports whether id is present.
 func (g *Digraph) HasNode(id NodeID) bool {
-	_, ok := g.out[id]
+	_, ok := g.adj[id]
 	return ok
 }
 
@@ -85,85 +119,91 @@ func (g *Digraph) AddEdge(u, v NodeID) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop on node %d", u))
 	}
-	ou, ok := g.out[u]
+	au, ok := g.adj[u]
 	if !ok {
 		panic(fmt.Sprintf("graph: AddEdge tail %d not in graph", u))
 	}
-	if _, ok := g.out[v]; !ok {
+	av, ok := g.adj[v]
+	if !ok {
 		panic(fmt.Sprintf("graph: AddEdge head %d not in graph", v))
 	}
-	if _, dup := ou[v]; dup {
+	var added bool
+	if au.out, added = insertSorted(au.out, v); !added {
 		return
 	}
-	ou[v] = struct{}{}
-	g.in[v][u] = struct{}{}
+	av.in, _ = insertSorted(av.in, u)
 	g.m++
 }
 
 // RemoveEdge deletes the directed edge u -> v if present.
 func (g *Digraph) RemoveEdge(u, v NodeID) {
-	if ou, ok := g.out[u]; ok {
-		if _, present := ou[v]; present {
-			delete(ou, v)
-			delete(g.in[v], u)
-			g.m--
-		}
+	au, ok := g.adj[u]
+	if !ok {
+		return
 	}
+	var removed bool
+	if au.out, removed = removeSorted(au.out, v); !removed {
+		return
+	}
+	av := g.adj[v]
+	av.in, _ = removeSorted(av.in, u)
+	g.m--
 }
 
 // HasEdge reports whether the directed edge u -> v exists.
 func (g *Digraph) HasEdge(u, v NodeID) bool {
-	ou, ok := g.out[u]
-	if !ok {
-		return false
-	}
-	_, present := ou[v]
-	return present
+	_, found := slices.BinarySearch(g.out(u), v)
+	return found
 }
 
 // NumNodes returns the number of nodes.
-func (g *Digraph) NumNodes() int { return len(g.out) }
+func (g *Digraph) NumNodes() int { return len(g.adj) }
 
 // NumEdges returns the number of directed edges.
 func (g *Digraph) NumEdges() int { return g.m }
 
 // Nodes returns all node IDs in ascending order.
 func (g *Digraph) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(g.out))
-	for id := range g.out {
+	out := make([]NodeID, 0, len(g.adj))
+	for id := range g.adj {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// OutNeighbors returns the nodes v with an edge id -> v, ascending.
+// OutNeighbors returns a copy of the nodes v with an edge id -> v,
+// ascending. The caller owns the copy, so it may mutate the graph while
+// ranging over it.
 func (g *Digraph) OutNeighbors(id NodeID) []NodeID {
-	return g.out[id].sorted()
+	return copyOf(g.out(id))
 }
 
-// InNeighbors returns the nodes u with an edge u -> id, ascending.
+// InNeighbors returns a copy of the nodes u with an edge u -> id,
+// ascending, under the same terms as OutNeighbors.
 func (g *Digraph) InNeighbors(id NodeID) []NodeID {
-	return g.in[id].sorted()
+	return copyOf(g.in(id))
 }
 
 // OutDegree returns the number of out-edges of id.
-func (g *Digraph) OutDegree(id NodeID) int { return len(g.out[id]) }
+func (g *Digraph) OutDegree(id NodeID) int { return len(g.out(id)) }
 
 // InDegree returns the number of in-edges of id.
-func (g *Digraph) InDegree(id NodeID) int { return len(g.in[id]) }
+func (g *Digraph) InDegree(id NodeID) int { return len(g.in(id)) }
 
-// ForEachOut calls fn for every out-neighbor of id, in unspecified order.
-// It is the allocation-free companion of OutNeighbors for hot paths.
+// ForEachOut calls fn for every out-neighbor of id, in ascending order.
+// It is the allocation-free companion of OutNeighbors for hot paths; fn
+// must not mutate the graph.
 func (g *Digraph) ForEachOut(id NodeID, fn func(NodeID)) {
-	for v := range g.out[id] {
+	for _, v := range g.out(id) {
 		fn(v)
 	}
 }
 
-// ForEachIn calls fn for every in-neighbor of id, in unspecified order.
+// ForEachIn calls fn for every in-neighbor of id, in ascending order;
+// fn must not mutate the graph.
 func (g *Digraph) ForEachIn(id NodeID, fn func(NodeID)) {
-	for u := range g.in[id] {
+	for _, u := range g.in(id) {
 		fn(u)
 	}
 }
@@ -173,23 +213,18 @@ func (g *Digraph) ForEachIn(id NodeID, fn func(NodeID)) {
 func (g *Digraph) Edges() [][2]NodeID {
 	edges := make([][2]NodeID, 0, g.m)
 	for _, u := range g.Nodes() {
-		for _, v := range g.out[u].sorted() {
+		for _, v := range g.adj[u].out {
 			edges = append(edges, [2]NodeID{u, v})
 		}
 	}
 	return edges
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g; it shares no neighbor slice with g.
 func (g *Digraph) Clone() *Digraph {
-	c := New()
-	for id := range g.out {
-		c.AddNode(id)
-	}
-	for u, ou := range g.out {
-		for v := range ou {
-			c.AddEdge(u, v)
-		}
+	c := &Digraph{adj: make(map[NodeID]*adjacency, len(g.adj)), m: g.m}
+	for id, a := range g.adj {
+		c.adj[id] = &adjacency{out: slices.Clone(a.out), in: slices.Clone(a.in)}
 	}
 	return c
 }
@@ -198,14 +233,9 @@ func (g *Digraph) Clone() *Digraph {
 // direction, ascending and without duplicates. This is the "1-hop
 // neighborhood" used by the CP strategy's symmetric view.
 func (g *Digraph) UndirectedNeighbors(id NodeID) []NodeID {
-	seen := make(nodeSet, len(g.out[id])+len(g.in[id]))
-	for v := range g.out[id] {
-		seen[v] = struct{}{}
-	}
-	for u := range g.in[id] {
-		seen[u] = struct{}{}
-	}
-	return seen.sorted()
+	both := append(copyOf(g.out(id)), g.in(id)...)
+	slices.Sort(both)
+	return slices.Compact(both)
 }
 
 // HopDistances returns BFS hop counts from src over the *undirected*
@@ -229,12 +259,8 @@ func (g *Digraph) HopDistances(src NodeID) map[NodeID]int {
 				queue = append(queue, v)
 			}
 		}
-		for v := range g.out[u] {
-			visit(v)
-		}
-		for v := range g.in[u] {
-			visit(v)
-		}
+		g.ForEachOut(u, visit)
+		g.ForEachIn(u, visit)
 	}
 	return dist
 }
@@ -249,47 +275,51 @@ func (g *Digraph) WithinHops(src NodeID, k int) []NodeID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // MaxDegree returns the maximum of in- and out-degrees over all nodes
 // (the parameter k in the paper's complexity analysis).
 func (g *Digraph) MaxDegree() int {
-	max := 0
-	for id := range g.out {
-		if d := len(g.out[id]); d > max {
-			max = d
-		}
-		if d := len(g.in[id]); d > max {
-			max = d
-		}
+	best := 0
+	for _, a := range g.adj {
+		best = max(best, len(a.out), len(a.in))
 	}
-	return max
+	return best
 }
 
-// Validate checks internal consistency (in/out mirrors agree, edge count
-// matches). It returns an error describing the first inconsistency, or
-// nil. Intended for tests.
+// Validate checks internal consistency: neighbor lists strictly
+// ascending, no self-loops or dangling endpoints, in/out mirrors agree,
+// and the edge count matches. It returns an error describing the first
+// inconsistency, or nil. Intended for tests.
 func (g *Digraph) Validate() error {
 	count := 0
-	for u, ou := range g.out {
-		for v := range ou {
-			count++
-			if _, ok := g.in[v][u]; !ok {
-				return fmt.Errorf("graph: edge %d->%d missing from in-adjacency", u, v)
+	for u, a := range g.adj {
+		for dir, lst := range [2][]NodeID{a.out, a.in} {
+			for i, v := range lst {
+				if i > 0 && lst[i-1] >= v {
+					return fmt.Errorf("graph: neighbor list of %d not strictly ascending at %d", u, v)
+				}
+				if v == u {
+					return fmt.Errorf("graph: self-loop on node %d", u)
+				}
+				if _, ok := g.adj[v]; !ok {
+					return fmt.Errorf("graph: node %d lists missing neighbor %d", u, v)
+				}
+				if dir == 0 {
+					count++
+					if _, ok := slices.BinarySearch(g.adj[v].in, u); !ok {
+						return fmt.Errorf("graph: edge %d->%d missing from in-adjacency", u, v)
+					}
+				} else if _, ok := slices.BinarySearch(g.adj[v].out, u); !ok {
+					return fmt.Errorf("graph: edge %d->%d missing from out-adjacency", v, u)
+				}
 			}
 		}
 	}
 	if count != g.m {
 		return fmt.Errorf("graph: edge count %d != recorded %d", count, g.m)
-	}
-	for v, iv := range g.in {
-		for u := range iv {
-			if _, ok := g.out[u][v]; !ok {
-				return fmt.Errorf("graph: edge %d->%d missing from out-adjacency", u, v)
-			}
-		}
 	}
 	return nil
 }

@@ -230,15 +230,15 @@ func TestForEachCallbacks(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 1)
-	outs := map[NodeID]bool{}
-	g.ForEachOut(1, func(v NodeID) { outs[v] = true })
-	if len(outs) != 2 || !outs[2] || !outs[3] {
-		t.Fatalf("ForEachOut = %v", outs)
+	g.AddEdge(3, 1)
+	var outs, ins []NodeID
+	g.ForEachOut(1, func(v NodeID) { outs = append(outs, v) })
+	if !reflect.DeepEqual(outs, []NodeID{2, 3}) {
+		t.Fatalf("ForEachOut = %v, want ascending [2 3]", outs)
 	}
-	ins := map[NodeID]bool{}
-	g.ForEachIn(1, func(v NodeID) { ins[v] = true })
-	if len(ins) != 1 || !ins[2] {
-		t.Fatalf("ForEachIn = %v", ins)
+	g.ForEachIn(1, func(v NodeID) { ins = append(ins, v) })
+	if !reflect.DeepEqual(ins, []NodeID{2, 3}) {
+		t.Fatalf("ForEachIn = %v, want ascending [2 3]", ins)
 	}
 }
 

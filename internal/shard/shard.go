@@ -58,6 +58,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/adhoc"
@@ -161,7 +162,8 @@ func (l *lane) exec(ev strategy.Event) {
 		l.metrics[i].Record(ev.Kind, outs[i])
 	}
 	if l.buffer {
-		l.outcomes = append(l.outcomes, laneOutcome{kind: ev.Kind, id: ev.ID, outs: outs})
+		// Apply reuses its result slice: keep a copy.
+		l.outcomes = append(l.outcomes, laneOutcome{kind: ev.Kind, id: ev.ID, outs: slices.Clone(outs)})
 	}
 }
 

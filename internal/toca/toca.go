@@ -390,6 +390,36 @@ func Forbidden(g *graph.Digraph, a Assignment, u graph.NodeID, exclude map[graph
 	return set
 }
 
+// ForbiddenScratch is ForbiddenAll's reusable working memory: the
+// receiver and member maps and a pool of color sets, kept across calls
+// so a warm constraint walk allocates nothing. One scratch serves one
+// caller at a time.
+type ForbiddenScratch struct {
+	recv map[graph.NodeID]ColorSet // receiver -> in-neighbor colors
+	out  map[graph.NodeID]ColorSet // member -> forbidden colors
+	pool []ColorSet
+	used int // pool[:used] are handed out in the current call
+}
+
+// NewForbiddenScratch returns an empty scratch for ForbiddenAll.
+func NewForbiddenScratch() *ForbiddenScratch {
+	return &ForbiddenScratch{
+		recv: make(map[graph.NodeID]ColorSet),
+		out:  make(map[graph.NodeID]ColorSet),
+	}
+}
+
+// set hands out the next pooled color set, emptied.
+func (s *ForbiddenScratch) set() ColorSet {
+	if s.used == len(s.pool) {
+		s.pool = append(s.pool, NewColorSet())
+	}
+	cs := s.pool[s.used]
+	s.used++
+	cs.Clear()
+	return cs
+}
+
 // ForbiddenAll computes Forbidden for every member of v1 in one pass.
 // Callers must first lift the members' colors out of the assignment
 // (every u in v1 unassigned in a), which is how the recoding uses it:
@@ -401,23 +431,27 @@ func Forbidden(g *graph.Digraph, a Assignment, u graph.NodeID, exclude map[graph
 // transmits to w with a word-wise union, instead of being re-walked per
 // member (the k² half of the per-event constraint cost; members of a
 // join neighborhood share most of their receivers).
-func ForbiddenAll(g *graph.Digraph, a Assignment, v1 []graph.NodeID) map[graph.NodeID]ColorSet {
-	recv := make(map[graph.NodeID]ColorSet) // receiver -> in-neighbor colors
-	out := make(map[graph.NodeID]ColorSet, len(v1))
+//
+// The returned map and its sets live in s: they stay valid until the
+// next ForbiddenAll call on s, which reuses them.
+func ForbiddenAll(s *ForbiddenScratch, g *graph.Digraph, a Assignment, v1 []graph.NodeID) map[graph.NodeID]ColorSet {
+	clear(s.recv)
+	clear(s.out)
+	s.used = 0
 	for _, u := range v1 {
-		set := NewColorSet()
+		set := s.set()
 		g.ForEachOut(u, func(v graph.NodeID) {
 			set.Add(a[v]) // CA1 on u->v
-			rs, ok := recv[v]
+			rs, ok := s.recv[v]
 			if !ok {
-				rs = NewColorSet()
+				rs = s.set()
 				g.ForEachIn(v, func(x graph.NodeID) { rs.Add(a[x]) })
-				recv[v] = rs
+				s.recv[v] = rs
 			}
 			set.UnionWith(rs) // CA2 at v (u's own lifted color adds None)
 		})
 		g.ForEachIn(u, func(v graph.NodeID) { set.Add(a[v]) }) // CA1 on v->u
-		out[u] = set
+		s.out[u] = set
 	}
-	return out
+	return s.out
 }

@@ -204,9 +204,12 @@ func TestForbidden(t *testing.T) {
 // TestForbiddenAllDifferential: on random graphs, the shared-receiver
 // one-pass construction produces EXACTLY the per-member Forbidden sets
 // computed the slow way with an exclude map — the recoder swaps one for
-// the other, and its outcomes must stay bit-identical.
+// the other, and its outcomes must stay bit-identical. One scratch
+// serves all trials, as one recoder's does across events, so state left
+// over from an earlier call fails the comparison.
 func TestForbiddenAllDifferential(t *testing.T) {
 	rng := xrand.New(23)
+	scratch := NewForbiddenScratch()
 	for trial := 0; trial < 200; trial++ {
 		g := randomDigraph(rng.Uint64(), 2+rng.Intn(14), rng.Intn(60))
 		nodes := g.Nodes()
@@ -229,7 +232,10 @@ func TestForbiddenAllDifferential(t *testing.T) {
 		for _, u := range v1 {
 			delete(lifted, u)
 		}
-		all := ForbiddenAll(g, lifted, v1)
+		all := ForbiddenAll(scratch, g, lifted, v1)
+		if len(all) != len(v1) {
+			t.Fatalf("trial %d: ForbiddenAll returned %d sets for %d members", trial, len(all), len(v1))
+		}
 		for _, u := range v1 {
 			want := Forbidden(g, a, u, excl)
 			got := all[u]
