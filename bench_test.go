@@ -23,7 +23,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gossip"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/radio"
 	shardpkg "repro/internal/shard"
 	"repro/internal/sim"
@@ -464,47 +463,6 @@ func BenchmarkAblationCPMove(b *testing.B) {
 			}
 			b.ReportMetric(float64(delta), "delta_recodings")
 		})
-	}
-}
-
-// ---- Ablation A4: dense Hungarian vs sparse SSP matcher ----
-
-// joinSizedInstance builds a matching instance shaped like a recoding
-// join: k left vertices, ~maxColor right vertices, one weight-3 edge per
-// left vertex, the rest weight 1.
-func joinSizedInstance(rng *xrand.RNG, k, colors int) (int, int, []matching.Edge) {
-	var edges []matching.Edge
-	for l := 0; l < k; l++ {
-		oldColor := rng.Intn(colors)
-		for r := 0; r < colors; r++ {
-			if rng.Float64() < 0.2 {
-				continue // forbidden
-			}
-			w := int64(1)
-			if r == oldColor {
-				w = 3
-			}
-			edges = append(edges, matching.Edge{L: l, R: r, W: w})
-		}
-	}
-	return k, colors, edges
-}
-
-func BenchmarkMatcherHungarian(b *testing.B) {
-	rng := xrand.New(31)
-	nL, nR, edges := joinSizedInstance(rng, 12, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		matching.MaxWeight(nL, nR, edges)
-	}
-}
-
-func BenchmarkMatcherSSP(b *testing.B) {
-	rng := xrand.New(31)
-	nL, nR, edges := joinSizedInstance(rng, 12, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		matching.MaxWeightSSP(nL, nR, edges)
 	}
 }
 

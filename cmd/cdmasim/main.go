@@ -15,6 +15,12 @@
 // script depends only on the workload flags, never on -shards, so runs
 // at different shard counts are directly comparable.
 //
+// An event is interior only when the ball of radius 3·Rmax around it
+// fits inside its region, so the interior lane needs regions wider
+// than 6·Rmax. At the default -arena 100 (Rmax 30.5) -shards 4 sends
+// every event to the border lane, and the run is serial plus barrier
+// overhead; an arena like -arena 1000 exercises both lanes.
+//
 // Usage:
 //
 //	cdmasim [-strategy Minim|CP|BBB] [-n 100] [-minr 20.5] [-maxr 30.5]

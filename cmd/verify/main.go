@@ -8,6 +8,9 @@
 //     decreases recode zero (I4);
 //   - distributed Minim/CP join protocols agree with the sequential
 //     algorithms on random joins (I8);
+//   - a sharded Minim run (the paper's Thm 4.1.10 locality certificate,
+//     internal/shard) equals a sequential run on the spatial-index
+//     network, with both its interior and its border lane exercised;
 //   - gossip compaction preserves validity and never raises the max
 //     color (I9).
 //
@@ -20,13 +23,13 @@ import (
 	"os"
 
 	"repro/internal/adhoc"
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
@@ -42,6 +45,7 @@ func main() {
 	flag.Parse()
 
 	master := xrand.New(*seed)
+	var lanes shard.Stats
 	for it := 0; it < *iters; it++ {
 		if err := scenario(master.Split(), *events); err != nil {
 			fmt.Fprintf(os.Stderr, "verify: scenario %d FAILED: %v\n", it, err)
@@ -51,22 +55,36 @@ func main() {
 			fmt.Fprintf(os.Stderr, "verify: dist scenario %d FAILED: %v\n", it, err)
 			os.Exit(1)
 		}
-		if err := batchScenario(master.Split()); err != nil {
-			fmt.Fprintf(os.Stderr, "verify: batch scenario %d FAILED: %v\n", it, err)
+		st, err := shardScenario(master.Split())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "verify: shard scenario %d FAILED: %v\n", it, err)
 			os.Exit(1)
 		}
+		lanes.Interior += st.Interior
+		lanes.Border += st.Border
 	}
-	fmt.Printf("verify: %d scenarios x %d events on 3 strategies + %d distributed joins + %d parallel batches: all invariants hold\n",
-		*iters, *events, *iters, *iters)
+	// Both lanes must have carried events, or the sharded check proved
+	// nothing about one of them.
+	if *iters > 0 && (lanes.Interior == 0 || lanes.Border == 0) {
+		fmt.Fprintf(os.Stderr, "verify: sharded runs used %d interior and %d border events; both lanes must be exercised\n",
+			lanes.Interior, lanes.Border)
+		os.Exit(1)
+	}
+	fmt.Printf("verify: %d scenarios x %d events on 3 strategies + %d distributed joins + %d sharded runs (%d interior / %d border events): all invariants hold\n",
+		*iters, *events, *iters, *iters, lanes.Interior, lanes.Border)
 }
 
-// batchScenario checks three engine-level equivalences on one random
+// shardScenario checks three engine-level equivalences on one random
 // join workload: the spatial-index backend matches the naive scans, the
-// parallel batch scheduler matches sequential execution, and the
-// incremental violation checker tracks the full verifier.
-func batchScenario(rng *xrand.RNG) error {
-	n := 20 + rng.Intn(60)
-	arena := 400.0
+// sharded runtime matches sequential execution, and the incremental
+// violation checker tracks the full verifier. It returns the sharded
+// run's routing stats.
+func shardScenario(rng *xrand.RNG) (shard.Stats, error) {
+	// The arena is large enough for the 3·Rmax certificate ball (Rmax
+	// 30.5) to fit inside a 500 m region, so events take both lanes;
+	// the node count keeps the old 400 m arena's density.
+	const arena = 1000.0
+	n := 125 + rng.Intn(375)
 	var events []strategy.Event
 	for i := 0; i < n; i++ {
 		events = append(events, strategy.JoinEvent(graph.NodeID(i), adhoc.Config{
@@ -75,47 +93,60 @@ func batchScenario(rng *xrand.RNG) error {
 		}))
 	}
 
-	// Sequential on an indexed network vs batched-parallel on a naive
-	// one: both must produce the identical assignment.
+	// Sequential on an indexed network vs sharded on naive ones: both
+	// must produce the identical assignment.
 	seqEng := engine.Adopt(adhoc.NewIndexed(30.5))
 	seq := core.New(seqEng.Network(), nil)
 	seqEng.Subscribe(seq)
 	if err := seqEng.ApplyAll(events); err != nil {
-		return err
+		return shard.Stats{}, err
 	}
-	parEng := engine.New()
-	par := core.New(parEng.Network(), nil)
-	parEng.Subscribe(par)
-	if _, err := batch.Apply(parEng, par, events, 8); err != nil {
-		return err
+	c, err := shard.New(shard.Config{GridX: 2, GridY: 2, ArenaW: arena, ArenaH: arena}, []sim.StrategyName{sim.Minim})
+	if err != nil {
+		return shard.Stats{}, err
 	}
-	want, got := seq.Assignment(), par.Assignment()
+	defer c.Close()
+	if err := c.Apply(events); err != nil {
+		return shard.Stats{}, err
+	}
+	got, _, err := c.AssignmentOf(sim.Minim)
+	if err != nil {
+		return shard.Stats{}, err
+	}
+	want := seq.Assignment()
 	if len(want) != len(got) {
-		return fmt.Errorf("batch: %d colors vs %d", len(got), len(want))
+		return shard.Stats{}, fmt.Errorf("shard: %d colors vs %d", len(got), len(want))
 	}
-	for id, c := range want {
-		if got[id] != c {
-			return fmt.Errorf("batch: node %d: parallel %d, sequential-indexed %d", id, got[id], c)
+	for id, col := range want {
+		if got[id] != col {
+			return shard.Stats{}, fmt.Errorf("shard: node %d: sharded %d, sequential-indexed %d", id, got[id], col)
 		}
 	}
 	if err := seqEng.Network().CheckConsistency(); err != nil {
-		return fmt.Errorf("indexed network: %w", err)
+		return shard.Stats{}, fmt.Errorf("indexed network: %w", err)
+	}
+	if err := c.CheckConsistency(); err != nil {
+		return shard.Stats{}, err
+	}
+	net, err := c.Network()
+	if err != nil {
+		return shard.Stats{}, err
 	}
 
 	// Incremental checker vs full verifier under random recoloring.
-	g := parEng.Network().Graph()
-	assign := par.Assignment().Clone()
+	g := net.Graph()
+	assign := got.Clone()
 	checker := toca.NewChecker(g, assign)
 	nodes := g.Nodes()
 	for step := 0; step < 100; step++ {
 		u := nodes[rng.Intn(len(nodes))]
 		checker.Recolor(u, toca.Color(rng.Intn(8)))
 		if checker.Violations() != len(toca.Verify(g, assign)) {
-			return fmt.Errorf("checker: incremental %d != full %d at step %d",
+			return shard.Stats{}, fmt.Errorf("checker: incremental %d != full %d at step %d",
 				checker.Violations(), len(toca.Verify(g, assign)), step)
 		}
 	}
-	return nil
+	return c.Stats(), nil
 }
 
 // scenario drives one mixed event stream through all strategies on one

@@ -1,10 +1,10 @@
 // Package coloring implements the graph-coloring heuristics the paper's
-// centralized baseline rests on: sequential greedy coloring over a given
-// vertex order, the DSATUR heuristic of Brelaz [9], and smallest-last
-// ordering. Colors are the positive integers of package toca. DSATUR and
-// RLF read any Graph — an Adjacency, or the conflict-graph view of an
-// adhoc.Network, which the BBB baseline colors in place; the ordering
-// helpers take an Adjacency.
+// centralized baseline rests on: the DSATUR heuristic of Brelaz [9],
+// which BBB runs, and Recursive Largest First, its ablation alternative.
+// Colors are the positive integers of package toca. Both read any Graph
+// — an Adjacency, or the conflict-graph view of an adhoc.Network, which
+// the BBB baseline colors in place. The sequential greedy colorer and
+// its vertex orderings live in the tests, as baselines.
 package coloring
 
 import (
@@ -58,76 +58,6 @@ func positions(ids []graph.NodeID) map[graph.NodeID]int {
 	return at
 }
 
-// Greedy colors vertices in the given order, assigning each the lowest
-// positive color unused by its already-colored neighbors. Vertices absent
-// from order are left uncolored.
-func Greedy(adj Adjacency, order []graph.NodeID) toca.Assignment {
-	a := make(toca.Assignment, len(adj))
-	used := toca.NewColorSet()
-	for _, u := range order {
-		used.Clear()
-		for _, v := range adj[u] {
-			used.Add(a[v])
-		}
-		a[u] = used.LowestFree()
-	}
-	return a
-}
-
-// IdentityOrder returns the vertices in ascending ID order.
-func IdentityOrder(adj Adjacency) []graph.NodeID { return adj.Nodes() }
-
-// LargestFirstOrder returns vertices by decreasing degree (Welsh-Powell),
-// ties broken by ascending ID.
-func LargestFirstOrder(adj Adjacency) []graph.NodeID {
-	order := adj.Nodes()
-	sort.SliceStable(order, func(i, j int) bool {
-		di, dj := len(adj[order[i]]), len(adj[order[j]])
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
-	return order
-}
-
-// SmallestLastOrder returns the smallest-last ordering: repeatedly remove
-// a minimum-degree vertex; the removal sequence reversed is the coloring
-// order. Greedy coloring over this order uses at most degeneracy+1
-// colors.
-func SmallestLastOrder(adj Adjacency) []graph.NodeID {
-	n := len(adj)
-	deg := make(map[graph.NodeID]int, n)
-	removed := make(map[graph.NodeID]bool, n)
-	for id, nbrs := range adj {
-		deg[id] = len(nbrs)
-	}
-	ids := adj.Nodes()
-	order := make([]graph.NodeID, n)
-	for i := n - 1; i >= 0; i-- {
-		// Pick the minimum-degree unremoved vertex, lowest ID on ties.
-		var pick graph.NodeID
-		best := -1
-		for _, id := range ids {
-			if removed[id] {
-				continue
-			}
-			if best == -1 || deg[id] < best || (deg[id] == best && id < pick) {
-				best = deg[id]
-				pick = id
-			}
-		}
-		removed[pick] = true
-		order[i] = pick
-		for _, v := range adj[pick] {
-			if !removed[v] {
-				deg[v]--
-			}
-		}
-	}
-	return order
-}
-
 // DSATUR colors the graph with the Brelaz heuristic: repeatedly color the
 // uncolored vertex of maximum saturation (number of distinct neighbor
 // colors), breaking ties by higher degree then lower ID, with the lowest
@@ -165,32 +95,4 @@ func DSATUR(g Graph) toca.Assignment {
 		})
 	}
 	return a
-}
-
-// Proper reports whether a is a proper coloring of adj: every colored
-// vertex differs from all of its colored neighbors, and every vertex of
-// adj is colored.
-func Proper(adj Adjacency, a toca.Assignment) bool {
-	for u, nbrs := range adj {
-		if a[u] == toca.None {
-			return false
-		}
-		for _, v := range nbrs {
-			if a[u] == a[v] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CountColors returns the number of distinct colors used by a.
-func CountColors(a toca.Assignment) int {
-	seen := make(map[toca.Color]struct{})
-	for _, c := range a {
-		if c != toca.None {
-			seen[c] = struct{}{}
-		}
-	}
-	return len(seen)
 }

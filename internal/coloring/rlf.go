@@ -1,8 +1,6 @@
 package coloring
 
 import (
-	"sort"
-
 	"repro/internal/graph"
 	"repro/internal/toca"
 )
@@ -89,23 +87,4 @@ func RLF(g Graph) toca.Assignment {
 		}
 	}
 	return a
-}
-
-// OrderByColorClassSize returns the vertices sorted so that greedy
-// recoloring visits large color classes of a first — a utility for
-// recolor-stability experiments.
-func OrderByColorClassSize(a toca.Assignment) []graph.NodeID {
-	counts := a.ColorCounts()
-	ids := make([]graph.NodeID, 0, len(a))
-	for id := range a {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		ci, cj := counts[a[ids[i]]], counts[a[ids[j]]]
-		if ci != cj {
-			return ci > cj
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
 }

@@ -50,8 +50,8 @@ type Recoder struct {
 	net *adhoc.Network
 	// colors is the assignment with its incremental max-color count, so
 	// outcome() reads the maximum in O(1). Every write goes through
-	// colors.Set; external writers (the shard coordinator's writeback,
-	// the batch scheduler's wave commit) use SetColor, never the raw map.
+	// colors.Set; the external writer (the shard coordinator's fold and
+	// writeback) uses SetColor, never the raw map.
 	colors *toca.Tally
 	// scratch and forb are the matching solver's and the constraint
 	// walk's reusable working memory: one recoder recodes sequentially,
@@ -80,8 +80,7 @@ func (r *Recoder) Name() string { return "Minim" }
 func (r *Recoder) Assignment() toca.Assignment { return r.colors.Assignment() }
 
 // SetColor installs a color computed outside the recoder (the shard
-// coordinator's writeback, the batch scheduler's wave commits);
-// toca.None removes the entry. It keeps the max-color accumulator in
+// coordinator's fold and writeback); toca.None removes the entry. It keeps the max-color accumulator in
 // sync with the mutation.
 func (r *Recoder) SetColor(id graph.NodeID, c toca.Color) { r.colors.Set(id, c) }
 

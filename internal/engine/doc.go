@@ -45,8 +45,8 @@
 // grid, executing on worker goroutines, plus a global mirror engine
 // kept current for every event. The routing rule is geometric: an event
 // at position p reads colors only within 3*Rmax of p and recolors only
-// within Rmax (Rmax the monotone maximum range — the batch.Plan
-// independence certificate restated for borders), so an event whose
+// within Rmax (Rmax the monotone maximum range; the shard package doc
+// derives this form of the paper's Thm 4.1.10), so an event whose
 // 3*Rmax ball lies inside its region runs concurrently on that region's
 // shard, while an event whose ball crosses a region border is escalated
 // to the serialized border lane: all shard workers drain (barrier),
@@ -54,17 +54,18 @@
 // and the event executes on the mirror with writebacks to the owning
 // shards. Each shard engine's append-only log plus the mirror's
 // total-order log make the whole run deterministically replayable
-// (shard.Replay), and sharded results are bit-identical to a
+// (internal/shard's tests rebuild runs from the mirror log), and
+// sharded results are bit-identical to a
 // single-engine run — the differential tests in internal/shard assert
 // identical digraphs, assignments, and metrics at every phase boundary.
 // Centralized strategies (BBB recolors the whole conflict graph) run on
 // a dedicated full-replica lane fed every event in order.
 //
-// CommitPrepared and CommitTopology are the engine-side seams the
-// coordinator uses: the former applies and logs an event returning its
-// Delta without subscriber fanout (batch waves, border writebacks), the
-// latter skips the Delta captures entirely (mirror updates for interior
-// events, whose recoding happens on the owning shard).
+// CommitTopology is the engine-side seam the coordinator uses: it
+// applies and logs an event without the Delta captures or subscriber
+// fanout (mirror updates for interior events, whose recoding happens on
+// the owning shard, and topology writebacks to the shards after a
+// border event).
 //
 // # Open follow-ons
 //

@@ -203,30 +203,13 @@ func (e *Engine) ApplyAll(events []strategy.Event) error {
 	return nil
 }
 
-// CommitPrepared applies an event's topology change and log entry
-// WITHOUT fanning it out to subscribers. It exists for the parallel
-// batch scheduler, which precomputes recodings against the pre-wave
-// state and installs them itself; using it with subscribers that were
-// not part of that computation desynchronizes them, so it errors unless
-// the caller acknowledges every subscriber via allowSubs.
-func (e *Engine) CommitPrepared(ev strategy.Event, allowSubs int) (Delta, error) {
-	if len(e.subs) > allowSubs {
-		return Delta{}, fmt.Errorf("engine: CommitPrepared with %d unacknowledged subscribers", len(e.subs)-allowSubs)
-	}
-	d, err := Step(e.net, ev)
-	if err != nil {
-		return d, err
-	}
-	d.Seq = len(e.log)
-	e.log = append(e.log, ev)
-	return d, nil
-}
-
 // CommitTopology applies an event's topology change and log entry
 // without computing the Delta's pre- and post-state captures (partition,
 // conflict neighborhoods) — the cheap path for a mirror replica whose
-// recoding happens elsewhere (the shard coordinator's interior events).
-// It has the same subscriber-acknowledgment contract as CommitPrepared.
+// recoding happens elsewhere (the shard coordinator's interior events
+// and border writebacks). Skipping the fanout desynchronizes any
+// subscriber that did not take part in that recoding, so it errors
+// unless the caller acknowledges every subscriber via allowSubs.
 func (e *Engine) CommitTopology(ev strategy.Event, allowSubs int) error {
 	if len(e.subs) > allowSubs {
 		return fmt.Errorf("engine: CommitTopology with %d unacknowledged subscribers", len(e.subs)-allowSubs)
@@ -249,21 +232,4 @@ func (e *Engine) CommitTopology(ev strategy.Event, allowSubs int) error {
 	}
 	e.log = append(e.log, ev)
 	return nil
-}
-
-// Replay reconstructs a run from an event log: it builds a fresh engine,
-// asks mk for the subscribers to host on its network (mk may be nil for
-// a topology-only replay), and applies every event. This is the
-// event-sourcing contract: an engine is fully determined by its log.
-func Replay(log []strategy.Event, mk func(net *adhoc.Network) []Subscriber) (*Engine, error) {
-	e := New()
-	if mk != nil {
-		for _, s := range mk(e.net) {
-			e.Subscribe(s)
-		}
-	}
-	if err := e.ApplyAll(log); err != nil {
-		return nil, err
-	}
-	return e, nil
 }

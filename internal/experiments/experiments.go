@@ -40,11 +40,6 @@ type Config struct {
 	Validate bool   // re-verify CA1/CA2 after every event (slow)
 }
 
-// DefaultConfig returns the paper's run count with a fixed master seed.
-func DefaultConfig() Config {
-	return Config{Runs: 100, Seed: 20010113}
-}
-
 // workers resolves the worker-pool size.
 func (c Config) workers() int {
 	if c.Workers > 0 {

@@ -304,13 +304,3 @@ func TestRender(t *testing.T) {
 		t.Fatalf("render too short (%d lines):\n%s", lines, out)
 	}
 }
-
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Runs != 100 {
-		t.Fatalf("default runs = %d, want the paper's 100", cfg.Runs)
-	}
-	if cfg.workers() < 1 {
-		t.Fatal("workers")
-	}
-}

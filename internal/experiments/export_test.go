@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -111,4 +115,54 @@ func TestCSVRealFigure(t *testing.T) {
 	if len(got.Series[0].X) != len(fig.Series[0].X) {
 		t.Fatalf("points %d != %d", len(got.Series[0].X), len(fig.Series[0].X))
 	}
+}
+
+// ReadCSV parses a figure previously written by WriteCSV. Only the
+// series data is recovered (labels, X, Y, Err); figure metadata is not
+// stored in the CSV.
+func ReadCSV(r io.Reader) (Figure, error) {
+	cr := csv.NewReader(r)
+	records, err := cr.ReadAll()
+	if err != nil {
+		return Figure{}, err
+	}
+	if len(records) == 0 {
+		return Figure{}, fmt.Errorf("experiments: empty CSV")
+	}
+	header := records[0]
+	if len(header) < 3 || header[0] != "x" || (len(header)-1)%2 != 0 {
+		return Figure{}, fmt.Errorf("experiments: malformed CSV header %v", header)
+	}
+	nSeries := (len(header) - 1) / 2
+	fig := Figure{}
+	for s := 0; s < nSeries; s++ {
+		label := header[1+2*s]
+		if header[2+2*s] != label+"_ci95" {
+			return Figure{}, fmt.Errorf("experiments: malformed CI column for %q", label)
+		}
+		fig.Series = append(fig.Series, Series{Label: label})
+	}
+	for ri, row := range records[1:] {
+		if len(row) != len(header) {
+			return Figure{}, fmt.Errorf("experiments: row %d has %d fields, want %d", ri+1, len(row), len(header))
+		}
+		x, err := strconv.ParseFloat(row[0], 64)
+		if err != nil {
+			return Figure{}, fmt.Errorf("experiments: row %d x: %w", ri+1, err)
+		}
+		for s := 0; s < nSeries; s++ {
+			y, err := strconv.ParseFloat(row[1+2*s], 64)
+			if err != nil {
+				return Figure{}, fmt.Errorf("experiments: row %d series %d: %w", ri+1, s, err)
+			}
+			ci, err := strconv.ParseFloat(row[2+2*s], 64)
+			if err != nil {
+				return Figure{}, fmt.Errorf("experiments: row %d series %d ci: %w", ri+1, s, err)
+			}
+			fig.Series[s].X = append(fig.Series[s].X, x)
+			fig.Series[s].Y = append(fig.Series[s].Y, y)
+			fig.Series[s].Err = append(fig.Series[s].Err, ci)
+		}
+	}
+	return fig, nil
 }

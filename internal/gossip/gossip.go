@@ -96,25 +96,3 @@ func Quiescent(net *adhoc.Network, assign toca.Assignment) bool {
 	}
 	return true
 }
-
-// Potential returns the sum of all assigned colors — the decreasing
-// measure that proves termination. Exposed for tests.
-func Potential(assign toca.Assignment) int {
-	sum := 0
-	for _, c := range assign {
-		sum += int(c)
-	}
-	return sum
-}
-
-// NodesAboveColor counts nodes holding a color greater than k — a
-// code-reuse metric (how much of the high code space is occupied).
-func NodesAboveColor(assign toca.Assignment, k toca.Color) int {
-	n := 0
-	for _, c := range assign {
-		if c > k {
-			n++
-		}
-	}
-	return n
-}

@@ -2,15 +2,10 @@
 //
 // The paper's RecodeOnJoin/RecodeOnMove treat maximum-weight bipartite
 // matching as a black box ([14] Galil's survey); this package supplies
-// the box. Three exact algorithms are included:
-//
-//   - MaxWeight: Hungarian algorithm (Jonker-Volgenant potentials) on a
-//     dense padded matrix, O(n^2 m). The production path.
-//   - MaxWeightSSP: successive shortest augmenting paths over the sparse
-//     edge list (SPFA with negative reduced costs). A second exact
-//     implementation used to cross-check the first and for ablation.
-//   - HopcroftKarp: maximum-cardinality matching, O(E sqrt(V)), used by
-//     the weight-ablation benchmarks and as a utility.
+// the box: MaxWeight, the Hungarian algorithm (Jonker-Volgenant
+// potentials) on a dense padded matrix, O(n^2 m), and Scratch, the same
+// solver over reusable memory. The tests cross-check both against an
+// independent successive-shortest-paths solver and a brute force.
 //
 // Weights must be non-negative. "Maximum weight" means maximum total
 // weight over all matchings of any cardinality; since all real edges in
@@ -183,203 +178,6 @@ func solveAssignment(cost [][]int64) []int {
 		}
 	}
 	return assign
-}
-
-// MaxWeightSSP returns a maximum-weight matching by successive shortest
-// augmenting paths over the sparse edge list (min-cost flow with unit
-// capacities and SPFA for negative reduced costs). Exact; used to
-// cross-check MaxWeight and in the matcher ablation bench.
-func MaxWeightSSP(nLeft, nRight int, edges []Edge) Result {
-	validate(nLeft, nRight, edges)
-	res := Result{
-		MatchL: filled(nLeft, -1),
-		MatchR: filled(nRight, -1),
-	}
-	if nLeft == 0 || nRight == 0 || len(edges) == 0 {
-		return res
-	}
-
-	// Deduplicate parallel edges keeping the heaviest.
-	best := make(map[[2]int]int64, len(edges))
-	for _, e := range edges {
-		key := [2]int{e.L, e.R}
-		if w, ok := best[key]; !ok || e.W > w {
-			best[key] = e.W
-		}
-	}
-	adj := make([][]Edge, nLeft)
-	for key, w := range best {
-		adj[key[0]] = append(adj[key[0]], Edge{L: key[0], R: key[1], W: w})
-	}
-
-	// Repeatedly find the most profitable augmenting path (max total
-	// weight gain) via SPFA over the residual graph; stop when no path
-	// has positive gain.
-	for {
-		gain, path := bestAugmentingPath(nLeft, nRight, adj, res.MatchL, res.MatchR)
-		if gain <= 0 {
-			return res
-		}
-		// path alternates L,R,L,R,...: flip matched status along it.
-		for i := 0; i+1 < len(path); i += 2 {
-			l, r := path[i], path[i+1]
-			res.MatchL[l] = r
-			res.MatchR[r] = l
-		}
-		res.Weight += gain
-	}
-}
-
-// bestAugmentingPath runs SPFA from all free left vertices, maximizing
-// the weight gain (forward unmatched edge adds W, backward matched edge
-// subtracts W). It returns the best gain and the corresponding
-// alternating path as [l0, r0, l1, r1, ...] where (l_i, r_i) become
-// matched pairs.
-func bestAugmentingPath(nLeft, nRight int, adj [][]Edge, matchL, matchR []int) (int64, []int) {
-	distL := make([]int64, nLeft)  // best gain reaching each left vertex
-	distR := make([]int64, nRight) // best gain reaching each right vertex
-	prevR := filled(nRight, -1)    // left vertex preceding each right vertex
-	inQueue := make([]bool, nLeft)
-	for i := range distL {
-		distL[i] = -inf
-	}
-	for j := range distR {
-		distR[j] = -inf
-	}
-	var queue []int
-	for l := 0; l < nLeft; l++ {
-		if matchL[l] == -1 {
-			distL[l] = 0
-			queue = append(queue, l)
-			inQueue[l] = true
-		}
-	}
-	for len(queue) > 0 {
-		l := queue[0]
-		queue = queue[1:]
-		inQueue[l] = false
-		for _, e := range adj[l] {
-			if matchL[l] == e.R {
-				continue // already matched along this edge
-			}
-			gain := distL[l] + e.W
-			if gain <= distR[e.R] {
-				continue
-			}
-			distR[e.R] = gain
-			prevR[e.R] = l
-			if ml := matchR[e.R]; ml != -1 {
-				// Continue the alternating path through the matched edge.
-				back := gain - weightOf(adj, ml, e.R)
-				if back > distL[ml] {
-					distL[ml] = back
-					if !inQueue[ml] {
-						queue = append(queue, ml)
-						inQueue[ml] = true
-					}
-				}
-			}
-		}
-	}
-
-	bestGain := int64(0)
-	bestR := -1
-	for r := 0; r < nRight; r++ {
-		if matchR[r] == -1 && distR[r] > bestGain {
-			bestGain = distR[r]
-			bestR = r
-		}
-	}
-	if bestR == -1 {
-		return 0, nil
-	}
-	// Reconstruct the alternating path backwards.
-	var rev []int
-	r := bestR
-	for {
-		l := prevR[r]
-		rev = append(rev, r, l)
-		if matchL[l] == -1 {
-			break
-		}
-		r = matchL[l]
-	}
-	// rev = [rK, lK, ..., r0, l0]; reverse into [l0, r0, ...].
-	path := make([]int, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
-	}
-	return bestGain, path
-}
-
-func weightOf(adj [][]Edge, l, r int) int64 {
-	for _, e := range adj[l] {
-		if e.R == r {
-			return e.W
-		}
-	}
-	panic(fmt.Sprintf("matching: matched edge (%d,%d) not in graph", l, r))
-}
-
-// HopcroftKarp returns a maximum-cardinality matching of the bipartite
-// graph given as adjacency lists adj[l] = right neighbors of l.
-func HopcroftKarp(nLeft, nRight int, adj [][]int) Result {
-	res := Result{
-		MatchL: filled(nLeft, -1),
-		MatchR: filled(nRight, -1),
-	}
-	dist := make([]int, nLeft)
-	queueBuf := make([]int, 0, nLeft)
-
-	bfs := func() bool {
-		queue := queueBuf[:0]
-		for l := 0; l < nLeft; l++ {
-			if res.MatchL[l] == -1 {
-				dist[l] = 0
-				queue = append(queue, l)
-			} else {
-				dist[l] = -1
-			}
-		}
-		found := false
-		for len(queue) > 0 {
-			l := queue[0]
-			queue = queue[1:]
-			for _, r := range adj[l] {
-				ml := res.MatchR[r]
-				if ml == -1 {
-					found = true
-				} else if dist[ml] == -1 {
-					dist[ml] = dist[l] + 1
-					queue = append(queue, ml)
-				}
-			}
-		}
-		return found
-	}
-
-	var dfs func(l int) bool
-	dfs = func(l int) bool {
-		for _, r := range adj[l] {
-			ml := res.MatchR[r]
-			if ml == -1 || (dist[ml] == dist[l]+1 && dfs(ml)) {
-				res.MatchL[l] = r
-				res.MatchR[r] = l
-				return true
-			}
-		}
-		dist[l] = -1
-		return false
-	}
-
-	for bfs() {
-		for l := 0; l < nLeft; l++ {
-			if res.MatchL[l] == -1 && dfs(l) {
-				res.Weight++
-			}
-		}
-	}
-	return res
 }
 
 // Cardinality returns the number of matched pairs in r.

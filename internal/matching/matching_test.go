@@ -186,58 +186,6 @@ func TestOldColorDominance(t *testing.T) {
 	}
 }
 
-func TestHopcroftKarpKnown(t *testing.T) {
-	// Perfect matching on a 3x3 cycle-ish graph.
-	adj := [][]int{
-		{0, 1},
-		{1, 2},
-		{2, 0},
-	}
-	res := HopcroftKarp(3, 3, adj)
-	if res.Cardinality() != 3 {
-		t.Fatalf("cardinality = %d, want 3", res.Cardinality())
-	}
-	if err := res.Validate(3, 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHopcroftKarpStar(t *testing.T) {
-	// All left vertices share one right vertex: cardinality 1.
-	adj := [][]int{{0}, {0}, {0}, {0}}
-	if res := HopcroftKarp(4, 1, adj); res.Cardinality() != 1 {
-		t.Fatalf("cardinality = %d, want 1", res.Cardinality())
-	}
-}
-
-// TestHopcroftKarpMatchesMaxWeightUnitWeights: with unit weights, max
-// weight equals max cardinality.
-func TestHopcroftKarpMatchesMaxWeightUnitWeights(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		nL := 1 + rng.Intn(10)
-		nR := 1 + rng.Intn(10)
-		adj := make([][]int, nL)
-		var edges []Edge
-		seen := make(map[[2]int]bool)
-		for e := 0; e < rng.Intn(nL*nR+1); e++ {
-			l, r := rng.Intn(nL), rng.Intn(nR)
-			if seen[[2]int{l, r}] {
-				continue
-			}
-			seen[[2]int{l, r}] = true
-			adj[l] = append(adj[l], r)
-			edges = append(edges, Edge{L: l, R: r, W: 1})
-		}
-		hk := HopcroftKarp(nL, nR, adj)
-		mw := MaxWeight(nL, nR, edges)
-		return int64(hk.Cardinality()) == mw.Weight
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	res := MaxWeight(2, 2, []Edge{{0, 0, 1}, {1, 1, 1}})
 	if err := res.Validate(2, 2); err != nil {

@@ -88,12 +88,6 @@ type Tracer struct {
 // when none is given.
 const DefaultTraceRing = 256
 
-// NewTracer builds a tracer with the given ring capacity (<= 0 means
-// DefaultTraceRing).
-func NewTracer(ring int) *Tracer {
-	return newMemberTracer(ring, "")
-}
-
 func newMemberTracer(ring int, member string) *Tracer {
 	if ring <= 0 {
 		ring = DefaultTraceRing

@@ -133,3 +133,9 @@ func TestTraceHubEviction(t *testing.T) {
 	// Nil hub stays a no-op.
 	(*TraceHub)(nil).Evict("x")
 }
+
+// NewTracer builds a tracer with the given ring capacity (<= 0 means
+// DefaultTraceRing).
+func NewTracer(ring int) *Tracer {
+	return newMemberTracer(ring, "")
+}

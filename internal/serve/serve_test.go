@@ -211,6 +211,12 @@ func TestAdmissionControl(t *testing.T) {
 	if err := <-insErr; err != nil {
 		t.Fatal(err)
 	}
+	// The writer may still be draining the four queued events. Barrier
+	// blocks for room instead of bouncing and returns once they are
+	// applied, so the retry below cannot meet a full mailbox.
+	if err := s.Barrier(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Apply(evs[4]); err != nil {
 		t.Fatal(err)
 	}

@@ -5,17 +5,29 @@
 // interference ball crosses a region border to a serialized border lane,
 // so that a sharded run is bit-identical to a single-engine run.
 //
-// # Routing rule
+// # Routing rule: the locality certificate
 //
-// An event at position p with interference bound r (the mirror's
-// monotone maximum range, folded with the event's own range) reads
-// colors only within radius 3r of p and recolors only nodes within r of
-// p — the same geometric certificate batch.Plan uses for independent
-// join waves, restated for region borders. If the ball of radius 3r
-// around p lies inside p's region, the event is interior: it can run on
-// that region's shard concurrently with interior events of other shards,
-// because their read/write sets live in disjoint regions. Otherwise it
-// is a border event.
+// The routing rule is the paper's locality result (Thm 4.1.10: new
+// nodes may join simultaneously when any two are at least 5 hops
+// apart) restated geometrically, for every event kind. Let r bound
+// every transmission range the event involves: the mirror's monotone
+// maximum range, folded with the event's own range. A local strategy's
+// event at position p
+//
+//   - recolors only the event node and its neighbors in either
+//     direction (V1 = 1n ∪ 2n ∪ {n}), all within r of p;
+//   - reads the colors of those nodes' conflict neighbors: their out-
+//     and in-neighbors, within 2r of p, and the other transmitters into
+//     their out-neighbors, within 3r of p. A joiner's own constraints
+//     lie within its range plus r, which is at most 2r.
+//
+// So an event reads colors only within 3r of p and recolors only nodes
+// within r of p. If the ball of radius 3r around p lies inside p's
+// region, the event is interior: every node it reads or writes lives in
+// that region, so it runs on that region's shard concurrently with the
+// interior events of other shards, whose read/write sets live in other
+// regions. Otherwise it is a border event. escRadius states the radius
+// and classify applies it per event kind.
 //
 // # Shard state
 //
@@ -44,7 +56,8 @@
 // totally ordered within a shard (the worker preserves dispatch order),
 // and border events are totally ordered against everything. The final
 // state is therefore the sequential semantics of the input order, and
-// Replay reconstructs any run from the mirror log alone.
+// the mirror log alone reconstructs a run: routing, shard logs and the
+// final state are pure functions of it.
 //
 // # Centralized strategies
 //
@@ -326,10 +339,12 @@ func (c *Coordinator) ballInRegion(p geom.Point, r float64, s int) bool {
 
 // ---- Classification ----
 
-// escRadius is the interference-ball radius for an event with range
-// bound r: colors are read within 3r (neighbors within r, their
-// out-neighbors within 2r, those nodes' co-transmitters within 3r) and
-// recolored within r — the batch.Plan certificate at region borders.
+// escRadius is the certificate's radius for an event with range bound
+// r (see the package doc): it recolors only its neighbors, within r;
+// their conflict neighbors, whose colors it reads, are their out- and
+// in-neighbors, within 2r, and the co-transmitters into those
+// out-neighbors, within 3r. A ball of this radius inside one region
+// keeps every read and write of the event in that region.
 func escRadius(r float64) float64 { return 3 * r }
 
 // classify routes one event: (shard, true) for an interior event, or
@@ -785,25 +800,4 @@ func (c *Coordinator) CheckConsistency() error {
 		return fmt.Errorf("shard: mirror: %w", err)
 	}
 	return nil
-}
-
-// Replay reconstructs a run deterministically from a total-order event
-// log (a prior run's Log()) under the same configuration and strategies: the
-// routing decisions, shard logs, border lane order, and final state are
-// all pure functions of the log. The returned coordinator is synced;
-// callers must Close it.
-func Replay(log []strategy.Event, cfg Config, names []sim.StrategyName) (*Coordinator, error) {
-	c, err := New(cfg, names)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Apply(log); err != nil {
-		c.Close()
-		return nil, err
-	}
-	if err := c.sync(); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
 }

@@ -55,9 +55,9 @@ type Hosted interface {
 	engine.Subscriber
 	Assignment() toca.Assignment
 	// SetColor installs an externally computed color (toca.None removes
-	// the entry). Hosts that fold or write back recodings computed
-	// elsewhere (the shard coordinator, the batch scheduler) mutate an
-	// assignment only through it, so strategies with internal accounting
+	// the entry). A host that folds or writes back recodings computed
+	// elsewhere (the shard coordinator) mutates an assignment only
+	// through it, so strategies with internal accounting
 	// (Minim's incremental max-color accumulator) stay consistent.
 	SetColor(id graph.NodeID, c toca.Color)
 }

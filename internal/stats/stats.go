@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample of float64 observations.
@@ -18,36 +17,6 @@ type Summary struct {
 	Stddev float64 // sample standard deviation (n-1 denominator)
 	Min    float64
 	Max    float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields the zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
 }
 
 // CI95 returns the half-width of the 95% normal-approximation confidence
@@ -63,24 +32,6 @@ func (s Summary) CI95() float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("%.3f ±%.3f (n=%d, min=%.3f, max=%.3f)",
 		s.Mean, s.CI95(), s.N, s.Min, s.Max)
-}
-
-// Mean returns the arithmetic mean of xs (0 for an empty sample).
-func Mean(xs []float64) float64 { return Summarize(xs).Mean }
-
-// Median returns the median of xs (0 for an empty sample). The input is
-// not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	mid := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[mid]
-	}
-	return (cp[mid-1] + cp[mid]) / 2
 }
 
 // Accumulator aggregates observations incrementally (Welford's online

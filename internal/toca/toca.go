@@ -75,21 +75,6 @@ func (a Assignment) ColorCounts() map[Color]int {
 	return counts
 }
 
-// DiffCount returns the paper's "number of recodings" between two
-// snapshots: the number of nodes in after whose color differs from their
-// color in before, where a node absent from before counts as None. A node
-// receiving its first color therefore counts as one recoding (the paper
-// counts the joiner), while nodes that left the network do not.
-func DiffCount(before, after Assignment) int {
-	n := 0
-	for id, c := range after {
-		if before[id] != c {
-			n++
-		}
-	}
-	return n
-}
-
 // ViolationKind distinguishes CA1 from CA2 violations.
 type ViolationKind int
 

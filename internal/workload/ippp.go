@@ -116,28 +116,3 @@ func IPPPJoinScript(seed uint64, p Params, d Density) []strategy.Event {
 	}
 	return events
 }
-
-// IPPPMoveScript is MoveScript over an IPPP base: p.RoundNo rounds, each
-// moving every node of an IPPPJoinScript(seed, p, d) network once by a
-// uniform displacement in [0, p.MaxDisp] in a uniform direction, clamped
-// to the arena. Displacements are hot-spot-agnostic; the skew comes from
-// where the nodes start.
-func IPPPMoveScript(seed uint64, p Params, d Density) []strategy.Event {
-	rng := xrand.New(seed)
-	pos := make([]geom.Point, p.N)
-	for i := 0; i < p.N; i++ {
-		pos[i] = d.Sample(rng, p.ArenaW, p.ArenaH)
-		rng.Uniform(p.MinR, p.MaxR) // keep range draws aligned with the join replay
-	}
-	mv := rng.Split()
-	arena := p.arena()
-	events := make([]strategy.Event, 0, p.N*p.RoundNo)
-	for round := 0; round < p.RoundNo; round++ {
-		for i := 0; i < p.N; i++ {
-			dsp := geom.Polar(mv.Uniform(0, p.MaxDisp), mv.Angle())
-			pos[i] = arena.Clamp(pos[i].Add(dsp))
-			events = append(events, strategy.MoveEvent(graph.NodeID(i), pos[i]))
-		}
-	}
-	return events
-}

@@ -93,28 +93,3 @@ func TestGridSpots(t *testing.T) {
 		}
 	}
 }
-
-// TestIPPPMoveScriptTracksBase: the move script's first round displaces
-// from the IPPP join positions (same seed), so every destination is
-// within MaxDisp of the joined position.
-func TestIPPPMoveScriptTracksBase(t *testing.T) {
-	p := Defaults()
-	p.N = 50
-	p.MaxDisp = 5
-	p.RoundNo = 2
-	d := hotCorner()
-	base := IPPPJoinScript(9, p, d)
-	moves := IPPPMoveScript(9, p, d)
-	if len(moves) != p.N*p.RoundNo {
-		t.Fatalf("got %d moves, want %d", len(moves), p.N*p.RoundNo)
-	}
-	for i := 0; i < p.N; i++ {
-		if moves[i].Kind != strategy.Move {
-			t.Fatalf("move %d kind %v", i, moves[i].Kind)
-		}
-		from := base[moves[i].ID].Cfg.Pos
-		if dist := from.DistanceTo(moves[i].Pos); dist > p.MaxDisp+1e-9 {
-			t.Fatalf("node %d first-round displacement %g > MaxDisp %g", moves[i].ID, dist, p.MaxDisp)
-		}
-	}
-}
