@@ -28,7 +28,17 @@ func host1000(name sim.StrategyName, net *adhoc.Network) (*engine.Engine, error)
 	p := workload.Defaults()
 	p.N = 1000
 	p.ArenaW, p.ArenaH = bench1000Arena, bench1000Arena
-	return eng, eng.ApplyAll(workload.JoinScript(7, p))
+	return eng, applyAll(eng, workload.JoinScript(7, p))
+}
+
+// applyAll applies a script of events, stopping at the first error.
+func applyAll(eng *engine.Engine, events []strategy.Event) error {
+	for _, ev := range events {
+		if _, err := eng.Apply(ev); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // join1000 draws the i-th fresh joiner of the n=1000 event list.

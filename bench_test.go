@@ -11,20 +11,17 @@
 package repro
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/adhoc"
 	bbbpkg "repro/internal/bbb"
 	"repro/internal/coloring"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/radio"
-	shardpkg "repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
@@ -203,211 +200,6 @@ func BenchmarkNetworkJoin1000Scan(b *testing.B) { benchNetworkEvent1000(b, adhoc
 func BenchmarkNetworkMove1000(b *testing.B)     { benchNetworkEvent1000(b, adhoc.New, true) }
 func BenchmarkNetworkMove1000Scan(b *testing.B) { benchNetworkEvent1000(b, adhoc.NewScan, true) }
 
-// ---- Sharded runtime: n=1000 join+move sweeps vs single-engine ----
-//
-// The base is an IPPP hot-spot network (one Gaussian spot per 2x2 shard
-// region) at n=1000 on a 1000x1000 arena: traffic concentrates in shard
-// interiors, the workload region sharding is built for. Each iteration
-// times one sweep — shardSweep fresh joins, or one move round over a
-// node sample — applied through the single-engine session (shards=0) or
-// the sharded coordinator at 1, 2, or 4 region shards. Timed sections
-// end with a full drain (Mark) so queued parallel work is counted.
-
-const (
-	shardBenchArena = 1000.0
-	shardBenchN     = 1000
-	shardSweep      = 200
-)
-
-func shardBenchDensity() workload.Density {
-	return workload.Density{Spots: workload.GridSpots(2, 2, shardBenchArena, shardBenchArena, 80, 1)}
-}
-
-func shardBenchParams() workload.Params {
-	p := workload.Defaults()
-	p.N = shardBenchN
-	p.ArenaW, p.ArenaH = shardBenchArena, shardBenchArena
-	return p
-}
-
-// shardBenchRunner abstracts the two runtimes behind apply+drain.
-type shardBenchRunner struct {
-	apply func([]strategy.Event) error
-	drain func() error
-}
-
-func newShardBenchRunner(b *testing.B, shards int) shardBenchRunner {
-	b.Helper()
-	base := workload.IPPPJoinScript(7, shardBenchParams(), shardBenchDensity())
-	if shards == 0 {
-		sess, err := sim.NewEngineSession([]sim.StrategyName{sim.Minim}, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sess.Apply(base); err != nil {
-			b.Fatal(err)
-		}
-		return shardBenchRunner{apply: sess.Apply, drain: func() error { return nil }}
-	}
-	grids := map[int][2]int{1: {1, 1}, 2: {2, 1}, 4: {2, 2}}
-	g, ok := grids[shards]
-	if !ok {
-		b.Fatalf("no grid for %d shards", shards)
-	}
-	coord, err := shardpkg.New(shardpkg.Config{
-		GridX: g[0], GridY: g[1],
-		ArenaW: shardBenchArena, ArenaH: shardBenchArena,
-	}, []sim.StrategyName{sim.Minim})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { coord.Close() })
-	drain := func() error { _, err := coord.Mark(); return err }
-	if err := coord.Apply(base); err != nil {
-		b.Fatal(err)
-	}
-	if err := drain(); err != nil {
-		b.Fatal(err)
-	}
-	return shardBenchRunner{apply: coord.Apply, drain: drain}
-}
-
-// benchShardedJoins times a sweep of shardSweep IPPP joins (paired with
-// untimed leaves so the population stays at shardBenchN).
-func benchShardedJoins(b *testing.B, shards int) {
-	r := newShardBenchRunner(b, shards)
-	d := shardBenchDensity()
-	b.ResetTimer()
-	b.StopTimer() // event construction below is untimed from iteration 0
-	for i := 0; i < b.N; i++ {
-		rng := xrand.New(uint64(1000 + i))
-		joins := make([]strategy.Event, 0, shardSweep)
-		leaves := make([]strategy.Event, 0, shardSweep)
-		for j := 0; j < shardSweep; j++ {
-			id := graph.NodeID(10000 + j)
-			cfg := adhoc.Config{
-				Pos:   d.Sample(rng, shardBenchArena, shardBenchArena),
-				Range: rng.Uniform(20.5, 30.5),
-			}
-			joins = append(joins, strategy.JoinEvent(id, cfg))
-			leaves = append(leaves, strategy.LeaveEvent(id))
-		}
-		b.StartTimer()
-		if err := r.apply(joins); err != nil {
-			b.Fatal(err)
-		}
-		if err := r.drain(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := r.apply(leaves); err != nil {
-			b.Fatal(err)
-		}
-		if err := r.drain(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchShardedMoves times one sweep of shardSweep displacement-walk
-// moves of base nodes (the paper's mobility model over the hot-spot
-// population: small random displacements, so most moves stay
-// shard-interior and cross-region walks exercise the border lane).
-func benchShardedMoves(b *testing.B, shards int) {
-	r := newShardBenchRunner(b, shards)
-	base := workload.IPPPJoinScript(7, shardBenchParams(), shardBenchDensity())
-	pos := make([]geom.Point, shardBenchN)
-	for _, ev := range base {
-		pos[ev.ID] = ev.Cfg.Pos
-	}
-	arena := geom.Arena(shardBenchArena, shardBenchArena)
-	b.ResetTimer()
-	b.StopTimer() // event construction below is untimed from iteration 0
-	for i := 0; i < b.N; i++ {
-		rng := xrand.New(uint64(5000 + i))
-		moves := make([]strategy.Event, 0, shardSweep)
-		for j := 0; j < shardSweep; j++ {
-			id := rng.Intn(shardBenchN)
-			d := geom.Polar(rng.Uniform(0, 30), rng.Angle())
-			pos[id] = arena.Clamp(pos[id].Add(d))
-			moves = append(moves, strategy.MoveEvent(graph.NodeID(id), pos[id]))
-		}
-		b.StartTimer()
-		if err := r.apply(moves); err != nil {
-			b.Fatal(err)
-		}
-		if err := r.drain(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-	}
-}
-
-func BenchmarkShardedJoin1000Single(b *testing.B)  { benchShardedJoins(b, 0) }
-func BenchmarkShardedJoin1000Shards1(b *testing.B) { benchShardedJoins(b, 1) }
-func BenchmarkShardedJoin1000Shards2(b *testing.B) { benchShardedJoins(b, 2) }
-func BenchmarkShardedJoin1000Shards4(b *testing.B) { benchShardedJoins(b, 4) }
-func BenchmarkShardedMove1000Single(b *testing.B)  { benchShardedMoves(b, 0) }
-func BenchmarkShardedMove1000Shards1(b *testing.B) { benchShardedMoves(b, 1) }
-func BenchmarkShardedMove1000Shards2(b *testing.B) { benchShardedMoves(b, 2) }
-func BenchmarkShardedMove1000Shards4(b *testing.B) { benchShardedMoves(b, 4) }
-
-// ---- Ablation A1: matching edge weights ----
-
-// weightedJoinRun replays a join workload through a Minim-style recoder
-// whose matching uses the given old-color edge weight, and returns the
-// total recodings and final max color.
-func weightedJoinRun(n int, seed uint64, wOld int64) (recodings int, maxColor toca.Color) {
-	p := workload.Defaults()
-	p.N = n
-	net := adhoc.New()
-	assign := make(toca.Assignment)
-	for _, ev := range workload.JoinScript(seed, p) {
-		part := net.PartitionFor(ev.ID, ev.Cfg)
-		if err := net.Join(ev.ID, ev.Cfg); err != nil {
-			panic(err)
-		}
-		v1 := append(part.InOrBoth(), ev.ID)
-		excl := make(map[graph.NodeID]struct{}, len(v1))
-		for _, u := range v1 {
-			excl[u] = struct{}{}
-		}
-		old := make(map[graph.NodeID]toca.Color, len(v1))
-		forb := make(map[graph.NodeID]toca.ColorSet, len(v1))
-		for _, u := range v1 {
-			old[u] = assign[u]
-			forb[u] = toca.Forbidden(net.Graph(), assign, u, excl)
-		}
-		for u, c := range core.SolveWeighted(v1, old, forb, wOld, 1) {
-			if assign[u] != c {
-				recodings++
-			}
-			assign[u] = c
-		}
-	}
-	if !toca.Valid(net.Graph(), assign) {
-		panic("ablation run produced invalid assignment")
-	}
-	return recodings, assign.MaxColor()
-}
-
-// BenchmarkAblationWeights contrasts old-color edge weights 3 (the
-// paper's, provably minimal), 2 (ties with two unit edges), and 1 (pure
-// cardinality). The recodings metric shows why wOld > 2*wNew matters.
-func BenchmarkAblationWeights(b *testing.B) {
-	for _, wOld := range []int64{3, 2, 1} {
-		b.Run(fmt.Sprintf("wOld=%d", wOld), func(b *testing.B) {
-			var rec int
-			var mc toca.Color
-			for i := 0; i < b.N; i++ {
-				rec, mc = weightedJoinRun(80, uint64(11+i), wOld)
-			}
-			b.ReportMetric(float64(rec), "recodings")
-			b.ReportMetric(float64(mc), "max_color")
-		})
-	}
-}
-
 // ---- Ablation A3: gossip compaction after the join workload ----
 
 func BenchmarkAblationGossip(b *testing.B) {
@@ -474,7 +266,7 @@ func BenchmarkAblationCPMove(b *testing.B) {
 func BenchmarkDSATURConflictGraph100(b *testing.B) {
 	p := workload.Defaults()
 	eng := engine.New()
-	if err := eng.ApplyAll(workload.JoinScript(3, p)); err != nil {
+	if err := applyAll(eng, workload.JoinScript(3, p)); err != nil {
 		b.Fatal(err)
 	}
 	net := eng.Network()
@@ -492,7 +284,7 @@ func BenchmarkBBBEvent100(b *testing.B) {
 	p := workload.Defaults()
 	eng := engine.New()
 	eng.Subscribe(bbbpkg.New(eng.Network(), nil))
-	if err := eng.ApplyAll(workload.JoinScript(3, p)); err != nil {
+	if err := applyAll(eng, workload.JoinScript(3, p)); err != nil {
 		b.Fatal(err)
 	}
 	rng := xrand.New(99)

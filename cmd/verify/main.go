@@ -8,9 +8,13 @@
 //     decreases recode zero (I4);
 //   - distributed Minim/CP join protocols agree with the sequential
 //     algorithms on random joins (I8);
-//   - a sharded Minim run (the paper's Thm 4.1.10 locality certificate,
-//     internal/shard) equals a sequential run on the spatial-index
-//     network, with both its interior and its border lane exercised;
+//   - the restricted-network locality certificate (Thm 4.1.10, derived
+//     in internal/core's package doc): on a 1000 m arena, every local
+//     strategy recodes exactly the same nodes to the same colors when
+//     an event runs on the network restricted to the 3r ball around it
+//     as when it runs on the full network; the spatial-index network
+//     matches the naive scans; the incremental violation checker
+//     tracks the full verifier;
 //   - gossip compaction preserves validity and never raises the max
 //     color (I9).
 //
@@ -18,9 +22,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 
 	"repro/internal/adhoc"
 	"repro/internal/core"
@@ -29,7 +36,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gossip"
 	"repro/internal/graph"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
@@ -45,7 +51,7 @@ func main() {
 	flag.Parse()
 
 	master := xrand.New(*seed)
-	var lanes shard.Stats
+	var restricted, total int
 	for it := 0; it < *iters; it++ {
 		if err := scenario(master.Split(), *events); err != nil {
 			fmt.Fprintf(os.Stderr, "verify: scenario %d FAILED: %v\n", it, err)
@@ -55,98 +61,250 @@ func main() {
 			fmt.Fprintf(os.Stderr, "verify: dist scenario %d FAILED: %v\n", it, err)
 			os.Exit(1)
 		}
-		st, err := shardScenario(master.Split())
+		st, err := certScenario(master.Split(), *events, certRadius)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "verify: shard scenario %d FAILED: %v\n", it, err)
+			fmt.Fprintf(os.Stderr, "verify: certificate scenario %d FAILED: %v\n", it, err)
 			os.Exit(1)
 		}
-		lanes.Interior += st.Interior
-		lanes.Border += st.Border
+		restricted += st.restricted
+		total += st.events
 	}
-	// Both lanes must have carried events, or the sharded check proved
-	// nothing about one of them.
-	if *iters > 0 && (lanes.Interior == 0 || lanes.Border == 0) {
-		fmt.Fprintf(os.Stderr, "verify: sharded runs used %d interior and %d border events; both lanes must be exercised\n",
-			lanes.Interior, lanes.Border)
+	// A restricted network as large as the full one makes the
+	// certificate check an identity: at least one event must have run
+	// on a strictly smaller network.
+	if *iters > 0 && restricted == 0 {
+		fmt.Fprintf(os.Stderr, "verify: none of %d certificate events ran on a strictly smaller network\n", total)
 		os.Exit(1)
 	}
-	fmt.Printf("verify: %d scenarios x %d events on 3 strategies + %d distributed joins + %d sharded runs (%d interior / %d border events): all invariants hold\n",
-		*iters, *events, *iters, *iters, lanes.Interior, lanes.Border)
+	fmt.Printf("verify: %d scenarios x %d events on 3 strategies + %d distributed joins + %d certificate runs (%d of %d events restricted): all invariants hold\n",
+		*iters, *events, *iters, *iters, restricted, total)
 }
 
-// shardScenario checks three engine-level equivalences on one random
-// join workload: the spatial-index backend matches the naive scans, the
-// sharded runtime matches sequential execution, and the incremental
-// violation checker tracks the full verifier. It returns the sharded
-// run's routing stats.
-func shardScenario(rng *xrand.RNG) (shard.Stats, error) {
-	// The arena is large enough for the 3·Rmax certificate ball (Rmax
-	// 30.5) to fit inside a 500 m region, so events take both lanes;
-	// the node count keeps the old 400 m arena's density.
-	const arena = 1000.0
-	n := 125 + rng.Intn(375)
-	var events []strategy.Event
-	for i := 0; i < n; i++ {
-		events = append(events, strategy.JoinEvent(graph.NodeID(i), adhoc.Config{
-			Pos:   geom.Point{X: rng.Uniform(0, arena), Y: rng.Uniform(0, arena)},
-			Range: rng.Uniform(20.5, 30.5),
-		}))
-	}
+// certRadius is the locality certificate's radius in units of the
+// event's range bound r: an event reads colors only within 3r of its
+// position (internal/core's package doc derives it).
+const certRadius = 3.0
 
-	// Sequential on an indexed network vs sharded on naive ones: both
-	// must produce the identical assignment.
-	seqEng := engine.Adopt(adhoc.NewIndexed(30.5))
-	seq := core.New(seqEng.Network(), nil)
-	seqEng.Subscribe(seq)
-	if err := seqEng.ApplyAll(events); err != nil {
-		return shard.Stats{}, err
-	}
-	c, err := shard.New(shard.Config{GridX: 2, GridY: 2, ArenaW: arena, ArenaH: arena}, []sim.StrategyName{sim.Minim})
-	if err != nil {
-		return shard.Stats{}, err
-	}
-	defer c.Close()
-	if err := c.Apply(events); err != nil {
-		return shard.Stats{}, err
-	}
-	got, _, err := c.AssignmentOf(sim.Minim)
-	if err != nil {
-		return shard.Stats{}, err
-	}
-	want := seq.Assignment()
-	if len(want) != len(got) {
-		return shard.Stats{}, fmt.Errorf("shard: %d colors vs %d", len(got), len(want))
-	}
-	for id, col := range want {
-		if got[id] != col {
-			return shard.Stats{}, fmt.Errorf("shard: node %d: sharded %d, sequential-indexed %d", id, got[id], col)
+// certArena is the side of the certificate scenario's arena: wide
+// enough that the 3r ball (r about 30.5) holds a small part of it.
+const certArena = 1000.0
+
+// certStats counts one certificate scenario's events and those whose
+// restricted network was strictly smaller than the full one.
+type certStats struct{ events, restricted int }
+
+// localStrategies lists the strategies whose sim.Spec is Local: the
+// ones the locality certificate covers.
+func localStrategies() ([]sim.StrategyName, []sim.Spec, error) {
+	var names []sim.StrategyName
+	var specs []sim.Spec
+	for _, name := range []sim.StrategyName{sim.Minim, sim.CP, sim.CPStrict, sim.BBB} {
+		spec, err := sim.SpecOf(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		if spec.Local {
+			names = append(names, name)
+			specs = append(specs, spec)
 		}
 	}
-	if err := seqEng.Network().CheckConsistency(); err != nil {
-		return shard.Stats{}, fmt.Errorf("indexed network: %w", err)
+	return names, specs, nil
+}
+
+// certScript draws a random mixed script on the certificate arena: a
+// population of joins, then events steps mixing all four event kinds.
+func certScript(rng *xrand.RNG, events int) []strategy.Event {
+	arena := geom.Arena(certArena, certArena)
+	pos := map[graph.NodeID]geom.Point{}
+	var present []graph.NodeID
+	var script []strategy.Event
+	join := func() {
+		id := graph.NodeID(len(script))
+		p := geom.Point{X: rng.Uniform(0, certArena), Y: rng.Uniform(0, certArena)}
+		pos[id] = p
+		present = append(present, id)
+		script = append(script, strategy.JoinEvent(id, adhoc.Config{Pos: p, Range: rng.Uniform(20.5, 30.5)}))
 	}
-	if err := c.CheckConsistency(); err != nil {
-		return shard.Stats{}, err
+	for n := 125 + rng.Intn(375); n > 0; n-- {
+		join()
 	}
-	net, err := c.Network()
+	for step := 0; step < events; step++ {
+		switch k := rng.Intn(10); {
+		case k < 3 || len(present) == 0:
+			join()
+		case k < 6:
+			id := present[rng.Intn(len(present))]
+			pos[id] = arena.Clamp(pos[id].Add(geom.Polar(rng.Uniform(0, 60), rng.Angle())))
+			script = append(script, strategy.MoveEvent(id, pos[id]))
+		case k < 8:
+			id := present[rng.Intn(len(present))]
+			script = append(script, strategy.PowerEvent(id, rng.Uniform(10, 45)))
+		default:
+			i := rng.Intn(len(present))
+			script = append(script, strategy.LeaveEvent(present[i]))
+			present = append(present[:i], present[i+1:]...)
+		}
+	}
+	return script
+}
+
+// hostAll builds an engine over net hosting one instance per spec, each
+// adopting its assigns entry (nil starts empty).
+func hostAll(net *adhoc.Network, specs []sim.Spec, assigns []toca.Assignment) (*engine.Engine, []sim.Hosted) {
+	eng := engine.Adopt(net)
+	strats := make([]sim.Hosted, len(specs))
+	for i, spec := range specs {
+		var a toca.Assignment
+		if assigns != nil {
+			a = assigns[i]
+		}
+		strats[i] = spec.New(net, a)
+		eng.Subscribe(strats[i])
+	}
+	return eng, strats
+}
+
+// certScenario checks the locality certificate on one random mixed
+// script: before each event it builds the network restricted to the
+// nodes within mult·r of the event's position p (plus the event node),
+// with their configs and every local strategy's colors, applies the
+// event there too, and requires each strategy to recode the same nodes
+// to the same colors as on the full network. r bounds every range the
+// event involves: the network's monotone MaxRange, raised to the
+// event's own range for a join or a power change. p is a join's
+// position, a move's destination, and otherwise the node's current
+// position.
+//
+// The same scenario checks two backend equivalences: the spatial-index
+// network matches the naive scans on the whole script, and the
+// incremental violation checker tracks the full verifier under random
+// recoloring.
+func certScenario(rng *xrand.RNG, events int, mult float64) (certStats, error) {
+	var st certStats
+	names, specs, err := localStrategies()
 	if err != nil {
-		return shard.Stats{}, err
+		return st, err
+	}
+	script := certScript(rng, events)
+	full, strats := hostAll(adhoc.NewIndexed(30.5), specs, nil)
+	scan, scanStrats := hostAll(adhoc.NewScan(), specs, nil)
+	net := full.Network()
+	var ids []graph.NodeID // the network's nodes in join order
+	for step, ev := range script {
+		p, r := ev.Cfg.Pos, math.Max(net.MaxRange(), ev.Cfg.Range)
+		if ev.Kind != strategy.Join {
+			cfg, _ := net.Config(ev.ID)
+			p, r = cfg.Pos, net.MaxRange()
+		}
+		switch ev.Kind {
+		case strategy.Move:
+			p = ev.Pos
+		case strategy.PowerChange:
+			r = math.Max(r, ev.R)
+		}
+		ball := mult * r
+		sub := adhoc.NewScan()
+		assigns := make([]toca.Assignment, len(strats))
+		for i := range assigns {
+			assigns[i] = make(toca.Assignment)
+		}
+		for _, id := range ids {
+			cfg, _ := net.Config(id)
+			if id != ev.ID && cfg.Pos.DistanceSqTo(p) > ball*ball {
+				continue
+			}
+			if err := sub.Join(id, cfg); err != nil {
+				return st, err
+			}
+			for i, s := range strats {
+				if c, ok := s.Assignment()[id]; ok {
+					assigns[i][id] = c
+				}
+			}
+		}
+		st.events++
+		if sub.Size() < net.Size() {
+			st.restricted++
+		}
+		subEng, _ := hostAll(sub, specs, assigns)
+		want, err := full.Apply(ev)
+		if err != nil {
+			return st, fmt.Errorf("step %d: %w", step, err)
+		}
+		got, err := subEng.Apply(ev)
+		if err != nil {
+			return st, fmt.Errorf("step %d on the restricted network: %w", step, err)
+		}
+		for i := range strats {
+			if err := sameRecoded(want[i].Recoded, got[i].Recoded); err != nil {
+				return st, fmt.Errorf("%s: step %d (%v on node %d, %d of %d nodes within %.1f): %w",
+					names[i], step, ev.Kind, ev.ID, sub.Size(), net.Size(), ball, err)
+			}
+		}
+		if _, err := scan.Apply(ev); err != nil {
+			return st, fmt.Errorf("step %d on the scan network: %w", step, err)
+		}
+		switch ev.Kind {
+		case strategy.Join:
+			ids = append(ids, ev.ID)
+		case strategy.Leave:
+			ids = slices.DeleteFunc(ids, func(id graph.NodeID) bool { return id == ev.ID })
+		}
+	}
+
+	// Indexed vs naive scans: identical assignments, consistent networks.
+	for i := range strats {
+		want, got := strats[i].Assignment(), scanStrats[i].Assignment()
+		if len(want) != len(got) {
+			return st, fmt.Errorf("%s: indexed network colored %d nodes, scan %d", names[i], len(want), len(got))
+		}
+		for id, c := range want {
+			if got[id] != c {
+				return st, fmt.Errorf("%s: node %d: indexed %d, scan %d", names[i], id, c, got[id])
+			}
+		}
+	}
+	if err := net.CheckConsistency(); err != nil {
+		return st, fmt.Errorf("indexed network: %w", err)
+	}
+	if err := scan.Network().CheckConsistency(); err != nil {
+		return st, fmt.Errorf("scan network: %w", err)
 	}
 
 	// Incremental checker vs full verifier under random recoloring.
 	g := net.Graph()
-	assign := got.Clone()
+	assign := strats[0].Assignment().Clone()
 	checker := toca.NewChecker(g, assign)
 	nodes := g.Nodes()
-	for step := 0; step < 100; step++ {
+	for step := 0; step < 100 && len(nodes) > 0; step++ {
 		u := nodes[rng.Intn(len(nodes))]
 		checker.Recolor(u, toca.Color(rng.Intn(8)))
 		if checker.Violations() != len(toca.Verify(g, assign)) {
-			return shard.Stats{}, fmt.Errorf("checker: incremental %d != full %d at step %d",
+			return st, fmt.Errorf("checker: incremental %d != full %d at step %d",
 				checker.Violations(), len(toca.Verify(g, assign)), step)
 		}
 	}
-	return c.Stats(), nil
+	return st, nil
+}
+
+// errRecodedMismatch marks a certificate failure: an event recoded
+// differently on its restricted network than on the full one.
+var errRecodedMismatch = errors.New("restricted and full recodings differ")
+
+// sameRecoded reports the first difference between two recoding sets.
+func sameRecoded(want, got map[graph.NodeID]toca.Color) error {
+	for id, c := range want {
+		if g, ok := got[id]; !ok || g != c {
+			return fmt.Errorf("%w: node %d to %d on the full network, to %d (recoded %v) on the restricted one",
+				errRecodedMismatch, id, c, g, ok)
+		}
+	}
+	for id, c := range got {
+		if _, ok := want[id]; !ok {
+			return fmt.Errorf("%w: node %d to %d on the restricted network only", errRecodedMismatch, id, c)
+		}
+	}
+	return nil
 }
 
 // scenario drives one mixed event stream through all strategies on one

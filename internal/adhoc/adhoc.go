@@ -119,9 +119,6 @@ func NewIndexed(cellSize float64) *Network {
 	return n
 }
 
-// Indexed reports whether neighbor scans currently use the spatial grid.
-func (n *Network) Indexed() bool { return n.grid != nil }
-
 // candidates calls fn for every node other than id that could have an
 // edge to or from a node at pos with the given range: with a grid, nodes
 // within max(r, maxRange) of pos; without, every node.
@@ -584,21 +581,4 @@ func (n *Network) CheckConsistency() error {
 		}
 	}
 	return n.g.Validate()
-}
-
-// MinimalConnectivityOK reports whether the paper's Minimal Connectivity
-// assumption holds for node id under configuration cfg: there must exist
-// nodes j and k (j, k != id) such that j is within id's range and id is
-// within k's range.
-func (n *Network) MinimalConnectivityOK(id graph.NodeID, cfg Config) bool {
-	var hearsSomeone, someoneHears bool
-	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
-		if cfg.Covers(oc.Pos) {
-			hearsSomeone = true // id transmits to other (other hears id)
-		}
-		if oc.Covers(cfg.Pos) {
-			someoneHears = true // other transmits to id
-		}
-	})
-	return hearsSomeone && someoneHears
 }

@@ -308,3 +308,23 @@ func TestRandomEventConsistency(t *testing.T) {
 	}
 	must(t, n.CheckConsistency())
 }
+
+// Indexed reports whether neighbor scans currently use the spatial grid.
+func (n *Network) Indexed() bool { return n.grid != nil }
+
+// MinimalConnectivityOK reports whether the paper's Minimal Connectivity
+// assumption holds for node id under configuration cfg: there must exist
+// nodes j and k (j, k != id) such that j is within id's range and id is
+// within k's range.
+func (n *Network) MinimalConnectivityOK(id graph.NodeID, cfg Config) bool {
+	var hearsSomeone, someoneHears bool
+	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
+		if cfg.Covers(oc.Pos) {
+			hearsSomeone = true // id transmits to other (other hears id)
+		}
+		if oc.Covers(cfg.Pos) {
+			someoneHears = true // other transmits to id
+		}
+	})
+	return hearsSomeone && someoneHears
+}

@@ -101,7 +101,7 @@ func TestConflictIndexDifferential(t *testing.T) {
 					if step%2 == 0 {
 						g := early.Graph()
 						for _, u := range present {
-							if g.InDegree(u)+g.OutDegree(u) > g.InDegree(id)+g.OutDegree(id) {
+							if len(g.InNeighbors(u))+len(g.OutNeighbors(u)) > len(g.InNeighbors(id))+len(g.OutNeighbors(id)) {
 								id = u
 							}
 						}

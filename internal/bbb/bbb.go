@@ -54,12 +54,6 @@ func (s *Strategy) Name() string { return "BBB" }
 // Assignment implements strategy.Strategy.
 func (s *Strategy) Assignment() toca.Assignment { return s.assign }
 
-// SetColor installs an externally computed color (toca.None removes the
-// entry). It is the write path the shard coordinator uses so hosted
-// strategies can keep internal accounting consistent with external
-// assignment mutations.
-func (s *Strategy) SetColor(id graph.NodeID, c toca.Color) { s.assign.Set(id, c) }
-
 // OnDelta implements engine.Subscriber: recolor the whole network
 // centrally, whatever the event was.
 func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {

@@ -206,8 +206,10 @@ func BenchmarkAblationBBBColorer(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := newHost()
 				s.colorer = variant.c
-				if err := s.eng.ApplyAll(workload.JoinScript(uint64(41+i), p)); err != nil {
-					b.Fatal(err)
+				for _, ev := range workload.JoinScript(uint64(41+i), p) {
+					if _, err := s.eng.Apply(ev); err != nil {
+						b.Fatal(err)
+					}
 				}
 				maxColor = s.Assignment().MaxColor()
 			}

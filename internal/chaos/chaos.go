@@ -1,6 +1,6 @@
 // Package chaos is the deterministic fault-injection layer: seeded link
 // faults for the cluster's HTTP transport (cuts, asymmetric partitions,
-// probabilistic loss, delay) and a phase schedule composing the
+// probabilistic loss) and a phase schedule composing the
 // engine-level knobs (loss, duplication, reordering) from one seed.
 //
 // The design splits faults by where nondeterminism is tolerable:
@@ -23,7 +23,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/xrand"
 )
@@ -58,7 +57,6 @@ type Net struct {
 	names   map[string]string // addr -> member name
 	cut     map[linkKey]bool
 	loss    map[linkKey]*lossRule
-	delay   map[linkKey]time.Duration
 	dropped map[linkKey]int
 	step    int
 	log     []Event
@@ -72,7 +70,6 @@ func NewNet(seed uint64) *Net {
 		names:   make(map[string]string),
 		cut:     make(map[linkKey]bool),
 		loss:    make(map[linkKey]*lossRule),
-		delay:   make(map[linkKey]time.Duration),
 		dropped: make(map[linkKey]int),
 	}
 }
@@ -115,7 +112,6 @@ func (c *Net) HealLink(src, dst string) {
 	defer c.mu.Unlock()
 	delete(c.cut, linkKey{src, dst})
 	delete(c.loss, linkKey{src, dst})
-	delete(c.delay, linkKey{src, dst})
 	c.note("heal-link", src+"->"+dst)
 }
 
@@ -149,33 +145,13 @@ func (c *Net) Partition(groups ...[]string) {
 	c.note("partition", detail)
 }
 
-// Heal clears every fault rule — cuts, loss, delay — on every link.
+// Heal clears every fault rule — cuts and loss — on every link.
 func (c *Net) Heal() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cut = make(map[linkKey]bool)
 	c.loss = make(map[linkKey]*lossRule)
-	c.delay = make(map[linkKey]time.Duration)
 	c.note("heal", "")
-}
-
-// SetLoss drops requests on the directed link src->dst with probability
-// p, drawn from a per-link RNG split off the controller seed.
-func (c *Net) SetLoss(src, dst string, p float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := linkKey{src, dst}
-	c.loss[k] = &lossRule{p: p, rng: xrand.New(c.seed ^ linkSeed(src, dst))}
-	c.note("loss", fmt.Sprintf("%s->%s p=%g", src, dst, p))
-}
-
-// SetDelay delays requests on the directed link src->dst by d before
-// they leave (honoring request-context cancellation).
-func (c *Net) SetDelay(src, dst string, d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.delay[linkKey{src, dst}] = d
-	c.note("delay", fmt.Sprintf("%s->%s %s", src, dst, d))
 }
 
 // Dropped reports how many requests the controller has rejected on the
@@ -215,19 +191,6 @@ func (c *Net) WriteLog(w io.Writer) error {
 func (c *Net) note(action, detail string) {
 	c.step++
 	c.log = append(c.log, Event{Step: c.step, Action: action, Detail: detail})
-}
-
-// linkSeed derives a stable per-link RNG seed from the link's names
-// (fnv64a over "src->dst").
-func linkSeed(src, dst string) uint64 {
-	h := uint64(1469598103934665603)
-	for _, s := range []string{src, "->", dst} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	return h
 }
 
 // LinkError is the transport-level failure an injected fault surfaces
@@ -276,17 +239,9 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		c.mu.Unlock()
 		return nil, &LinkError{Src: t.src, Dst: dst, Reason: "loss"}
 	}
-	d := c.delay[fwd]
 	revCut := c.cut[rev]
 	c.mu.Unlock()
 
-	if d > 0 {
-		select {
-		case <-time.After(d):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-	}
 	resp, err := t.base.RoundTrip(req)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,14 @@
 package chaos
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // twoServers boots two trivial HTTP servers registered as members "a"
@@ -221,4 +224,27 @@ func TestSchedulePartitionHand(t *testing.T) {
 	if len(c.cut) != 0 {
 		t.Fatal("heal phase left links cut")
 	}
+}
+
+// SetLoss drops requests on the directed link src->dst with probability
+// p, drawn from a per-link RNG split off the controller seed.
+func (c *Net) SetLoss(src, dst string, p float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := linkKey{src, dst}
+	c.loss[k] = &lossRule{p: p, rng: xrand.New(c.seed ^ linkSeed(src, dst))}
+	c.note("loss", fmt.Sprintf("%s->%s p=%g", src, dst, p))
+}
+
+// linkSeed derives a stable per-link RNG seed from the link's names
+// (fnv64a over "src->dst").
+func linkSeed(src, dst string) uint64 {
+	h := uint64(1469598103934665603)
+	for _, s := range []string{src, "->", dst} {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+	}
+	return h
 }

@@ -880,12 +880,6 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.detail }
 
-// postJSON posts a JSON body and decodes a JSON response. Non-2xx
-// responses come back as *httpError.
-func (n *Node) postJSON(addr, path string, body, out interface{}) error {
-	return n.postJSONWith(n.client, addr, path, body, out)
-}
-
 // postShip posts a pre-assembled ship body (JSON header line + raw WAL
 // frames) and decodes the JSON acknowledgement. The body bytes were
 // encoded exactly once by the shipper; this path never re-marshals.

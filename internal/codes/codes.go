@@ -40,19 +40,6 @@ func Walsh(n int) ([]Sequence, error) {
 	return rows, nil
 }
 
-// Dot returns the correlation (inner product) of two equal-length
-// sequences.
-func Dot(a, b Sequence) (int, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("codes: length mismatch %d vs %d", len(a), len(b))
-	}
-	sum := 0
-	for i := range a {
-		sum += int(a[i]) * int(b[i])
-	}
-	return sum, nil
-}
-
 // Codebook maps color indices (1-based, per package toca) to orthogonal
 // spreading sequences.
 type Codebook struct {
@@ -131,26 +118,4 @@ func (c *Codebook) Despread(color int, signal []int) (int8, error) {
 	default:
 		return 0, nil
 	}
-}
-
-// VerifyOrthogonality checks that all served codes are pairwise
-// orthogonal and each has full autocorrelation. Intended for tests and
-// the cmd/verify tool.
-func (c *Codebook) VerifyOrthogonality() error {
-	n := c.ChipLength()
-	for i := 1; i <= c.Capacity(); i++ {
-		for j := i; j <= c.Capacity(); j++ {
-			d, err := Dot(c.rows[i], c.rows[j])
-			if err != nil {
-				return err
-			}
-			if i == j && d != n {
-				return fmt.Errorf("codes: autocorrelation of %d is %d, want %d", i, d, n)
-			}
-			if i != j && d != 0 {
-				return fmt.Errorf("codes: cross-correlation of %d and %d is %d, want 0", i, j, d)
-			}
-		}
-	}
-	return nil
 }

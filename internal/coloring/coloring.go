@@ -1,15 +1,13 @@
 // Package coloring implements the graph-coloring heuristics the paper's
 // centralized baseline rests on: the DSATUR heuristic of Brelaz [9],
 // which BBB runs, and Recursive Largest First, its ablation alternative.
-// Colors are the positive integers of package toca. Both read any Graph
-// — an Adjacency, or the conflict-graph view of an adhoc.Network, which
-// the BBB baseline colors in place. The sequential greedy colorer and
-// its vertex orderings live in the tests, as baselines.
+// Colors are the positive integers of package toca. Both read any Graph,
+// such as the conflict-graph view of an adhoc.Network, which the BBB
+// baseline colors in place. The sequential greedy colorer, its vertex
+// orderings and the map-backed Adjacency test graph live in the tests.
 package coloring
 
 import (
-	"sort"
-
 	"repro/internal/graph"
 	"repro/internal/toca"
 )
@@ -21,31 +19,6 @@ type Graph interface {
 	Nodes() []graph.NodeID
 	Degree(id graph.NodeID) int
 	ForEachNeighbor(id graph.NodeID, fn func(graph.NodeID))
-}
-
-// Adjacency is an undirected graph given as sorted neighbor lists.
-type Adjacency map[graph.NodeID][]graph.NodeID
-
-var _ Graph = Adjacency(nil)
-
-// Nodes returns the vertex set ascending.
-func (adj Adjacency) Nodes() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(adj))
-	for id := range adj {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Degree returns the number of neighbors of id.
-func (adj Adjacency) Degree(id graph.NodeID) int { return len(adj[id]) }
-
-// ForEachNeighbor calls fn for every neighbor of id, ascending.
-func (adj Adjacency) ForEachNeighbor(id graph.NodeID, fn func(graph.NodeID)) {
-	for _, v := range adj[id] {
-		fn(v)
-	}
 }
 
 // positions maps each vertex of ids to its index, so per-vertex state

@@ -113,7 +113,12 @@ func CountColors(a toca.Assignment) int {
 // recoloring visits large color classes of a first — a utility for
 // recolor-stability experiments.
 func OrderByColorClassSize(a toca.Assignment) []graph.NodeID {
-	counts := a.ColorCounts()
+	counts := make(map[toca.Color]int)
+	for _, c := range a {
+		if c != toca.None {
+			counts[c]++
+		}
+	}
 	ids := make([]graph.NodeID, 0, len(a))
 	for id := range a {
 		ids = append(ids, id)

@@ -12,6 +12,32 @@ import (
 	"repro/internal/xrand"
 )
 
+// Adjacency is an undirected graph given as sorted neighbor lists: the
+// test graphs and the oracles below read it.
+type Adjacency map[graph.NodeID][]graph.NodeID
+
+var _ Graph = Adjacency(nil)
+
+// Nodes returns the vertex set ascending.
+func (adj Adjacency) Nodes() []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(adj))
+	for id := range adj {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Degree returns the number of neighbors of id.
+func (adj Adjacency) Degree(id graph.NodeID) int { return len(adj[id]) }
+
+// ForEachNeighbor calls fn for every neighbor of id, ascending.
+func (adj Adjacency) ForEachNeighbor(id graph.NodeID, fn func(graph.NodeID)) {
+	for _, v := range adj[id] {
+		fn(v)
+	}
+}
+
 // The map-based DSATUR and RLF below are the implementations the slice-
 // based ones replaced, kept verbatim as oracles: the rewrite must return
 // identical assignments, since BBB's recodings and maximum code depend

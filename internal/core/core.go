@@ -20,6 +20,33 @@
 // The Recoder is an engine.Subscriber: an engine owns the network,
 // decodes each event once, and hands the Recoder the Delta, so Minim
 // runs side by side with the CP and BBB baselines on one topology.
+//
+// # Locality certificate
+//
+// The paper's locality result (Thm 4.1.10: new nodes may join
+// simultaneously when any two are at least 5 hops apart) restated
+// geometrically, for every event kind. Let r bound every transmission
+// range the event involves: the network's monotone maximum range, raised
+// to the event's own range for a join or a power change. Let p be the
+// event's position: a join's position, a move's destination, and
+// otherwise the node's current position. A local strategy's event (Minim
+// and CP; BBB recolors the whole conflict graph)
+//
+//   - recolors only the event node and its neighbors in either
+//     direction (V1 = 1n ∪ 2n ∪ {n}), all within r of p;
+//   - reads the colors of those nodes' conflict neighbors: their out-
+//     and in-neighbors, within 2r of p, and the other transmitters into
+//     their out-neighbors, within 3r of p. A joiner's own constraints
+//     lie within its range plus r, which is at most 2r.
+//
+// So an event reads colors only within 3r of p and recolors only nodes
+// within r of p: run on the network restricted to the nodes within 3r
+// of p (plus the event node, whose old position a move leaves behind),
+// it recodes exactly the nodes it recodes on the full network, to the
+// same colors. A move's edge removals at its old position create no
+// conflicts, so they need no recoding there. cmd/verify checks this
+// certificate on random mixed scripts, and shows that a ball of r/2
+// breaks it.
 package core
 
 import (
@@ -50,8 +77,7 @@ type Recoder struct {
 	net *adhoc.Network
 	// colors is the assignment with its incremental max-color count, so
 	// outcome() reads the maximum in O(1). Every write goes through
-	// colors.Set; the external writer (the shard coordinator's fold and
-	// writeback) uses SetColor, never the raw map.
+	// colors.Set, never the raw map.
 	colors *toca.Tally
 	// scratch and forb are the matching solver's and the constraint
 	// walk's reusable working memory: one recoder recodes sequentially,
@@ -75,14 +101,9 @@ func New(net *adhoc.Network, assign toca.Assignment) *Recoder {
 func (r *Recoder) Name() string { return "Minim" }
 
 // Assignment implements strategy.Strategy. Callers must treat the map
-// as read-only; external writes go through SetColor so the incremental
-// max-color accumulator stays consistent.
+// as read-only: a write behind the recoder's back desynchronizes its
+// incremental max-color accumulator.
 func (r *Recoder) Assignment() toca.Assignment { return r.colors.Assignment() }
-
-// SetColor installs a color computed outside the recoder (the shard
-// coordinator's fold and writeback); toca.None removes the entry. It keeps the max-color accumulator in
-// sync with the mutation.
-func (r *Recoder) SetColor(id graph.NodeID, c toca.Color) { r.colors.Set(id, c) }
 
 // OnDelta implements engine.Subscriber: the per-event recoding
 // algorithms, operating on an already-updated topology.
@@ -185,18 +206,13 @@ func (r *Recoder) recodeLocal(n graph.NodeID, inOrBoth []graph.NodeID) map[graph
 // join protocol (package dist), which computes the same inputs from
 // protocol messages.
 func Solve(v1 []graph.NodeID, old map[graph.NodeID]toca.Color, forb map[graph.NodeID]toca.ColorSet) map[graph.NodeID]toca.Color {
-	return SolveWeighted(v1, old, forb, weightOld, weightNew)
+	return solveWeighted(nil, v1, old, forb, weightOld, weightNew)
 }
 
-// SolveWeighted is Solve with explicit edge weights. It exists for the
-// weight ablation (DESIGN.md A1): the minimality proof requires
-// wOld > 2*wNew, and running the recoder with wOld = 2 or wOld = 1
-// demonstrates how the guarantee degrades.
-func SolveWeighted(v1 []graph.NodeID, old map[graph.NodeID]toca.Color, forb map[graph.NodeID]toca.ColorSet, wOld, wNew int64) map[graph.NodeID]toca.Color {
-	return solveWeighted(nil, v1, old, forb, wOld, wNew)
-}
-
-// solveWeighted is the shared implementation. With a nil scratch it
+// solveWeighted is Solve with explicit edge weights; the weight
+// ablation (BenchmarkAblationWeights) runs it with wOld = 2 and 1 to
+// show how the minimality guarantee, which needs wOld > 2*wNew,
+// degrades. With a nil scratch it
 // materializes the edge list and allocates fresh solver state (the
 // pure-function path Solve and the dist protocols use). With a scratch
 // it skips the edge list entirely: the weight matrix is dense minus the

@@ -56,9 +56,8 @@ func TestMaxColorAccumulatorDifferential(t *testing.T) {
 	}
 }
 
-// TestSetColorKeepsAccumulator: external writes through SetColor (the
-// shard writeback / batch wave path) keep the accumulator consistent,
-// including removals that lower the maximum and adoption of a non-empty
+// TestSetColorKeepsAccumulator: writes through the tally's Set keep the
+// accumulator consistent, including removals that lower the maximum and adoption of a non-empty
 // assignment via New.
 func TestSetColorKeepsAccumulator(t *testing.T) {
 	seed := toca.Assignment{1: 2, 2: 5, 3: 5}
@@ -70,16 +69,16 @@ func TestSetColorKeepsAccumulator(t *testing.T) {
 		}
 	}
 	check("adopted")
-	r.SetColor(4, 9)
+	r.colors.Set(4, 9)
 	check("raise")
-	r.SetColor(4, toca.None)
+	r.colors.Set(4, toca.None)
 	check("drop max")
-	r.SetColor(2, 1)
-	r.SetColor(3, 1)
+	r.colors.Set(2, 1)
+	r.colors.Set(3, 1)
 	check("lower both holders of 5")
-	r.SetColor(1, toca.None)
-	r.SetColor(2, toca.None)
-	r.SetColor(3, toca.None)
+	r.colors.Set(1, toca.None)
+	r.colors.Set(2, toca.None)
+	r.colors.Set(3, toca.None)
 	check("empty")
 	if r.colors.Max() != toca.None {
 		t.Fatalf("empty assignment accumulator max %d, want None", r.colors.Max())

@@ -142,8 +142,8 @@ func TestSolveWeightedCardinalityLosesMinimality(t *testing.T) {
 			}
 			return n
 		}
-		w3 := recodes(SolveWeighted(v1, old, forb, 3, 1))
-		w1 := recodes(SolveWeighted(v1, old, forb, 1, 1))
+		w3 := recodes(solveWeighted(nil, v1, old, forb, 3, 1))
+		w1 := recodes(solveWeighted(nil, v1, old, forb, 1, 1))
 		if w3 > w1 {
 			weightedWorse++
 		}

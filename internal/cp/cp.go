@@ -69,12 +69,6 @@ func (s *Strategy) Name() string {
 // Assignment implements strategy.Strategy.
 func (s *Strategy) Assignment() toca.Assignment { return s.colors.Assignment() }
 
-// SetColor installs an externally computed color (toca.None removes the
-// entry). It is the write path the shard coordinator uses so hosted
-// strategies can keep internal accounting consistent with external
-// assignment mutations.
-func (s *Strategy) SetColor(id graph.NodeID, c toca.Color) { s.colors.Set(id, c) }
-
 // OnDelta implements engine.Subscriber: the CP recoding rules, operating
 // on an already-updated topology.
 func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {

@@ -144,9 +144,6 @@ func (e *Engine) send(m message) {
 // copy) without assigning a fresh sequence number.
 func (e *Engine) resend(m message) { e.queue = append(e.queue, m) }
 
-// Pending returns the number of undelivered messages.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Run delivers queued messages (including ones enqueued by handlers run
 // along the way) until the queue drains. It errors if more than limit
 // delivery attempts are needed — a guard against protocol livelock.
@@ -205,9 +202,6 @@ type Node struct {
 	id    graph.NodeID
 	color toca.Color
 }
-
-// ID returns the node's identity.
-func (n *Node) ID() graph.NodeID { return n.id }
 
 // Color returns the node's current code.
 func (n *Node) Color() toca.Color { return n.color }

@@ -292,3 +292,6 @@ func TestDuplicateAndLossCompose(t *testing.T) {
 		}
 	}
 }
+
+// Pending returns the number of undelivered messages.
+func (e *Engine) Pending() int { return len(e.queue) }

@@ -33,39 +33,10 @@
 // # Event sourcing
 //
 // The engine appends every applied event to an ordered log. Sessions
-// mark phase boundaries as log offsets, and Replay reconstructs an
-// identical engine (and, via the subscriber factory, identical strategy
-// states) from the log alone — the basis for sharding runs across
-// workers and serving concurrent read-only sessions later.
-//
-// # Sharded runs
-//
-// internal/shard partitions a run across engines by arena region: one
-// engine (with its own subscriber set) per region of a configurable
-// grid, executing on worker goroutines, plus a global mirror engine
-// kept current for every event. The routing rule is geometric: an event
-// at position p reads colors only within 3*Rmax of p and recolors only
-// within Rmax (Rmax the monotone maximum range; the shard package doc
-// derives this form of the paper's Thm 4.1.10), so an event whose
-// 3*Rmax ball lies inside its region runs concurrently on that region's
-// shard, while an event whose ball crosses a region border is escalated
-// to the serialized border lane: all shard workers drain (barrier),
-// buffered shard recodings fold into per-strategy global assignments,
-// and the event executes on the mirror with writebacks to the owning
-// shards. Each shard engine's append-only log plus the mirror's
-// total-order log make the whole run deterministically replayable
-// (internal/shard's tests rebuild runs from the mirror log), and
-// sharded results are bit-identical to a
-// single-engine run — the differential tests in internal/shard assert
-// identical digraphs, assignments, and metrics at every phase boundary.
-// Centralized strategies (BBB recolors the whole conflict graph) run on
-// a dedicated full-replica lane fed every event in order.
-//
-// CommitTopology is the engine-side seam the coordinator uses: it
-// applies and logs an event without the Delta captures or subscriber
-// fanout (mirror updates for interior events, whose recoding happens on
-// the owning shard, and topology writebacks to the shards after a
-// border event).
+// mark phase boundaries as log offsets. Replaying the log on a fresh
+// engine reconstructs an identical one (and, via a subscriber factory,
+// identical strategy states); the engine tests pin this contract, which
+// the serve WAL and replication rely on.
 //
 // # Open follow-ons
 //

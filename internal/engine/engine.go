@@ -136,15 +136,13 @@ func Adopt(net *adhoc.Network) *Engine {
 func (e *Engine) Network() *adhoc.Network { return e.net }
 
 // Subscribe attaches a subscriber. Subscribers attached mid-run see only
-// subsequent events; use Replay to bring one up to date first.
+// subsequent events; replay the log into a fresh engine to bring one up
+// to date.
 func (e *Engine) Subscribe(s Subscriber) { e.subs = append(e.subs, s) }
 
-// Subscribers returns the attached subscribers in attach order.
-func (e *Engine) Subscribers() []Subscriber { return e.subs }
-
 // InstrumentRecode attaches per-subscriber recode-latency histograms,
-// aligned with Subscribers() (missing tail entries are simply not
-// timed). Call before Apply traffic; nil detaches.
+// aligned with the subscribers in attach order (missing tail entries
+// are simply not timed). Call before Apply traffic; nil detaches.
 func (e *Engine) InstrumentRecode(hs []*obs.Histogram) { e.recodeObs = hs }
 
 // Log returns the event-sourced history: every event applied, in order.
@@ -157,9 +155,9 @@ func (e *Engine) Seq() int { return len(e.log) }
 
 // Apply decodes one event against the shared network (once), appends it
 // to the log, and invokes every subscriber with the Delta. The returned
-// outcomes align with Subscribers(); the slice is the engine's own and
-// stays valid only until the next Apply, so a caller that keeps
-// outcomes must copy them. On a topology error nothing is
+// outcomes align with the subscribers in attach order; the slice is the
+// engine's own and stays valid only until the next Apply, so a caller
+// that keeps outcomes must copy them. On a topology error nothing is
 // logged and no subscriber runs; on a subscriber error the topology
 // change and log entry stand (the network stays consistent) and the
 // error is returned.
@@ -191,45 +189,4 @@ func (e *Engine) Apply(ev strategy.Event) ([]strategy.Outcome, error) {
 		outs[i] = out
 	}
 	return outs, nil
-}
-
-// ApplyAll applies a script of events, stopping at the first error.
-func (e *Engine) ApplyAll(events []strategy.Event) error {
-	for i, ev := range events {
-		if _, err := e.Apply(ev); err != nil {
-			return fmt.Errorf("engine: event %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// CommitTopology applies an event's topology change and log entry
-// without computing the Delta's pre- and post-state captures (partition,
-// conflict neighborhoods) — the cheap path for a mirror replica whose
-// recoding happens elsewhere (the shard coordinator's interior events
-// and border writebacks). Skipping the fanout desynchronizes any
-// subscriber that did not take part in that recoding, so it errors
-// unless the caller acknowledges every subscriber via allowSubs.
-func (e *Engine) CommitTopology(ev strategy.Event, allowSubs int) error {
-	if len(e.subs) > allowSubs {
-		return fmt.Errorf("engine: CommitTopology with %d unacknowledged subscribers", len(e.subs)-allowSubs)
-	}
-	var err error
-	switch ev.Kind {
-	case strategy.Join:
-		err = e.net.Join(ev.ID, ev.Cfg)
-	case strategy.Leave:
-		err = e.net.Leave(ev.ID)
-	case strategy.Move:
-		err = e.net.Move(ev.ID, ev.Pos)
-	case strategy.PowerChange:
-		err = e.net.SetRange(ev.ID, ev.R)
-	default:
-		err = fmt.Errorf("engine: unknown event kind %v", ev.Kind)
-	}
-	if err != nil {
-		return err
-	}
-	e.log = append(e.log, ev)
-	return nil
 }

@@ -188,25 +188,6 @@ func TestEngineLogReplay(t *testing.T) {
 	}
 }
 
-// TestCommitTopologyGuard: CommitTopology refuses to skip subscribers
-// the caller did not acknowledge, and logs the event once they are.
-func TestCommitTopologyGuard(t *testing.T) {
-	eng := engine.New()
-	eng.Subscribe(core.New(eng.Network(), nil))
-	if err := eng.CommitTopology(strategy.JoinEvent(1, adhoc.Config{Range: 1}), 0); err == nil {
-		t.Fatal("CommitTopology ignored an unacknowledged subscriber")
-	}
-	if eng.Seq() != 0 || eng.Network().Has(1) {
-		t.Fatal("refused CommitTopology changed the engine")
-	}
-	if err := eng.CommitTopology(strategy.JoinEvent(1, adhoc.Config{Range: 1}), 1); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Seq() != 1 || !eng.Network().Has(1) {
-		t.Fatalf("log has %d events, want 1 with node 1 joined", eng.Seq())
-	}
-}
-
 // TestEngineTopologyErrors: bad events error without reaching
 // subscribers or the log.
 func TestEngineTopologyErrors(t *testing.T) {

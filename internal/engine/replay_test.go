@@ -16,8 +16,10 @@ func Replay(log []strategy.Event, mk func(net *adhoc.Network) []Subscriber) (*En
 			e.Subscribe(s)
 		}
 	}
-	if err := e.ApplyAll(log); err != nil {
-		return nil, err
+	for _, ev := range log {
+		if _, err := e.Apply(ev); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
 }

@@ -18,11 +18,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("(%.3f, %.3f)", p.X, p.Y)
 }
 
-// DistanceTo returns the Euclidean distance between p and q.
-func (p Point) DistanceTo(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
 // DistanceSqTo returns the squared Euclidean distance between p and q.
 // It avoids the square root for range comparisons.
 func (p Point) DistanceSqTo(q Point) float64 {
@@ -35,24 +30,9 @@ func (p Point) Add(v Vector) Point {
 	return Point{p.X + v.DX, p.Y + v.DY}
 }
 
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Vector {
-	return Vector{p.X - q.X, p.Y - q.Y}
-}
-
 // Vector is a displacement in the 2-D plane.
 type Vector struct {
 	DX, DY float64
-}
-
-// Length returns the Euclidean length of v.
-func (v Vector) Length() float64 {
-	return math.Hypot(v.DX, v.DY)
-}
-
-// Scale returns v scaled by s.
-func (v Vector) Scale(s float64) Vector {
-	return Vector{v.DX * s, v.DY * s}
 }
 
 // Polar returns the displacement of the given length in the given
@@ -72,27 +52,10 @@ func Arena(w, h float64) Rect {
 	return Rect{Min: Point{0, 0}, Max: Point{w, h}}
 }
 
-// Width returns the horizontal extent of r.
-func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
-
-// Height returns the vertical extent of r.
-func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Contains reports whether p lies inside r (inclusive of the border).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Clamp returns p moved to the nearest point inside r.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
 		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
 		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
 	}
-}
-
-// Diagonal returns the length of r's diagonal, an upper bound on any
-// distance between two points inside r.
-func (r Rect) Diagonal() float64 {
-	return r.Min.DistanceTo(r.Max)
 }

@@ -166,3 +166,40 @@ func TestPointString(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
+
+// Sub returns the vector from q to p.
+func (p Point) Sub(q Point) Vector {
+	return Vector{p.X - q.X, p.Y - q.Y}
+}
+
+// Length returns the Euclidean length of v.
+func (v Vector) Length() float64 {
+	return math.Hypot(v.DX, v.DY)
+}
+
+// Scale returns v scaled by s.
+func (v Vector) Scale(s float64) Vector {
+	return Vector{v.DX * s, v.DY * s}
+}
+
+// Width returns the horizontal extent of r.
+func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
+
+// Height returns the vertical extent of r.
+func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
+
+// Contains reports whether p lies inside r (inclusive of the border).
+func (r Rect) Contains(p Point) bool {
+	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
+}
+
+// Diagonal returns the length of r's diagonal, an upper bound on any
+// distance between two points inside r.
+func (r Rect) Diagonal() float64 {
+	return r.Min.DistanceTo(r.Max)
+}
+
+// DistanceTo returns the Euclidean distance between p and q.
+func (p Point) DistanceTo(q Point) float64 {
+	return math.Hypot(p.X-q.X, p.Y-q.Y)
+}

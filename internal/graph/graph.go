@@ -185,12 +185,6 @@ func (g *Digraph) InNeighbors(id NodeID) []NodeID {
 	return copyOf(g.in(id))
 }
 
-// OutDegree returns the number of out-edges of id.
-func (g *Digraph) OutDegree(id NodeID) int { return len(g.out(id)) }
-
-// InDegree returns the number of in-edges of id.
-func (g *Digraph) InDegree(id NodeID) int { return len(g.in(id)) }
-
 // ForEachOut calls fn for every out-neighbor of id, in ascending order.
 // It is the allocation-free companion of OutNeighbors for hot paths; fn
 // must not mutate the graph.
@@ -227,15 +221,6 @@ func (g *Digraph) Clone() *Digraph {
 		c.adj[id] = &adjacency{out: slices.Clone(a.out), in: slices.Clone(a.in)}
 	}
 	return c
-}
-
-// UndirectedNeighbors returns all nodes adjacent to id in either
-// direction, ascending and without duplicates. This is the "1-hop
-// neighborhood" used by the CP strategy's symmetric view.
-func (g *Digraph) UndirectedNeighbors(id NodeID) []NodeID {
-	both := append(copyOf(g.out(id)), g.in(id)...)
-	slices.Sort(both)
-	return slices.Compact(both)
 }
 
 // HopDistances returns BFS hop counts from src over the *undirected*
@@ -277,16 +262,6 @@ func (g *Digraph) WithinHops(src NodeID, k int) []NodeID {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// MaxDegree returns the maximum of in- and out-degrees over all nodes
-// (the parameter k in the paper's complexity analysis).
-func (g *Digraph) MaxDegree() int {
-	best := 0
-	for _, a := range g.adj {
-		best = max(best, len(a.out), len(a.in))
-	}
-	return best
 }
 
 // Validate checks internal consistency: neighbor lists strictly

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -329,3 +330,28 @@ func containsNode(s []NodeID, id NodeID) bool {
 	}
 	return false
 }
+
+// UndirectedNeighbors returns all nodes adjacent to id in either
+// direction, ascending and without duplicates. This is the "1-hop
+// neighborhood" used by the CP strategy's symmetric view.
+func (g *Digraph) UndirectedNeighbors(id NodeID) []NodeID {
+	both := append(copyOf(g.out(id)), g.in(id)...)
+	slices.Sort(both)
+	return slices.Compact(both)
+}
+
+// MaxDegree returns the maximum of in- and out-degrees over all nodes
+// (the parameter k in the paper's complexity analysis).
+func (g *Digraph) MaxDegree() int {
+	best := 0
+	for _, a := range g.adj {
+		best = max(best, len(a.out), len(a.in))
+	}
+	return best
+}
+
+// OutDegree returns the number of out-edges of id.
+func (g *Digraph) OutDegree(id NodeID) int { return len(g.out(id)) }
+
+// InDegree returns the number of in-edges of id.
+func (g *Digraph) InDegree(id NodeID) int { return len(g.in(id)) }

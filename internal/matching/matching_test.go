@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -245,4 +246,48 @@ func TestRectangularBothOrientations(t *testing.T) {
 	if res := MaxWeight(2, 4, edges); res.Weight != 2 {
 		t.Fatalf("2x4: weight %d, want 2", res.Weight)
 	}
+}
+
+// Cardinality returns the number of matched pairs in r.
+func (r Result) Cardinality() int {
+	n := 0
+	for _, m := range r.MatchL {
+		if m != -1 {
+			n++
+		}
+	}
+	return n
+}
+
+// Validate checks that the result is a matching consistent with the given
+// partition sizes: degree <= 1 on both sides and mirrored indices. It
+// returns an error describing the first inconsistency. Intended for
+// tests and the cmd/verify tool.
+func (r Result) Validate(nLeft, nRight int) error {
+	if len(r.MatchL) != nLeft || len(r.MatchR) != nRight {
+		return fmt.Errorf("matching: result sized %dx%d, want %dx%d", len(r.MatchL), len(r.MatchR), nLeft, nRight)
+	}
+	for l, m := range r.MatchL {
+		if m == -1 {
+			continue
+		}
+		if m < 0 || m >= nRight {
+			return fmt.Errorf("matching: MatchL[%d]=%d out of range", l, m)
+		}
+		if r.MatchR[m] != l {
+			return fmt.Errorf("matching: MatchL[%d]=%d but MatchR[%d]=%d", l, m, m, r.MatchR[m])
+		}
+	}
+	for rt, m := range r.MatchR {
+		if m == -1 {
+			continue
+		}
+		if m < 0 || m >= nLeft {
+			return fmt.Errorf("matching: MatchR[%d]=%d out of range", rt, m)
+		}
+		if r.MatchL[m] != rt {
+			return fmt.Errorf("matching: MatchR[%d]=%d but MatchL[%d]=%d", rt, m, m, r.MatchL[m])
+		}
+	}
+	return nil
 }

@@ -130,3 +130,33 @@ func BenchmarkScratchMaxWeight(b *testing.B) {
 		}
 	})
 }
+
+// MaxWeight is MaxWeight computed in s's reusable buffers: a
+// maximum-weight bipartite matching via the Hungarian algorithm with
+// potentials on a dense cost matrix, parallel edges keeping the heaviest
+// weight. Only the returned Result is freshly allocated; everything else
+// lives in s until the next call.
+func (s *Scratch) MaxWeight(nLeft, nRight int, edges []Edge) Result {
+	validate(nLeft, nRight, edges)
+	res := Result{
+		MatchL: filled(nLeft, -1),
+		MatchR: filled(nRight, -1),
+	}
+	if nLeft == 0 || nRight == 0 || len(edges) == 0 {
+		return res
+	}
+
+	// Weight matrix; absent edges stay at 0 (equivalent to unmatched).
+	var maxW int64
+	s.w = growI64(s.w, nLeft*nRight)
+	clear(s.w)
+	for _, e := range edges {
+		if e.W > s.w[e.L*nRight+e.R] {
+			s.w[e.L*nRight+e.R] = e.W
+		}
+		if e.W > maxW {
+			maxW = e.W
+		}
+	}
+	return s.solveMatrix(nLeft, nRight, maxW, res)
+}

@@ -260,13 +260,6 @@ func (s *Scrape) WriteText(w io.Writer) error {
 	return err
 }
 
-// RenderText returns WriteText's output as a string.
-func (s *Scrape) RenderText() string {
-	var sb strings.Builder
-	s.WriteText(&sb)
-	return sb.String()
-}
-
 func canonLabelsNoLe(labels map[string]string) string {
 	if _, ok := labels["le"]; !ok {
 		return canonLabels(labels)

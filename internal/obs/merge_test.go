@@ -288,3 +288,10 @@ func FuzzScrapeRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// RenderText returns WriteText's output as a string.
+func (s *Scrape) RenderText() string {
+	var sb strings.Builder
+	s.WriteText(&sb)
+	return sb.String()
+}

@@ -309,3 +309,52 @@ func TestMetricUpdateZeroAlloc(t *testing.T) {
 		t.Fatalf("nil no-op updates allocated %v per op, want 0", n)
 	}
 }
+
+// Add adds n (may be negative).
+func (g *Gauge) Add(n int64) {
+	if g == nil {
+		return
+	}
+	g.v.Add(n)
+}
+
+// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
+// counts, interpolating linearly within the containing bucket. Values
+// in the overflow (+Inf) bucket report the last finite bound. Returns 0
+// when nothing has been observed or h is nil.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	total := h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	cum := int64(0)
+	for i := range h.buckets {
+		n := h.buckets[i].Load()
+		if n == 0 {
+			cum += n
+			continue
+		}
+		if float64(cum+n) >= rank {
+			if i >= len(h.bounds) {
+				return h.bounds[len(h.bounds)-1]
+			}
+			lo := 0.0
+			if i > 0 {
+				lo = h.bounds[i-1]
+			}
+			frac := (rank - float64(cum)) / float64(n)
+			if frac < 0 {
+				frac = 0
+			} else if frac > 1 {
+				frac = 1
+			}
+			return lo + (h.bounds[i]-lo)*frac
+		}
+		cum += n
+	}
+	return h.bounds[len(h.bounds)-1]
+}

@@ -249,18 +249,6 @@ func histogramPair(sc *Scrape, sel Selector, threshold float64) (good, total flo
 	return good, total
 }
 
-// Verdicts returns the latest evaluation (nil before the first Tick).
-func (s *SLO) Verdicts() []Verdict {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Verdict, len(s.verdicts))
-	copy(out, s.verdicts)
-	return out
-}
-
 // Handler serves GET /slo: {"at": ..., "verdicts": [...]}. A nil
 // engine serves an empty verdict list.
 func (s *SLO) Handler() http.Handler {

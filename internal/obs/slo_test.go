@@ -159,3 +159,15 @@ func TestSLOHandler(t *testing.T) {
 		t.Fatalf("nil engine: %d %s", rr.Code, rr.Body.String())
 	}
 }
+
+// Verdicts returns the latest evaluation (nil before the first Tick).
+func (s *SLO) Verdicts() []Verdict {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]Verdict, len(s.verdicts))
+	copy(out, s.verdicts)
+	return out
+}

@@ -64,14 +64,6 @@ func NewSlowRing(n int, threshold time.Duration) *SlowRing {
 	return r
 }
 
-// SetThreshold adjusts the retention threshold at runtime. Nil-safe.
-func (r *SlowRing) SetThreshold(d time.Duration) {
-	if r == nil || d <= 0 {
-		return
-	}
-	r.threshold.Store(int64(d))
-}
-
 // Threshold returns the current retention threshold (0 on nil).
 func (r *SlowRing) Threshold() time.Duration {
 	if r == nil {

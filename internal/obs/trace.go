@@ -152,13 +152,6 @@ func (t *Tracer) Entries(since int64) []TraceEntry {
 	return out
 }
 
-// WriteJSON dumps the ring, oldest entry first, as a JSON array of
-// {"seq":N,"member":"a","stage":"apply","at_unix_ns":T} objects (the
-// member field is omitted when no identity was configured).
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	return t.WriteJSONSince(w, minSeq)
-}
-
 // minSeq admits every entry (seq is int64 and may legitimately be 0).
 const minSeq = -1 << 63
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -138,4 +139,11 @@ func TestTraceHubEviction(t *testing.T) {
 // DefaultTraceRing).
 func NewTracer(ring int) *Tracer {
 	return newMemberTracer(ring, "")
+}
+
+// WriteJSON dumps the ring, oldest entry first, as a JSON array of
+// {"seq":N,"member":"a","stage":"apply","at_unix_ns":T} objects (the
+// member field is omitted when no identity was configured).
+func (t *Tracer) WriteJSON(w io.Writer) error {
+	return t.WriteJSONSince(w, minSeq)
 }

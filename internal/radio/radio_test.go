@@ -183,7 +183,7 @@ func TestPartialTransmitters(t *testing.T) {
 			t.Fatalf("garbled: %+v", r)
 		}
 	}
-	wantReceptions := net.Graph().OutDegree(0) + net.Graph().OutDegree(1)
+	wantReceptions := len(net.Graph().OutNeighbors(0)) + len(net.Graph().OutNeighbors(1))
 	if len(rs) != wantReceptions {
 		t.Fatalf("%d receptions, want %d", len(rs), wantReceptions)
 	}

@@ -36,10 +36,6 @@ func NewManager(dir string) *Manager {
 // point a no-op.
 func (m *Manager) Instrument(mx *Metrics) { m.mx = mx }
 
-// Metrics returns the attached observability bundle (nil when
-// uninstrumented).
-func (m *Manager) Metrics() *Metrics { return m.mx }
-
 // ErrSessionExists rejects creating a session whose ID is taken.
 var ErrSessionExists = errors.New("serve: session already exists")
 

@@ -21,22 +21,6 @@ func NewMetrics(reg *obs.Registry, hub *obs.TraceHub) *Metrics {
 	return &Metrics{reg: reg, hub: hub}
 }
 
-// Registry returns the underlying registry (nil-safe).
-func (m *Metrics) Registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
-}
-
-// TraceHub returns the underlying trace hub (nil-safe).
-func (m *Metrics) TraceHub() *obs.TraceHub {
-	if m == nil {
-		return nil
-	}
-	return m.hub
-}
-
 // evictTrace drops a closed session's or replica's trace ring from the
 // hub (nil-safe) — called when a session leaves the manager's registry
 // for good, never on the promote path.

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"runtime/pprof"
-	"sort"
 	"sync"
 
 	"repro/internal/adhoc"
 	"repro/internal/obs"
 	"repro/internal/strategy"
 	"repro/internal/toca"
-	"repro/internal/trace"
 )
 
 // Replica errors.
@@ -51,9 +49,6 @@ type Replica struct {
 	// failure must not race a concurrent promotion over the same WAL).
 	promoteMu sync.Mutex
 }
-
-// ID returns the replicated session's identity.
-func (r *Replica) ID() string { return r.s.id }
 
 // Seq returns the sequence number of the last applied (and durable)
 // event — the replica's acknowledged offset.
@@ -201,51 +196,6 @@ func replicaConfig(cfg Config) Config {
 	return cfg
 }
 
-// NewReplica creates a follower replica of session id seeded from a
-// shipped snapshot — the first record of the primary's WAL. Any
-// existing local log for the ID is truncated. The replica's WAL starts
-// with exactly that snapshot, so its durable state mirrors the
-// primary's log shipped so far.
-func (m *Manager) NewReplica(id string, cfg Config, snap trace.Snapshot) (*Replica, error) {
-	if err := validID(id); err != nil {
-		return nil, err
-	}
-	if m.dir == "" {
-		return nil, fmt.Errorf("serve: manager has no WAL directory for replica %q", id)
-	}
-	cfg = replicaConfig(cfg)
-	cfg.metrics = m.mx
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.sessions[id]; ok {
-		return nil, ErrSessionExists
-	}
-	if _, ok := m.replicas[id]; ok {
-		return nil, ErrReplicaExists
-	}
-	path, err := m.walPath(id)
-	if err != nil {
-		return nil, err
-	}
-	w, err := createWAL(path, snap)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.close(); err != nil {
-		return nil, err
-	}
-	// Re-open through the shared recovery core so the replica's backend
-	// is built by the exact code path a promotion will later re-run.
-	s, err := buildSession(id, cfg, path)
-	if err != nil {
-		return nil, err
-	}
-	s.markFollower()
-	r := &Replica{s: s, path: path}
-	m.replicas[id] = r
-	return r, nil
-}
-
 // OpenReplica rebuilds a follower replica from its existing local WAL —
 // a demoted primary re-enlisting as a follower, or a follower process
 // restart. The warm state is recovered exactly as a promotion would
@@ -344,18 +294,6 @@ func (m *Manager) GetReplica(id string) (*Replica, bool) {
 	defer m.mu.RUnlock()
 	r, ok := m.replicas[id]
 	return r, ok
-}
-
-// Replicas returns the live replica IDs, ascending.
-func (m *Manager) Replicas() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	ids := make([]string, 0, len(m.replicas))
-	for id := range m.replicas {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // CloseReplica gracefully releases one replica, leaving its WAL on disk

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/toca"
+	"repro/internal/trace"
 )
 
 // shipAll tails the primary's WAL from pos and offers everything new to
@@ -207,4 +209,49 @@ func TestReplicaOfferDedupAndGap(t *testing.T) {
 	if err := follMgr.CloseReplica("dedup"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// NewReplica creates a follower replica of session id seeded from a
+// shipped snapshot — the first record of the primary's WAL. Any
+// existing local log for the ID is truncated. The replica's WAL starts
+// with exactly that snapshot, so its durable state mirrors the
+// primary's log shipped so far.
+func (m *Manager) NewReplica(id string, cfg Config, snap trace.Snapshot) (*Replica, error) {
+	if err := validID(id); err != nil {
+		return nil, err
+	}
+	if m.dir == "" {
+		return nil, fmt.Errorf("serve: manager has no WAL directory for replica %q", id)
+	}
+	cfg = replicaConfig(cfg)
+	cfg.metrics = m.mx
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.sessions[id]; ok {
+		return nil, ErrSessionExists
+	}
+	if _, ok := m.replicas[id]; ok {
+		return nil, ErrReplicaExists
+	}
+	path, err := m.walPath(id)
+	if err != nil {
+		return nil, err
+	}
+	w, err := createWAL(path, snap)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.close(); err != nil {
+		return nil, err
+	}
+	// Re-open through the shared recovery core so the replica's backend
+	// is built by the exact code path a promotion will later re-run.
+	s, err := buildSession(id, cfg, path)
+	if err != nil {
+		return nil, err
+	}
+	s.markFollower()
+	r := &Replica{s: s, path: path}
+	m.replicas[id] = r
+	return r, nil
 }

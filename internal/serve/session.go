@@ -300,9 +300,6 @@ func buildSession(id string, cfg Config, walPath string) (*Session, error) {
 // ID returns the session identity.
 func (s *Session) ID() string { return s.id }
 
-// Strategies lists the hosted strategies.
-func (s *Session) Strategies() []string { return append([]string(nil), s.cfg.Strategies...) }
-
 // View returns the newest published read snapshot. Never nil; never
 // blocks.
 func (s *Session) View() *View { return s.view.Load() }

@@ -694,17 +694,3 @@ func InstallWAL(dir string, r io.Reader) error {
 	os.RemoveAll(old)
 	return nil
 }
-
-// lastSegmentPath returns the path of a log's active (last) segment —
-// the file a torn append would land in. Tests use it to simulate
-// crashes mid-write.
-func lastSegmentPath(dir string) (string, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return "", err
-	}
-	if len(segs) == 0 {
-		return "", fmt.Errorf("serve: wal %s has no segments", dir)
-	}
-	return filepath.Join(dir, segName(segs[len(segs)-1])), nil
-}

@@ -114,3 +114,9 @@ func TestRunPhasesMatchesLegacySemantics(t *testing.T) {
 		}
 	}
 }
+
+// Events returns the event-sourced log applied so far.
+func (s *EngineSession) Events() []strategy.Event { return s.eng.Log() }
+
+// Phases returns the marked phase boundaries as log offsets.
+func (s *EngineSession) Phases() []int { return append([]int(nil), s.phases...) }

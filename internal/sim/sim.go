@@ -10,7 +10,7 @@
 // tools and the examples use, for one strategy or several.
 //
 // The name table (specs) is the single place a strategy name becomes an
-// instance; serve, shard and the command-line tools all read it.
+// instance; serve and the command-line tools all read it.
 package sim
 
 import (
@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/strategy"
 	"repro/internal/toca"
 )
@@ -54,20 +53,15 @@ var AllStrategies = []StrategyName{Minim, CP, BBB}
 type Hosted interface {
 	engine.Subscriber
 	Assignment() toca.Assignment
-	// SetColor installs an externally computed color (toca.None removes
-	// the entry). A host that folds or writes back recodings computed
-	// elsewhere (the shard coordinator) mutates an assignment only
-	// through it, so strategies with internal accounting
-	// (Minim's incremental max-color accumulator) stay consistent.
-	SetColor(id graph.NodeID, c toca.Color)
 }
 
 // Spec is how to host one named strategy.
 type Spec struct {
 	// Local marks the strategy's recoding as interference-local: its
-	// reads and writes for an event stay within a ball around the event
-	// (the paper's locality theorems). The sharded runtime partitions
-	// local strategies across regions; BBB's global recolor is not local.
+	// reads and writes for an event stay within the 3r ball around the
+	// event that internal/core's package doc derives from the paper's
+	// Thm 4.1.10. cmd/verify checks the certificate on every local
+	// strategy; BBB's global recolor is not local.
 	Local bool
 	// New builds an instance reading net, which the subscribing engine
 	// owns, and adopting assign (used directly, not copied; nil starts
@@ -145,18 +139,12 @@ func NewEngineSession(names []StrategyName, validate bool) (*EngineSession, erro
 // Engine exposes the underlying engine (read-only use).
 func (s *EngineSession) Engine() *engine.Engine { return s.eng }
 
-// Events returns the event-sourced log applied so far.
-func (s *EngineSession) Events() []strategy.Event { return s.eng.Log() }
-
 // Mark records the current log position as a phase boundary and returns
 // its index.
 func (s *EngineSession) Mark() int {
 	s.phases = append(s.phases, s.eng.Seq())
 	return len(s.phases) - 1
 }
-
-// Phases returns the marked phase boundaries as log offsets.
-func (s *EngineSession) Phases() []int { return append([]int(nil), s.phases...) }
 
 // Apply runs one phase of events through the engine: each event is
 // decoded once and fanned out to every strategy.

@@ -121,8 +121,9 @@ func TestSessionErrorPropagates(t *testing.T) {
 }
 
 // corruptedSession hosts Minim on two mutually linked nodes, then forces
-// both onto one code behind the strategy's back (a CA1 violation the
-// next far-away join does not repair).
+// both onto one code behind the strategy's back, by a raw write to its
+// assignment map (a CA1 violation the next far-away join does not
+// repair).
 func corruptedSession(t *testing.T, validate bool) *EngineSession {
 	t.Helper()
 	sess, err := NewEngineSession([]StrategyName{Minim}, validate)
@@ -136,7 +137,7 @@ func corruptedSession(t *testing.T, validate bool) *EngineSession {
 		t.Fatal(err)
 	}
 	st, _ := sess.StrategyOf(Minim)
-	st.SetColor(2, st.Assignment()[1])
+	st.Assignment()[2] = st.Assignment()[1]
 	return sess
 }
 

@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -177,4 +178,33 @@ func TestCandidatePruning(t *testing.T) {
 	if candidates >= 200 {
 		t.Fatalf("grid did not prune at all: %d candidates of 200", candidates)
 	}
+}
+
+// WithinRadius returns all nodes (other than exclude) whose position lies
+// within distance r of p, in ascending ID order. Pass exclude = -1 (or
+// any unused ID) to exclude nobody.
+func (g *Grid) WithinRadius(p geom.Point, r float64, exclude graph.NodeID) []graph.NodeID {
+	var out []graph.NodeID
+	g.ForEachWithinRadius(p, r, func(id graph.NodeID, q geom.Point) {
+		if id != exclude {
+			out = append(out, id)
+		}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// CandidatesNear returns all nodes in the cells overlapping the square of
+// half-width r around p — the superset the radius filter prunes. Exposed
+// for tests and diagnostics.
+func (g *Grid) CandidatesNear(p geom.Point, r float64) int {
+	count := 0
+	lo := g.key(geom.Point{X: p.X - r, Y: p.Y - r})
+	hi := g.key(geom.Point{X: p.X + r, Y: p.Y + r})
+	for cx := lo[0]; cx <= hi[0]; cx++ {
+		for cy := lo[1]; cy <= hi[1]; cy++ {
+			count += len(g.cells[[2]int{cx, cy}])
+		}
+	}
+	return count
 }

@@ -62,9 +62,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
 // Summary snapshots the accumulated statistics.
 func (a *Accumulator) Summary() Summary {
 	s := Summary{N: a.n, Mean: a.mean, Min: a.min, Max: a.max}

@@ -126,3 +126,6 @@ func TestStringRendering(t *testing.T) {
 		t.Fatalf("String = %q", str)
 	}
 }
+
+// N returns the number of observations.
+func (a *Accumulator) N() int { return a.n }

@@ -39,9 +39,6 @@ func (c *Checker) Rebuild() {
 // Violations returns the current violating-pair count.
 func (c *Checker) Violations() int { return c.count }
 
-// Valid reports whether the assignment currently satisfies CA1/CA2.
-func (c *Checker) Valid() bool { return c.count == 0 }
-
 // Recolor changes u's color and updates the violation count
 // incrementally.
 func (c *Checker) Recolor(u graph.NodeID, newColor Color) {

@@ -111,3 +111,6 @@ func TestCheckerHiddenPairAccounting(t *testing.T) {
 		t.Fatalf("violations = %d, want 0", c.Violations())
 	}
 }
+
+// Valid reports whether the assignment currently satisfies CA1/CA2.
+func (c *Checker) Valid() bool { return c.count == 0 }

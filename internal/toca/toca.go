@@ -63,18 +63,6 @@ func (a Assignment) MaxColor() Color {
 	return max
 }
 
-// ColorCounts returns, for each color in use, the number of nodes holding
-// it. Unassigned nodes are skipped.
-func (a Assignment) ColorCounts() map[Color]int {
-	counts := make(map[Color]int)
-	for _, c := range a {
-		if c != None {
-			counts[c]++
-		}
-	}
-	return counts
-}
-
 // ViolationKind distinguishes CA1 from CA2 violations.
 type ViolationKind int
 
@@ -276,20 +264,6 @@ func (s ColorSet) Max() Color {
 		return None
 	}
 	return s.b.max
-}
-
-// Sorted returns the set's colors ascending.
-func (s ColorSet) Sorted() []Color {
-	if s.b == nil {
-		return nil
-	}
-	out := make([]Color, 0, s.b.n)
-	for w, word := range s.b.words {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, Color(w<<6+bits.TrailingZeros64(word)+1))
-		}
-	}
-	return out
 }
 
 // UnionWith adds every color of o to s — a word-wise OR, far cheaper

@@ -1,6 +1,7 @@
 package toca
 
 import (
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -432,4 +433,30 @@ func randomDigraph(seed uint64, n, m int) *graph.Digraph {
 		}
 	}
 	return g
+}
+
+// Sorted returns the set's colors ascending.
+func (s ColorSet) Sorted() []Color {
+	if s.b == nil {
+		return nil
+	}
+	out := make([]Color, 0, s.b.n)
+	for w, word := range s.b.words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, Color(w<<6+bits.TrailingZeros64(word)+1))
+		}
+	}
+	return out
+}
+
+// ColorCounts returns, for each color in use, the number of nodes holding
+// it. Unassigned nodes are skipped.
+func (a Assignment) ColorCounts() map[Color]int {
+	counts := make(map[Color]int)
+	for _, c := range a {
+		if c != None {
+			counts[c]++
+		}
+	}
+	return counts
 }

@@ -6,10 +6,6 @@
 // probability lambda(p)/lambdaMax. Thinning preserves determinism — the
 // whole script is a pure function of the seed — and makes the sampler
 // exact for any density bounded by lambdaMax.
-//
-// Hot-spot workloads are the scenario axis where region sharding pays
-// off or breaks (see internal/shard): mass concentrated in shard
-// interiors parallelizes, mass on shard borders serializes.
 package workload
 
 import (
@@ -63,9 +59,7 @@ func (d Density) max() float64 {
 }
 
 // GridSpots returns gx x gy hot spots centered on the cells of a regular
-// grid over a w x h arena, all with the given sigma and weight — the
-// density that concentrates arrivals in the interiors of an identically
-// shaped shard grid.
+// grid over a w x h arena, all with the given sigma and weight.
 func GridSpots(gx, gy int, w, h, sigma, weight float64) []HotSpot {
 	spots := make([]HotSpot, 0, gx*gy)
 	for i := 0; i < gx; i++ {

@@ -51,7 +51,7 @@ func TestIPPPConcentration(t *testing.T) {
 	near := func(events []strategy.Event) int {
 		n := 0
 		for _, ev := range events {
-			if ev.Cfg.Pos.DistanceTo(geom.Point{X: 20, Y: 20}) <= 25 {
+			if ev.Cfg.Pos.DistanceSqTo(geom.Point{X: 20, Y: 20}) <= 25*25 {
 				n++
 			}
 		}

@@ -19,9 +19,6 @@ func New(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Seed resets the generator to the given seed.
-func (r *RNG) Seed(seed uint64) { r.state = seed }
-
 // Uint64 returns the next 64 pseudo-random bits (splitmix64 step).
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

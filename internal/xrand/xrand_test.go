@@ -202,3 +202,6 @@ func TestShuffleNoop(t *testing.T) {
 	r.Shuffle(0, func(i, j int) { t.Fatal("swap called for n=0") })
 	r.Shuffle(1, func(i, j int) { t.Fatal("swap called for n=1") })
 }
+
+// Seed resets the generator to the given seed.
+func (r *RNG) Seed(seed uint64) { r.state = seed }
