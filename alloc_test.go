@@ -63,10 +63,11 @@ func move1000(rng *xrand.RNG) strategy.Event {
 // raised. allocCeilStepMove covers engine.Step alone: the decode and
 // topology change of one move, with no strategy hosted.
 const (
-	allocCeilMinimJoin = 46
-	allocCeilMinimMove = 35
-	allocCeilCPJoin    = 46
-	allocCeilStepMove  = 20
+	allocCeilMinimJoin = 30
+	allocCeilMinimMove = 22
+	allocCeilCPJoin    = 27
+	allocCeilCPMove    = 18
+	allocCeilStepMove  = 15
 )
 
 // allocsPerEvent hosts name (none if empty) on a fresh n=1000 engine
@@ -124,6 +125,13 @@ func TestAllocsCPJoin1000(t *testing.T) {
 	got := allocsPerEvent(t, sim.CP, joinOnly)
 	if got > allocCeilCPJoin {
 		t.Fatalf("CP join at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilCPJoin)
+	}
+}
+
+func TestAllocsCPMove1000(t *testing.T) {
+	got := allocsPerEvent(t, sim.CP, moveOnly)
+	if got > allocCeilCPMove {
+		t.Fatalf("CP move at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilCPMove)
 	}
 }
 

@@ -254,7 +254,7 @@ func runMatrixPhase(sched *chaos.Schedule, phase int, proto string, seed uint64,
 func runPartitionSoak(seed uint64, logw io.Writer, verbose bool) {
 	const members = 3
 	session := "chaos-soak"
-	cnet := chaos.NewNet(seed)
+	cnet := chaos.NewNet()
 
 	root, err := os.MkdirTemp("", "cdmasim-chaos-")
 	if err != nil {

@@ -33,7 +33,6 @@ var deadcodeAllow = map[string]string{
 	"internal/chaos.Net.CutLink":          "the canary partition tests cut single links with it",
 	"internal/chaos.Net.HealLink":         "the canary partition tests heal single links with it",
 	"internal/chaos.Net.Dropped":          "the canary partition tests assert a cut link really dropped traffic",
-	"internal/engine.Engine.Log":          "the engine replay test and the sim session tests read the event log through it",
 	"internal/graph.Digraph.Edges":        "the adhoc and engine differential tests compare digraphs edge for edge",
 	"internal/graph.Digraph.NumEdges":     "the adhoc, radio and root pipeline tests count edges with it",
 	"internal/serve.Session.InspectState": "the cluster differential tests compare a session's live network, digraph, assignments and metrics bit for bit; a View carries no digraph",

@@ -24,7 +24,7 @@ package adhoc
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -76,13 +76,20 @@ type Network struct {
 	// with a huge range leaving degrades query locality, not
 	// correctness).
 	maxRange float64
-	// conf is the conflict index: conf[u][v] counts the reasons u and v
-	// may not share a code, [u->v] + [v->u] + |out(u) ∩ out(v)|. It is
-	// symmetric and stores no zero entries, so the keys of conf[u] are
-	// exactly toca.ConflictNeighbors(g, u). It stays nil until the first
-	// ConflictGraph call builds it; from then on addEdge and removeEdge
-	// keep it current on every edge flip.
-	conf map[graph.NodeID]map[graph.NodeID]int32
+	// conf is the conflict index, one row per digraph slot: the entry
+	// for v in u's row counts the reasons u and v may not share a code,
+	// [u->v] + [v->u] + |out(u) ∩ out(v)|. It is symmetric and stores no
+	// zero entries, so u's row lists exactly the slots of
+	// toca.ConflictNeighbors(g, u), ascending by slot. It stays nil
+	// until the first ConflictGraph call builds it; from then on
+	// addEdge and removeEdge keep it current on every edge flip.
+	conf [][]conflict
+}
+
+// conflict is one entry of a conflict-index row: the neighbor's slot
+// and the pair's count of conflict reasons.
+type conflict struct {
+	slot, n int32
 }
 
 // New returns an empty network with the spatial grid enabled and
@@ -242,7 +249,6 @@ func (n *Network) Leave(id graph.NodeID) error {
 	for _, u := range n.g.InNeighbors(id) {
 		n.removeEdge(u, id)
 	}
-	delete(n.conf, id)
 	delete(n.configs, id)
 	n.g.RemoveNode(id)
 	if n.grid != nil {
@@ -355,28 +361,42 @@ func (n *Network) removeEdge(u, v graph.NodeID) {
 // loses its CA1 reason, and u gains or loses the shared receiver v with
 // every other transmitter x of v (CA2 at v).
 func (n *Network) flipConflicts(u, v graph.NodeID, d int32) {
-	n.bumpConflict(u, v, d)
-	n.g.ForEachIn(v, func(x graph.NodeID) { n.bumpConflict(u, x, d) })
+	su, _ := n.g.Slot(u)
+	sv, _ := n.g.Slot(v)
+	n.bumpConflict(su, sv, d)
+	for _, sx := range n.g.InSlots(sv) {
+		n.bumpConflict(su, sx, d)
+	}
 }
 
-// bumpConflict adds d to the symmetric count of the pair (u, v),
+// bumpConflict adds d to the symmetric count of the slot pair (u, v),
 // dropping the pair from both rows when it reaches zero.
-func (n *Network) bumpConflict(u, v graph.NodeID, d int32) {
+func (n *Network) bumpConflict(u, v int32, d int32) {
+	if c := n.g.SlotCap(); len(n.conf) < c {
+		n.conf = append(n.conf, make([][]conflict, c-len(n.conf))...)
+	}
 	n.bumpRow(u, v, d)
 	n.bumpRow(v, u, d)
 }
 
 // bumpRow is the one-sided half of bumpConflict, on u's row.
-func (n *Network) bumpRow(u, v graph.NodeID, d int32) {
+func (n *Network) bumpRow(u, v int32, d int32) {
 	row := n.conf[u]
-	if row == nil {
-		row = make(map[graph.NodeID]int32)
-		n.conf[u] = row
+	i, hi := 0, len(row)
+	for i < hi {
+		if mid := int(uint(i+hi) >> 1); row[mid].slot < v {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	if c := row[v] + d; c != 0 {
-		row[v] = c
-	} else {
-		delete(row, v)
+	switch {
+	case i == len(row) || row[i].slot != v:
+		n.conf[u] = slices.Insert(row, i, conflict{slot: v, n: d})
+	case row[i].n+d == 0:
+		n.conf[u] = slices.Delete(row, i, i+1)
+	default:
+		row[i].n += d
 	}
 }
 
@@ -389,24 +409,39 @@ func (n *Network) ConflictNeighbors(id graph.NodeID) map[graph.NodeID]struct{} {
 }
 
 // ConflictView is a read-only view of a network's TOCA conflict graph:
-// u ~ v iff u->v, v->u, or u and v share an out-neighbor. It reads the
-// live conflict index, so each call reflects the network's current
-// state; read it between events, never concurrently with one. It has
-// the method set of coloring.Graph, which lets the centralized
-// recoloring color it in place without copying it.
+// u ~ v iff u->v, v->u, or u and v share an out-neighbor. Its vertices
+// are addressed by their digraph slots. It reads the live conflict
+// index, so each call reflects the network's current state; read it
+// between events, never concurrently with one. It has the method set
+// of coloring.Graph, which lets the centralized recoloring color it in
+// place without copying it.
 type ConflictView struct{ n *Network }
 
-// Nodes returns every node, ascending (isolated nodes included).
-func (v ConflictView) Nodes() []graph.NodeID { return v.n.g.Nodes() }
+// Slots returns every node's slot, ascending by node ID (isolated nodes
+// included).
+func (v ConflictView) Slots() []int32 { return v.n.g.Slots() }
 
-// Degree returns the number of conflict neighbors of id.
-func (v ConflictView) Degree(id graph.NodeID) int { return len(v.n.conf[id]) }
+// ID returns the node in slot s.
+func (v ConflictView) ID(s int32) graph.NodeID { return v.n.g.Owner(s) }
 
-// ForEachNeighbor calls fn once for every conflict neighbor of id, in
-// unspecified order.
-func (v ConflictView) ForEachNeighbor(id graph.NodeID, fn func(graph.NodeID)) {
-	for u := range v.n.conf[id] {
-		fn(u)
+// SlotCap bounds every slot the view yields.
+func (v ConflictView) SlotCap() int { return v.n.g.SlotCap() }
+
+// Degree returns the number of conflict neighbors of the node in slot s.
+func (v ConflictView) Degree(s int32) int {
+	if int(s) < len(v.n.conf) {
+		return len(v.n.conf[s])
+	}
+	return 0
+}
+
+// ForEachNeighbor calls fn once with the slot of every conflict
+// neighbor of the node in slot s, in unspecified order.
+func (v ConflictView) ForEachNeighbor(s int32, fn func(int32)) {
+	if int(s) < len(v.n.conf) {
+		for _, e := range v.n.conf[s] {
+			fn(e.slot)
+		}
 	}
 }
 
@@ -421,19 +456,46 @@ func (n *Network) ConflictGraph() ConflictView {
 	return ConflictView{n}
 }
 
-// buildConflicts counts every conflict reason of the current digraph:
-// each edge u->w is a CA1 reason for (u, w), and each receiver w is a
-// CA2 reason for every pair of its transmitters.
+// buildConflicts counts every conflict reason of the current digraph,
+// one row at a time: u's row counts each out- and in-neighbor once per
+// edge (the CA1 reasons) and every other transmitter into each of u's
+// receivers (the CA2 reasons), tallied in a slot-indexed count and
+// emitted in slot order.
 func (n *Network) buildConflicts() {
-	n.conf = make(map[graph.NodeID]map[graph.NodeID]int32, n.g.NumNodes())
-	for _, w := range n.g.Nodes() {
-		ins := n.g.InNeighbors(w)
-		for i, u := range ins {
-			n.bumpConflict(u, w, 1)
-			for _, x := range ins[i+1:] {
-				n.bumpConflict(u, x, 1)
+	g := n.g
+	n.conf = make([][]conflict, g.SlotCap())
+	count := make([]int32, len(n.conf))
+	var seen []int32
+	note := func(v int32) {
+		if count[v] == 0 {
+			seen = append(seen, v)
+		}
+		count[v]++
+	}
+	for u := range n.conf {
+		su := int32(u)
+		seen = seen[:0]
+		for _, w := range g.OutSlots(su) {
+			note(w)
+			for _, x := range g.InSlots(w) {
+				if x != su {
+					note(x)
+				}
 			}
 		}
+		for _, v := range g.InSlots(su) {
+			note(v)
+		}
+		if len(seen) == 0 {
+			continue
+		}
+		slices.Sort(seen)
+		row := make([]conflict, len(seen))
+		for i, v := range seen {
+			row[i] = conflict{slot: v, n: count[v]}
+			count[v] = 0
+		}
+		n.conf[u] = row
 	}
 }
 
@@ -459,7 +521,7 @@ func (p Partition) InOrBoth() []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(p.In)+len(p.Both))
 	out = append(out, p.In...)
 	out = append(out, p.Both...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -484,7 +546,7 @@ func (n *Network) PartitionFor(id graph.NodeID, cfg Config) Partition {
 			p.None = append(p.None, other)
 		}
 	}
-	sort.Slice(p.None, func(i, j int) bool { return p.None[i] < p.None[j] })
+	slices.Sort(p.None)
 	return p
 }
 
@@ -507,7 +569,7 @@ func (n *Network) LocalPartitionFor(id graph.NodeID, cfg Config) Partition {
 		}
 	})
 	for _, lst := range [][]graph.NodeID{p.In, p.Both, p.Out} {
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
+		slices.Sort(lst)
 	}
 	return p
 }

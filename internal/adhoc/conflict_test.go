@@ -43,18 +43,26 @@ func conflictOracle(g *graph.Digraph) map[graph.NodeID]map[graph.NodeID]int32 {
 // and checks that no row holds a zero entry and no absent node has a row.
 func checkConflictIndex(t *testing.T, step int, name string, n *Network) {
 	t.Helper()
+	g := n.Graph()
+	live := func(s int32) bool {
+		got, ok := g.Slot(g.Owner(s))
+		return ok && got == s
+	}
 	got := make(map[graph.NodeID]map[graph.NodeID]int32)
-	for u, row := range n.conf {
-		if !n.Has(u) {
-			t.Fatalf("step %d, %s: row for absent node %d", step, name, u)
+	for su, row := range n.conf {
+		if len(row) == 0 {
+			continue
 		}
-		for v, c := range row {
-			if c == 0 {
-				t.Fatalf("step %d, %s: zero entry (%d,%d)", step, name, u, v)
+		u := g.Owner(int32(su))
+		if !live(int32(su)) {
+			t.Fatalf("step %d, %s: row for free slot %d", step, name, su)
+		}
+		got[u] = make(map[graph.NodeID]int32, len(row))
+		for i, e := range row {
+			if e.n == 0 || !live(e.slot) || (i > 0 && row[i-1].slot >= e.slot) {
+				t.Fatalf("step %d, %s: row %d entry %d is zero, free or out of order: %v", step, name, u, i, row)
 			}
-		}
-		if len(row) > 0 {
-			got[u] = row
+			got[u][g.Owner(e.slot)] = e.n
 		}
 	}
 	if want := conflictOracle(n.Graph()); !reflect.DeepEqual(got, want) {
@@ -165,16 +173,32 @@ func TestConflictViewMatchesConflictGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, id := range []graph.NodeID{3, 50, 17} { // free slots out of ID order
+		if err := n.Leave(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 60; i < 63; i++ {
+		cfg := Config{Pos: geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)}, Range: rng.Uniform(0, 30)}
+		if err := n.Join(graph.NodeID(i), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	view := n.ConflictGraph()
 	want := toca.ConflictGraph(n.Graph())
-	if !reflect.DeepEqual(view.Nodes(), n.Nodes()) || len(want) != len(view.Nodes()) {
-		t.Fatalf("view nodes %v, want %v", view.Nodes(), n.Nodes())
+	var ids []graph.NodeID
+	for _, s := range view.Slots() {
+		ids = append(ids, view.ID(s))
 	}
-	for _, u := range view.Nodes() {
+	if !reflect.DeepEqual(ids, n.Nodes()) || len(want) != len(ids) {
+		t.Fatalf("view nodes %v, want %v", ids, n.Nodes())
+	}
+	for _, s := range view.Slots() {
+		u := view.ID(s)
 		got := map[graph.NodeID]bool{}
-		view.ForEachNeighbor(u, func(v graph.NodeID) { got[v] = true })
-		if view.Degree(u) != len(want[u]) || len(got) != len(want[u]) {
-			t.Fatalf("node %d: degree %d, visited %d, want %d", u, view.Degree(u), len(got), len(want[u]))
+		view.ForEachNeighbor(s, func(v int32) { got[view.ID(v)] = true })
+		if view.Degree(s) != len(want[u]) || len(got) != len(want[u]) {
+			t.Fatalf("node %d: degree %d, visited %d, want %d", u, view.Degree(s), len(got), len(want[u]))
 		}
 		for _, v := range want[u] {
 			if !got[v] {

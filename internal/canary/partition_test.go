@@ -20,7 +20,7 @@ func TestCanaryPartitionSLIs(t *testing.T) {
 	srv := httptest.NewServer(serve.NewHandler(mgr))
 	t.Cleanup(srv.Close)
 
-	cnet := chaos.NewNet(7)
+	cnet := chaos.NewNet()
 	cnet.Register("server", srv.Listener.Addr().String())
 	reg := obs.NewRegistry()
 	p := New(Config{

@@ -1,17 +1,18 @@
-// Package chaos is the deterministic fault-injection layer: seeded link
-// faults for the cluster's HTTP transport (cuts, asymmetric partitions,
-// probabilistic loss) and a phase schedule composing the
-// engine-level knobs (loss, duplication, reordering) from one seed.
+// Package chaos is the deterministic fault-injection layer: link faults
+// for the cluster's HTTP transport (cuts, asymmetric partitions) and a
+// phase schedule composing the engine-level knobs (loss, duplication,
+// reordering) from one seed.
 //
 // The design splits faults by where nondeterminism is tolerable:
 //
 //   - Net injects faults into real HTTP traffic between named members.
-//     Its MUTATIONS (partition, heal, cut) are deterministic and logged;
-//     its per-request loss draws are seeded per link but interleave with
-//     goroutine scheduling, so tests assert on mutations and outcomes
-//     (convergence, counters > 0), never on individual draws.
+//     Its mutations (partition, heal, cut) are deterministic and
+//     logged; which requests they catch interleaves with goroutine
+//     scheduling, so tests assert on mutations and outcomes
+//     (convergence, counters > 0), never on individual requests.
 //   - Schedule drives the single-threaded dist.Engine, where every draw
 //     IS deterministic: the same seed replays the same run bit for bit.
+//     Probabilistic loss lives there, never on the HTTP links.
 //
 // Every fault action appends to an event log (Events, WriteLog) so a
 // failing run names the exact seed and fault sequence to replay.
@@ -23,8 +24,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-
-	"repro/internal/xrand"
 )
 
 // Event is one logged fault action. Step is a logical counter (never
@@ -39,13 +38,6 @@ type Event struct {
 // partition: a's requests to b fail, b still reaches a.
 type linkKey struct{ src, dst string }
 
-// lossRule is a probabilistic per-attempt drop on one link, with its
-// own seeded RNG so two links' draws never perturb each other.
-type lossRule struct {
-	p   float64
-	rng *xrand.RNG
-}
-
 // Net injects faults into HTTP traffic between named members. Wire it
 // by registering each member's address (Register) and handing each
 // member a Transport bound to its name; every request then resolves its
@@ -53,23 +45,18 @@ type lossRule struct {
 // Unregistered destinations pass through untouched.
 type Net struct {
 	mu      sync.Mutex
-	seed    uint64
 	names   map[string]string // addr -> member name
 	cut     map[linkKey]bool
-	loss    map[linkKey]*lossRule
 	dropped map[linkKey]int
 	step    int
 	log     []Event
 }
 
-// NewNet builds a fault controller. The seed feeds every link's loss
-// RNG (split per link, so adding a rule never shifts another's draws).
-func NewNet(seed uint64) *Net {
+// NewNet builds a fault controller with every link healthy.
+func NewNet() *Net {
 	return &Net{
-		seed:    seed,
 		names:   make(map[string]string),
 		cut:     make(map[linkKey]bool),
-		loss:    make(map[linkKey]*lossRule),
 		dropped: make(map[linkKey]int),
 	}
 }
@@ -106,12 +93,11 @@ func (c *Net) CutLink(src, dst string) {
 	c.note("cut", src+"->"+dst)
 }
 
-// HealLink restores the directed link src->dst (cut and loss rules).
+// HealLink restores the directed link src->dst.
 func (c *Net) HealLink(src, dst string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.cut, linkKey{src, dst})
-	delete(c.loss, linkKey{src, dst})
 	c.note("heal-link", src+"->"+dst)
 }
 
@@ -145,17 +131,16 @@ func (c *Net) Partition(groups ...[]string) {
 	c.note("partition", detail)
 }
 
-// Heal clears every fault rule — cuts and loss — on every link.
+// Heal clears every cut on every link.
 func (c *Net) Heal() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cut = make(map[linkKey]bool)
-	c.loss = make(map[linkKey]*lossRule)
 	c.note("heal", "")
 }
 
 // Dropped reports how many requests the controller has rejected on the
-// directed link (cuts and loss draws combined) — the "did the fault
+// directed link (forward and response cuts combined) — the "did the fault
 // actually fire" assertion tests need.
 func (c *Net) Dropped(src, dst string) int {
 	c.mu.Lock()
@@ -199,7 +184,7 @@ func (c *Net) note(action, detail string) {
 // peer" semantics hold unchanged.
 type LinkError struct {
 	Src, Dst string
-	Reason   string // "cut", "loss", "response-cut"
+	Reason   string // "cut", "response-cut"
 }
 
 func (e *LinkError) Error() string {
@@ -214,11 +199,11 @@ type transport struct {
 }
 
 // RoundTrip consults the link rules for src->dst (dst resolved from the
-// request host). A forward cut or loss draw fails before the request is
-// sent; a REVERSE cut (dst->src severed) lets the request through and
-// discards the response — the server processed it, the client never
-// learns, which is the at-most-once ambiguity an asymmetric partition
-// really produces.
+// request host). A forward cut fails before the request is sent; a
+// REVERSE cut (dst->src severed) lets the request through and discards
+// the response — the server processed it, the client never learns,
+// which is the at-most-once ambiguity an asymmetric partition really
+// produces.
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	c := t.net
 	c.mu.Lock()
@@ -233,11 +218,6 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		c.dropped[fwd]++
 		c.mu.Unlock()
 		return nil, &LinkError{Src: t.src, Dst: dst, Reason: "cut"}
-	}
-	if lr := c.loss[fwd]; lr != nil && lr.rng.Float64() < lr.p {
-		c.dropped[fwd]++
-		c.mu.Unlock()
-		return nil, &LinkError{Src: t.src, Dst: dst, Reason: "loss"}
 	}
 	revCut := c.cut[rev]
 	c.mu.Unlock()

@@ -1,19 +1,16 @@
 package chaos
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/xrand"
 )
 
 // twoServers boots two trivial HTTP servers registered as members "a"
 // and "b" on a fresh Net.
-func twoServers(t *testing.T, seed uint64) (*Net, *httptest.Server, *httptest.Server) {
+func twoServers(t *testing.T) (*Net, *httptest.Server, *httptest.Server) {
 	t.Helper()
 	mk := func(name string) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -23,7 +20,7 @@ func twoServers(t *testing.T, seed uint64) (*Net, *httptest.Server, *httptest.Se
 	sa, sb := mk("a"), mk("b")
 	t.Cleanup(sa.Close)
 	t.Cleanup(sb.Close)
-	c := NewNet(seed)
+	c := NewNet()
 	c.Register("a", strings.TrimPrefix(sa.URL, "http://"))
 	c.Register("b", strings.TrimPrefix(sb.URL, "http://"))
 	return c, sa, sb
@@ -43,7 +40,7 @@ func get(t *testing.T, client *http.Client, url string) error {
 // error (not an HTTP status), the reverse direction stays up, and heal
 // restores it.
 func TestTransportCutAndHeal(t *testing.T) {
-	c, _, sb := twoServers(t, 1)
+	c, _, sb := twoServers(t)
 	fromA := &http.Client{Transport: c.Transport("a", nil)}
 
 	if err := get(t, fromA, sb.URL); err != nil {
@@ -76,7 +73,7 @@ func TestTransportAsymmetricCut(t *testing.T) {
 		w.Write([]byte("ok"))
 	}))
 	defer sb.Close()
-	c := NewNet(2)
+	c := NewNet()
 	c.Register("b", strings.TrimPrefix(sb.URL, "http://"))
 	fromA := &http.Client{Transport: c.Transport("a", nil)}
 
@@ -93,23 +90,19 @@ func TestTransportAsymmetricCut(t *testing.T) {
 	}
 }
 
-// TestTransportLossFires: a 100%-loss link drops everything; 0% drops
-// nothing; unregistered destinations pass through.
-func TestTransportLossFires(t *testing.T) {
-	c, _, sb := twoServers(t, 3)
+// TestTransportUnregisteredPassesThrough: a cut applies only to the
+// registered member it names; a request to an unregistered destination
+// passes through untouched.
+func TestTransportUnregisteredPassesThrough(t *testing.T) {
+	c, _, sb := twoServers(t)
 	fromA := &http.Client{Transport: c.Transport("a", nil)}
 
-	c.SetLoss("a", "b", 1.0)
+	c.CutLink("a", "b")
 	if err := get(t, fromA, sb.URL); err == nil {
-		t.Fatal("p=1 loss let a request through")
-	}
-	c.SetLoss("a", "b", 0)
-	if err := get(t, fromA, sb.URL); err != nil {
-		t.Fatalf("p=0 loss dropped a request: %v", err)
+		t.Fatal("cut link let a request through")
 	}
 	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer other.Close()
-	c.SetLoss("a", "b", 1.0)
 	if err := get(t, fromA, other.URL); err != nil {
 		t.Fatalf("unregistered destination was faulted: %v", err)
 	}
@@ -118,7 +111,7 @@ func TestTransportLossFires(t *testing.T) {
 // TestPartitionGroups: Partition cuts exactly the cross-group links,
 // both directions; Heal clears all of it. Outsiders keep their links.
 func TestPartitionGroups(t *testing.T) {
-	c := NewNet(4)
+	c := NewNet()
 	c.Partition([]string{"a"}, []string{"b", "c"})
 	for _, l := range [][2]string{{"a", "b"}, {"b", "a"}, {"a", "c"}, {"c", "a"}} {
 		if !c.cut[linkKey{l[0], l[1]}] {
@@ -141,10 +134,10 @@ func TestPartitionGroups(t *testing.T) {
 // chaos-matrix runner asserts end to end.
 func TestEventLogDeterministic(t *testing.T) {
 	run := func() []Event {
-		c := NewNet(7)
+		c := NewNet()
 		c.Register("a", "127.0.0.1:1")
 		c.Partition([]string{"a"}, []string{"b", "c"})
-		c.SetLoss("b", "c", 0.25)
+		c.CutLink("b", "c")
 		c.Heal()
 		return c.Events()
 	}
@@ -211,7 +204,7 @@ func TestScheduleDeterministic(t *testing.T) {
 // TestSchedulePartitionHand: a phase with groups partitions the Net; a
 // phase without heals it.
 func TestSchedulePartitionHand(t *testing.T) {
-	c := NewNet(9)
+	c := NewNet()
 	s := NewSchedule(5, []Phase{
 		{Name: "split", Groups: [][]string{{"a"}, {"b"}}},
 		{Name: "heal"},
@@ -224,27 +217,4 @@ func TestSchedulePartitionHand(t *testing.T) {
 	if len(c.cut) != 0 {
 		t.Fatal("heal phase left links cut")
 	}
-}
-
-// SetLoss drops requests on the directed link src->dst with probability
-// p, drawn from a per-link RNG split off the controller seed.
-func (c *Net) SetLoss(src, dst string, p float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := linkKey{src, dst}
-	c.loss[k] = &lossRule{p: p, rng: xrand.New(c.seed ^ linkSeed(src, dst))}
-	c.note("loss", fmt.Sprintf("%s->%s p=%g", src, dst, p))
-}
-
-// linkSeed derives a stable per-link RNG seed from the link's names
-// (fnv64a over "src->dst").
-func linkSeed(src, dst string) uint64 {
-	h := uint64(1469598103934665603)
-	for _, s := range []string{src, "->", dst} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	return h
 }

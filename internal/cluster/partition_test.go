@@ -20,9 +20,9 @@ import (
 // chaos.Net fault injector, so tests can cut real links instead of
 // crashing processes. Members run with RequireQuorum: a partitioned
 // minority refuses writes and promotions rather than forking.
-func newChaosHarness(t *testing.T, members, replicas int, seed uint64) (*harness, *chaos.Net) {
+func newChaosHarness(t *testing.T, members, replicas int) (*harness, *chaos.Net) {
 	t.Helper()
-	cnet := chaos.NewNet(seed)
+	cnet := chaos.NewNet()
 	h := &harness{
 		t:            t,
 		nodes:        make(map[MemberID]*Node),
@@ -143,7 +143,7 @@ func (h *harness) leadersOf(session string) []MemberID {
 // reference bit-for-bit.
 func partitionScenario(t *testing.T, seed uint64) ([]chaos.Event, int) {
 	t.Helper()
-	h, cnet := newChaosHarness(t, 3, 2, seed)
+	h, cnet := newChaosHarness(t, 3, 2)
 	script := testScript(seed, 30, 60)
 	ri := h.createSession("part", SessionConfig{Strategies: clusterNames, SyncEvery: 1, SegmentBytes: 4096})
 	if len(ri.Followers) != 2 {
@@ -267,7 +267,7 @@ func TestPartitionMinorityPrimaryConvergesAfterHeal(t *testing.T) {
 // /cluster/trace serves the merged timeline with that member marked
 // down rather than erroring or stalling.
 func TestPartitionFleetObservabilityDegrades(t *testing.T) {
-	h, cnet := newChaosHarness(t, 3, 2, 99)
+	h, cnet := newChaosHarness(t, 3, 2)
 	script := testScript(99, 20, 20)
 	ri := h.createSession("obs-part", SessionConfig{Strategies: clusterNames, SyncEvery: 1, SegmentBytes: 4096})
 	p := ri.Primary.ID

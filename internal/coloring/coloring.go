@@ -12,58 +12,53 @@ import (
 	"repro/internal/toca"
 )
 
-// Graph is a read-only undirected graph: Nodes lists the vertices
-// ascending, Degree counts a vertex's neighbors, and ForEachNeighbor
-// visits each neighbor once in unspecified order.
+// Graph is a read-only undirected graph whose vertices are addressed by
+// dense slots, such as an adhoc.Network's conflict view: Slots lists
+// every vertex's slot ascending by vertex ID, ID names the vertex in a
+// slot, every slot is below SlotCap, Degree counts a vertex's
+// neighbors, and ForEachNeighbor visits each neighbor's slot once in
+// unspecified order. The colorers keep per-vertex state in slices
+// indexed by slot; slots never decide an order (ties fall to the lower
+// ID, the order of Slots).
 type Graph interface {
-	Nodes() []graph.NodeID
-	Degree(id graph.NodeID) int
-	ForEachNeighbor(id graph.NodeID, fn func(graph.NodeID))
-}
-
-// positions maps each vertex of ids to its index, so per-vertex state
-// can live in slices parallel to ids.
-func positions(ids []graph.NodeID) map[graph.NodeID]int {
-	at := make(map[graph.NodeID]int, len(ids))
-	for i, id := range ids {
-		at[id] = i
-	}
-	return at
+	Slots() []int32
+	ID(s int32) graph.NodeID
+	SlotCap() int
+	Degree(s int32) int
+	ForEachNeighbor(s int32, fn func(int32))
 }
 
 // DSATUR colors the graph with the Brelaz heuristic: repeatedly color the
 // uncolored vertex of maximum saturation (number of distinct neighbor
 // colors), breaking ties by higher degree then lower ID, with the lowest
-// available color. Per-vertex state lives in slices indexed by position
-// in g.Nodes(), so the graph is read in place and never copied.
+// available color. The graph is read in place and never copied.
 func DSATUR(g Graph) toca.Assignment {
-	ids := g.Nodes()
-	n := len(ids)
-	at := positions(ids)
+	order := g.Slots()
+	n := g.SlotCap()
 	deg := make([]int, n)
 	sat := make([]toca.ColorSet, n)
 	colored := make([]bool, n)
-	for i, id := range ids {
-		deg[i] = g.Degree(id)
-		sat[i] = toca.NewColorSet()
+	for _, s := range order {
+		deg[s] = g.Degree(s)
+		sat[s] = toca.NewColorSet()
 	}
-	a := make(toca.Assignment, n)
-	for done := 0; done < n; done++ {
-		pick, bestSat, bestDeg := -1, -1, -1
-		for i := range ids {
-			if colored[i] {
+	a := make(toca.Assignment, len(order))
+	for range order {
+		pick, bestSat, bestDeg := int32(-1), -1, -1
+		for _, s := range order {
+			if colored[s] {
 				continue
 			}
-			if s := sat[i].Len(); s > bestSat || (s == bestSat && deg[i] > bestDeg) {
-				pick, bestSat, bestDeg = i, s, deg[i]
+			if d := sat[s].Len(); d > bestSat || (d == bestSat && deg[s] > bestDeg) {
+				pick, bestSat, bestDeg = s, d, deg[s]
 			}
 		}
 		c := sat[pick].LowestFree()
 		colored[pick] = true
-		a[ids[pick]] = c
-		g.ForEachNeighbor(ids[pick], func(v graph.NodeID) {
-			if j := at[v]; !colored[j] {
-				sat[j].Add(c)
+		a[g.ID(pick)] = c
+		g.ForEachNeighbor(pick, func(v int32) {
+			if !colored[v] {
+				sat[v].Add(c)
 			}
 		})
 	}

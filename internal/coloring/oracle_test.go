@@ -12,8 +12,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// Adjacency is an undirected graph given as sorted neighbor lists: the
-// test graphs and the oracles below read it.
+// Adjacency is an undirected graph given as sorted neighbor lists over
+// non-negative IDs: the test graphs and the oracles below read it. As a
+// Graph it addresses each vertex by its ID, so its slots are sparse.
 type Adjacency map[graph.NodeID][]graph.NodeID
 
 var _ Graph = Adjacency(nil)
@@ -28,13 +29,35 @@ func (adj Adjacency) Nodes() []graph.NodeID {
 	return out
 }
 
-// Degree returns the number of neighbors of id.
-func (adj Adjacency) Degree(id graph.NodeID) int { return len(adj[id]) }
+// Slots returns every vertex ID as its slot, ascending.
+func (adj Adjacency) Slots() []int32 {
+	var out []int32
+	for _, id := range adj.Nodes() {
+		out = append(out, int32(id))
+	}
+	return out
+}
 
-// ForEachNeighbor calls fn for every neighbor of id, ascending.
-func (adj Adjacency) ForEachNeighbor(id graph.NodeID, fn func(graph.NodeID)) {
-	for _, v := range adj[id] {
-		fn(v)
+// ID returns the vertex in slot s.
+func (adj Adjacency) ID(s int32) graph.NodeID { return graph.NodeID(s) }
+
+// SlotCap returns one more than the largest vertex ID.
+func (adj Adjacency) SlotCap() int {
+	n := 0
+	for id := range adj {
+		n = max(n, int(id)+1)
+	}
+	return n
+}
+
+// Degree returns the number of neighbors of the vertex in slot s.
+func (adj Adjacency) Degree(s int32) int { return len(adj[graph.NodeID(s)]) }
+
+// ForEachNeighbor calls fn for every neighbor of the vertex in slot s,
+// ascending.
+func (adj Adjacency) ForEachNeighbor(s int32, fn func(int32)) {
+	for _, v := range adj[graph.NodeID(s)] {
+		fn(int32(v))
 	}
 }
 
@@ -242,8 +265,18 @@ func TestColorersOnNetworkView(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		var left []graph.NodeID
 		for id := graph.NodeID(0); id < 60; id += graph.NodeID(1 + rng.Intn(6)) {
 			if err := net.Leave(id); err != nil {
+				t.Fatal(err)
+			}
+			left = append(left, id)
+		}
+		// Rejoin some leavers in reverse, so reused slots run against
+		// ID order.
+		for k := len(left) - 1; k >= 0; k -= 2 {
+			cfg := adhoc.Config{Pos: geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)}, Range: rng.Uniform(20.5, 30.5)}
+			if err := net.Join(left[k], cfg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,9 +1,6 @@
 package coloring
 
-import (
-	"repro/internal/graph"
-	"repro/internal/toca"
-)
+import "repro/internal/toca"
 
 // RLF colors the graph with the Recursive Largest First heuristic
 // (Leighton): colors are built one class at a time. Each class starts
@@ -16,62 +13,60 @@ import (
 // at a higher constant cost; it is offered as an alternative heuristic
 // for the BBB baseline's recoloring step.
 func RLF(g Graph) toca.Assignment {
-	ids := g.Nodes()
-	n := len(ids)
-	at := positions(ids)
-	a := make(toca.Assignment, n)
-	uncolored := make([]bool, n)
-	for i := range uncolored {
-		uncolored[i] = true
+	order := g.Slots()
+	a := make(toca.Assignment, len(order))
+	uncolored := make([]bool, g.SlotCap())
+	for _, s := range order {
+		uncolored[s] = true
 	}
-	candidate := make([]bool, n)
+	candidate := make([]bool, len(uncolored))
 
-	// neighbors counts the neighbors of vertex i inside the set in.
-	neighbors := func(i int, in []bool) int {
+	// neighbors counts the neighbors of vertex s inside the set in.
+	neighbors := func(s int32, in []bool) int {
 		count := 0
-		g.ForEachNeighbor(ids[i], func(v graph.NodeID) {
-			if in[at[v]] {
+		g.ForEachNeighbor(s, func(v int32) {
+			if in[v] {
 				count++
 			}
 		})
 		return count
 	}
-	// exclude removes vertex i and its neighbors from the candidates.
-	exclude := func(i int) {
-		candidate[i] = false
-		g.ForEachNeighbor(ids[i], func(v graph.NodeID) { candidate[at[v]] = false })
+	// exclude removes vertex s and its neighbors from the candidates.
+	exclude := func(s int32) {
+		candidate[s] = false
+		g.ForEachNeighbor(s, func(v int32) { candidate[v] = false })
 	}
 
-	// Vertices are scanned by position, i.e. ascending ID, so every tie
-	// below falls to the lowest ID.
-	for c, left := toca.Color(1), n; left > 0; c++ {
+	// Vertices are scanned in ascending ID order, so every tie below
+	// falls to the lowest ID.
+	for c, left := toca.Color(1), len(order); left > 0; c++ {
 		// Candidates for this class: all uncolored vertices.
 		copy(candidate, uncolored)
 		// Seed: candidate with most uncolored neighbors.
-		seed, bestDeg := -1, -1
-		for i := range ids {
-			if !candidate[i] {
+		seed, bestDeg := int32(-1), -1
+		for _, s := range order {
+			if !candidate[s] {
 				continue
 			}
-			if d := neighbors(i, uncolored); d > bestDeg {
-				bestDeg, seed = d, i
+			if d := neighbors(s, uncolored); d > bestDeg {
+				bestDeg, seed = d, s
 			}
 		}
-		class := []int{seed}
+		class := []int32{seed}
 		exclude(seed)
 
 		// Absorb: candidate maximizing neighbors outside the candidate
 		// set (i.e., already excluded by the class), ties by fewest
 		// neighbors inside, then lowest ID.
 		for {
-			pick, bestOut, bestIn := -1, -1, 1<<30
-			for i := range ids {
-				if !candidate[i] {
+			pick, bestOut, bestIn := int32(-1), -1, 1<<30
+			for _, s := range order {
+				if !candidate[s] {
 					continue
 				}
-				in := neighbors(i, candidate)
-				if out := g.Degree(ids[i]) - in; out > bestOut || (out == bestOut && in < bestIn) {
-					pick, bestOut, bestIn = i, out, in
+				in := neighbors(s, candidate)
+				if out := g.Degree(s) - in; out > bestOut || (out == bestOut && in < bestIn) {
+					pick, bestOut, bestIn = s, out, in
 				}
 			}
 			if pick < 0 {
@@ -80,9 +75,9 @@ func RLF(g Graph) toca.Assignment {
 			class = append(class, pick)
 			exclude(pick)
 		}
-		for _, i := range class {
-			a[ids[i]] = c
-			uncolored[i] = false
+		for _, s := range class {
+			a[g.ID(s)] = c
+			uncolored[s] = false
 			left--
 		}
 	}

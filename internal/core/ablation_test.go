@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/adhoc"
-	"repro/internal/graph"
 	"repro/internal/toca"
 	"repro/internal/workload"
 )
@@ -24,21 +23,18 @@ func weightedJoinRun(n int, seed uint64, wOld int64) (recodings int, maxColor to
 			panic(err)
 		}
 		v1 := append(part.InOrBoth(), ev.ID)
-		excl := make(map[graph.NodeID]struct{}, len(v1))
-		for _, u := range v1 {
-			excl[u] = struct{}{}
+		old := make([]toca.Color, len(v1))
+		for i, u := range v1 {
+			old[i] = assign[u]
 		}
-		old := make(map[graph.NodeID]toca.Color, len(v1))
-		forb := make(map[graph.NodeID]toca.ColorSet, len(v1))
-		for _, u := range v1 {
-			old[u] = assign[u]
-			forb[u] = toca.Forbidden(net.Graph(), assign, u, excl)
-		}
-		for u, c := range solveWeighted(nil, v1, old, forb, wOld, 1) {
-			if assign[u] != c {
+		tl := toca.NewTally(net.Graph(), assign)
+		tl.Lift(v1)
+		forb := toca.ForbiddenAll(toca.NewForbiddenScratch(), tl, v1)
+		for i, c := range solveWeighted(nil, v1, old, forb, wOld, 1) {
+			if old[i] != c {
 				recodings++
 			}
-			assign[u] = c
+			assign[v1[i]] = c
 		}
 	}
 	if !toca.Valid(net.Graph(), assign) {

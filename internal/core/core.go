@@ -75,15 +75,18 @@ const (
 // topology change and then calls OnDelta.
 type Recoder struct {
 	net *adhoc.Network
-	// colors is the assignment with its incremental max-color count, so
-	// outcome() reads the maximum in O(1). Every write goes through
-	// colors.Set, never the raw map.
+	// colors is the assignment with its incremental max-color count and
+	// its slot cache, which the constraint walks read. Every write goes
+	// through colors.Set, never the raw map.
 	colors *toca.Tally
 	// scratch and forb are the matching solver's and the constraint
-	// walk's reusable working memory: one recoder recodes sequentially,
-	// so both are allocated once per recoder instead of once per event.
+	// walk's reusable working memory, and v1 and old the per-event
+	// member and old-color buffers: one recoder recodes sequentially, so
+	// all are allocated once per recoder instead of once per event.
 	scratch *matching.Scratch
 	forb    *toca.ForbiddenScratch
+	v1      []graph.NodeID
+	old     []toca.Color
 }
 
 var _ strategy.Strategy = (*Recoder)(nil)
@@ -93,7 +96,7 @@ var _ engine.Subscriber = (*Recoder)(nil)
 // recoder is subscribed to) and adopting assign, used directly, not
 // copied; a nil assign starts empty.
 func New(net *adhoc.Network, assign toca.Assignment) *Recoder {
-	return &Recoder{net: net, colors: toca.NewTally(assign),
+	return &Recoder{net: net, colors: toca.NewTally(net.Graph(), assign),
 		scratch: matching.NewScratch(), forb: toca.NewForbiddenScratch()}
 }
 
@@ -133,9 +136,8 @@ func (r *Recoder) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 		// itself (section 4.2), so recoding it alone suffices — and only
 		// if its current color now conflicts.
 		id := d.Event.ID
-		assign := r.colors.Assignment()
-		forb := toca.Forbidden(r.net.Graph(), assign, id, nil)
-		cur := assign[id]
+		forb := toca.Forbidden(r.forb, r.colors, id)
+		cur := r.colors.Assignment()[id]
 		if cur != toca.None && !forb.Has(cur) {
 			return r.outcome(nil), nil
 		}
@@ -153,37 +155,29 @@ func (r *Recoder) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 // returns the recoded set.
 func (r *Recoder) recodeLocal(n graph.NodeID, inOrBoth []graph.NodeID) map[graph.NodeID]toca.Color {
 	// V1 = 1n ∪ 2n ∪ {n}, in deterministic order with n last.
-	v1 := make([]graph.NodeID, 0, len(inOrBoth)+1)
-	v1 = append(v1, inOrBoth...)
-	v1 = append(v1, n)
+	v1 := append(append(r.v1[:0], inOrBoth...), n)
+	r.v1 = v1
 
-	// Steps 1-2: gather per-node external constraints. Rather than pass
-	// the exclude set into every constraint walk (a hash probe per
-	// visited node — the profile's dominant cost on this path), the
-	// members' colors are lifted out of the assignment for the duration
-	// of the walks: an excluded node then contributes None, which
-	// ColorSet.Add ignores. Same semantics, zero membership tests. The
-	// lift bypasses colors.Set deliberately — it is restored below before
-	// any accumulator-visible mutation.
+	// Steps 1-2: gather per-node external constraints. The members'
+	// colors are lifted out of the walks' slot colors first: an excluded
+	// node then contributes None, which ColorSet.Add ignores, so the
+	// walk needs no membership test. The map keeps the old colors, and
+	// the writes below end the lift.
 	assign := r.colors.Assignment()
-	old := make(map[graph.NodeID]toca.Color, len(v1))
+	old := r.old[:0]
 	for _, u := range v1 {
-		old[u] = assign[u]
-		delete(assign, u)
+		old = append(old, assign[u])
 	}
-	forb := toca.ForbiddenAll(r.forb, r.net.Graph(), assign, v1)
-	for _, u := range v1 {
-		if c := old[u]; c != toca.None {
-			assign[u] = c
-		}
-	}
+	r.old = old
+	r.colors.Lift(v1)
+	forb := toca.ForbiddenAll(r.forb, r.colors, v1)
 
 	// Steps 3-5 are the pure matching computation.
 	newColors := solveWeighted(r.scratch, v1, old, forb, weightOld, weightNew)
 	recoded := make(map[graph.NodeID]toca.Color)
-	for _, u := range v1 {
-		c := newColors[u]
-		if assign[u] != c {
+	for i, u := range v1 {
+		c := newColors[i]
+		if old[i] != c {
 			recoded[u] = c
 		}
 		r.colors.Set(u, c)
@@ -206,10 +200,21 @@ func (r *Recoder) recodeLocal(n graph.NodeID, inOrBoth []graph.NodeID) map[graph
 // join protocol (package dist), which computes the same inputs from
 // protocol messages.
 func Solve(v1 []graph.NodeID, old map[graph.NodeID]toca.Color, forb map[graph.NodeID]toca.ColorSet) map[graph.NodeID]toca.Color {
-	return solveWeighted(nil, v1, old, forb, weightOld, weightNew)
+	olds := make([]toca.Color, len(v1))
+	forbs := make([]toca.ColorSet, len(v1))
+	for i, u := range v1 {
+		olds[i], forbs[i] = old[u], forb[u]
+	}
+	out := make(map[graph.NodeID]toca.Color, len(v1))
+	for i, c := range solveWeighted(nil, v1, olds, forbs, weightOld, weightNew) {
+		out[v1[i]] = c
+	}
+	return out
 }
 
-// solveWeighted is Solve with explicit edge weights; the weight
+// solveWeighted is Solve with explicit edge weights and its inputs and
+// result aligned with v1: old[i] and forb[i] are v1[i]'s old color and
+// forbidden set, and the result's i-th entry its new color. The weight
 // ablation (BenchmarkAblationWeights) runs it with wOld = 2 and 1 to
 // show how the minimality guarantee, which needs wOld > 2*wNew,
 // degrades. With a nil scratch it
@@ -222,13 +227,13 @@ func Solve(v1 []graph.NodeID, old map[graph.NodeID]toca.Color, forb map[graph.No
 // membership test plus k·max edge appends. Both paths hand the solver
 // the identical matrix, so they return the identical matching — same
 // tie-breaking — differentially tested here and in internal/matching.
-func solveWeighted(s *matching.Scratch, v1 []graph.NodeID, old map[graph.NodeID]toca.Color, forb map[graph.NodeID]toca.ColorSet, wOld, wNew int64) map[graph.NodeID]toca.Color {
+func solveWeighted(s *matching.Scratch, v1 []graph.NodeID, old []toca.Color, forb []toca.ColorSet, wOld, wNew int64) []toca.Color {
 	maxC := toca.None
-	for _, u := range v1 {
-		if m := forb[u].Max(); m > maxC {
+	for i := range v1 {
+		if m := forb[i].Max(); m > maxC {
 			maxC = m
 		}
-		if c := old[u]; c > maxC {
+		if c := old[i]; c > maxC {
 			maxC = c
 		}
 	}
@@ -237,30 +242,30 @@ func solveWeighted(s *matching.Scratch, v1 []graph.NodeID, old map[graph.NodeID]
 	if s != nil {
 		nR := int(maxC)
 		w := s.WeightMatrix(len(v1), nR)
-		for i, u := range v1 {
+		for i := range v1 {
 			row := w[i*nR : (i+1)*nR]
 			for j := range row {
 				row[j] = wNew
 			}
-			if c := old[u]; c != toca.None {
+			if c := old[i]; c != toca.None {
 				row[c-1] = wOld
 			}
 			// Forbidden cells last: a forbidden old color stays absent,
 			// exactly as the edge build's skip.
-			forb[u].ForEach(func(c toca.Color) {
+			forb[i].ForEach(func(c toca.Color) {
 				row[c-1] = 0
 			})
 		}
 		res = s.MaxWeightMatrix(len(v1), nR)
 	} else {
 		var edges []matching.Edge
-		for i, u := range v1 {
+		for i := range v1 {
 			for c := toca.Color(1); c <= maxC; c++ {
-				if forb[u].Has(c) {
+				if forb[i].Has(c) {
 					continue
 				}
 				w := wNew
-				if c == old[u] {
+				if c == old[i] {
 					w = wOld
 				}
 				edges = append(edges, matching.Edge{L: i, R: int(c - 1), W: w})
@@ -268,14 +273,14 @@ func solveWeighted(s *matching.Scratch, v1 []graph.NodeID, old map[graph.NodeID]
 		}
 		res = matching.MaxWeight(len(v1), int(maxC), edges)
 	}
-	out := make(map[graph.NodeID]toca.Color, len(v1))
+	out := make([]toca.Color, len(v1))
 	next := maxC
-	for i, u := range v1 {
+	for i := range v1 {
 		if m := res.MatchL[i]; m >= 0 {
-			out[u] = toca.Color(m + 1)
+			out[i] = toca.Color(m + 1)
 		} else {
 			next++
-			out[u] = next
+			out[i] = next
 		}
 	}
 	return out

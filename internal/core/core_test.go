@@ -330,12 +330,8 @@ func TestMoveMinimalityProperty(t *testing.T) {
 				classSize++
 			}
 		}
-		excl := make(map[graph.NodeID]struct{}, len(v1))
-		for _, u := range v1 {
-			excl[u] = struct{}{}
-		}
 		if classSize == 1 &&
-			toca.Forbidden(r.Network().Graph(), before, id, excl).Has(before[id]) {
+			forbiddenOutside(r.Network().Graph(), before, id, v1).Has(before[id]) {
 			bound++
 		}
 
@@ -480,13 +476,9 @@ func TestOldColorEdgeAlwaysFeasible(t *testing.T) {
 		if err := net.Join(id, cfg); err != nil {
 			t.Fatal(err)
 		}
-		excl := make(map[graph.NodeID]struct{}, len(inOrBoth)+1)
+		v1 := append(append([]graph.NodeID{}, inOrBoth...), id)
 		for _, u := range inOrBoth {
-			excl[u] = struct{}{}
-		}
-		excl[id] = struct{}{}
-		for _, u := range inOrBoth {
-			forb := toca.Forbidden(net.Graph(), before, u, excl)
+			forb := forbiddenOutside(net.Graph(), before, u, v1)
 			if forb.Has(before[u]) {
 				t.Fatalf("trial %d: old color of %d conflicts externally", trial, u)
 			}
@@ -597,4 +589,13 @@ func contains(ids []graph.NodeID, id graph.NodeID) bool {
 		}
 	}
 	return false
+}
+
+// forbiddenOutside returns the colors u may not take under a, counting
+// only constraining nodes outside v1 (u among them): the external
+// constraints of one member of a recoding neighborhood.
+func forbiddenOutside(g *graph.Digraph, a toca.Assignment, u graph.NodeID, v1 []graph.NodeID) toca.ColorSet {
+	tl := toca.NewTally(g, a)
+	tl.Lift(v1)
+	return toca.ForbiddenAll(toca.NewForbiddenScratch(), tl, []graph.NodeID{u})[0]
 }

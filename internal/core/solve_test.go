@@ -120,23 +120,23 @@ func TestSolveWeightedCardinalityLosesMinimality(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		k := 2 + rng.Intn(5)
 		v1 := make([]graph.NodeID, k)
-		old := make(map[graph.NodeID]toca.Color, k)
-		forb := make(map[graph.NodeID]toca.ColorSet, k)
+		old := make([]toca.Color, k)
+		forb := make([]toca.ColorSet, k)
 		for i := range v1 {
 			v1[i] = graph.NodeID(i)
-			old[v1[i]] = toca.Color(1 + rng.Intn(3))
+			old[i] = toca.Color(1 + rng.Intn(3))
 			fs := toca.NewColorSet()
 			for c := toca.Color(1); c <= 4; c++ {
-				if rng.Float64() < 0.25 && c != old[v1[i]] {
+				if rng.Float64() < 0.25 && c != old[i] {
 					fs.Add(c)
 				}
 			}
-			forb[v1[i]] = fs
+			forb[i] = fs
 		}
-		recodes := func(res map[graph.NodeID]toca.Color) int {
+		recodes := func(res []toca.Color) int {
 			n := 0
-			for _, u := range v1 {
-				if res[u] != old[u] {
+			for i, c := range res {
+				if c != old[i] {
 					n++
 				}
 			}
@@ -151,8 +151,8 @@ func TestSolveWeightedCardinalityLosesMinimality(t *testing.T) {
 		// with duplicates lose K-1 members (all old colors feasible here
 		// by construction).
 		counts := make(map[toca.Color]int)
-		for _, u := range v1 {
-			counts[old[u]]++
+		for _, c := range old {
+			counts[c]++
 		}
 		bound := 0
 		for _, c := range counts {
@@ -178,12 +178,12 @@ func TestSolveWeightedMatrixDifferential(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		k := 1 + rng.Intn(8)
 		v1 := make([]graph.NodeID, k)
-		old := make(map[graph.NodeID]toca.Color, k)
-		forb := make(map[graph.NodeID]toca.ColorSet, k)
+		old := make([]toca.Color, k)
+		forb := make([]toca.ColorSet, k)
 		for i := range v1 {
 			v1[i] = graph.NodeID(i)
 			if rng.Bool() {
-				old[v1[i]] = toca.Color(1 + rng.Intn(6))
+				old[i] = toca.Color(1 + rng.Intn(6))
 			}
 			fs := toca.NewColorSet()
 			for c := toca.Color(1); c <= 7; c++ {
@@ -193,7 +193,7 @@ func TestSolveWeightedMatrixDifferential(t *testing.T) {
 					fs.Add(c)
 				}
 			}
-			forb[v1[i]] = fs
+			forb[i] = fs
 		}
 		for _, wOld := range []int64{1, 2, 3} {
 			want := solveWeighted(nil, v1, old, forb, wOld, 1)

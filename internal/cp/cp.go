@@ -23,8 +23,9 @@
 package cp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/adhoc"
 	"repro/internal/engine"
@@ -37,9 +38,14 @@ import (
 // and is driven through OnDelta; it never mutates the topology.
 type Strategy struct {
 	net *adhoc.Network
-	// colors is the assignment with its incremental max-color count;
-	// every write goes through colors.Set.
+	// colors is the assignment with its incremental max-color count and
+	// its slot cache; every write goes through colors.Set.
 	colors *toca.Tally
+	// forb, group and counts are reselect's and duplicatedColorNodes'
+	// reusable working memory: one strategy recodes sequentially.
+	forb   *toca.ForbiddenScratch
+	group  []graph.NodeID
+	counts []int
 	// StrictMove selects the literal reading of [3]'s movement handling:
 	// the mover leaves (dropping its code) and rejoins as a fresh node,
 	// so its re-selection always counts as a recoding. The default
@@ -55,7 +61,7 @@ var _ engine.Subscriber = (*Strategy)(nil)
 // recoder is subscribed to) and adopting assign, used directly, not
 // copied; a nil assign starts empty.
 func New(net *adhoc.Network, assign toca.Assignment) *Strategy {
-	return &Strategy{net: net, colors: toca.NewTally(assign)}
+	return &Strategy{net: net, colors: toca.NewTally(net.Graph(), assign), forb: toca.NewForbiddenScratch()}
 }
 
 // Name implements strategy.Strategy.
@@ -77,7 +83,7 @@ func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 	case strategy.Join:
 		// The joiner plus all duplicated-color in-neighbors re-select
 		// colors highest-identity-first.
-		recoded := s.reselect(append(duplicatedColorNodes(s.Assignment(), d.Part.InOrBoth()), id))
+		recoded := s.reselect(append(s.duplicatedColorNodes(d.Part.InOrBoth()), id))
 		return s.outcome(recoded), nil
 	case strategy.Leave:
 		// Neighbors merely update constraint state; nobody recodes.
@@ -94,7 +100,7 @@ func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 			// assignment.
 			s.colors.Set(id, toca.None)
 		}
-		recoded := s.reselect(append(duplicatedColorNodes(s.Assignment(), d.Part.InOrBoth()), id))
+		recoded := s.reselect(append(s.duplicatedColorNodes(d.Part.InOrBoth()), id))
 		return s.outcome(recoded), nil
 	case strategy.PowerChange:
 		// Decreases recode nobody. For an increase by n, every node with
@@ -106,7 +112,7 @@ func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 		}
 		assign := s.Assignment()
 		myColor := assign[id]
-		var group []graph.NodeID
+		group := s.group[:0]
 		for u := range d.ConflictAfter {
 			if _, old := d.ConflictBefore[u]; old {
 				continue // constraint existed before the increase
@@ -128,19 +134,23 @@ func (s *Strategy) OnDelta(d engine.Delta) (strategy.Outcome, error) {
 
 // duplicatedColorNodes returns every node of ids whose old color is held
 // by at least one other node of ids (the CA2 violators of the CP join
-// rule). Unassigned nodes are skipped.
-func duplicatedColorNodes(assign toca.Assignment, ids []graph.NodeID) []graph.NodeID {
-	counts := make(map[toca.Color]int)
-	for _, u := range ids {
-		if c := assign[u]; c != toca.None {
-			counts[c]++
-		}
+// rule), in s.group. Unassigned nodes are skipped.
+func (s *Strategy) duplicatedColorNodes(ids []graph.NodeID) []graph.NodeID {
+	assign := s.Assignment()
+	if n := int(s.colors.Max()) + 1; len(s.counts) < n {
+		s.counts = make([]int, n)
 	}
-	var out []graph.NodeID
 	for _, u := range ids {
-		if c := assign[u]; c != toca.None && counts[c] >= 2 {
+		s.counts[assign[u]]++
+	}
+	out := s.group[:0]
+	for _, u := range ids {
+		if c := assign[u]; c != toca.None && s.counts[c] >= 2 {
 			out = append(out, u)
 		}
+	}
+	for _, u := range ids {
+		s.counts[assign[u]] = 0
 	}
 	return out
 }
@@ -148,38 +158,25 @@ func duplicatedColorNodes(assign toca.Assignment, ids []graph.NodeID) []graph.No
 // reselect runs the CP distributed selection for the given group:
 // highest identity first, each member taking the lowest color not used by
 // any constraint neighbor outside the still-undecided remainder of the
-// group. It returns the nodes whose color actually changed.
+// group. The whole group is lifted out of the walks' slot colors first;
+// each member's Set ends its own lift, so a member that decided earlier
+// constrains later ones through its new color, which is exactly the CP
+// rule. It returns the nodes whose color actually changed.
 func (s *Strategy) reselect(group []graph.NodeID) map[graph.NodeID]toca.Color {
 	// Decreasing identity order; duplicates removed defensively.
-	seen := make(map[graph.NodeID]struct{}, len(group))
-	order := group[:0]
-	for _, u := range group {
-		if _, dup := seen[u]; !dup {
-			seen[u] = struct{}{}
-			order = append(order, u)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] > order[j] })
+	slices.SortFunc(group, func(a, b graph.NodeID) int { return cmp.Compare(b, a) })
+	order := slices.Compact(group)
+	s.group = order
 
-	undecided := make(map[graph.NodeID]struct{}, len(order))
-	for _, u := range order {
-		undecided[u] = struct{}{}
-	}
+	s.colors.Lift(order)
 	assign := s.Assignment()
 	recoded := make(map[graph.NodeID]toca.Color)
 	for _, u := range order {
-		delete(undecided, u) // u now decides; its pick constrains later members
-		forbidden := toca.Forbidden(s.net.Graph(), assign, u, undecided)
-		old := assign[u]
-		// The node's own stale entry must not forbid re-selecting itself;
-		// Forbidden only consults neighbors, so no correction is needed —
-		// but a neighbor that decided earlier is consulted through its
-		// already-updated assignment, which is exactly the CP rule.
-		c := forbidden.LowestFree()
-		s.colors.Set(u, c)
-		if c != old {
+		c := toca.Forbidden(s.forb, s.colors, u).LowestFree()
+		if c != assign[u] {
 			recoded[u] = c
 		}
+		s.colors.Set(u, c)
 	}
 	return recoded
 }

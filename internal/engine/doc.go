@@ -32,11 +32,12 @@
 //
 // # Event sourcing
 //
-// The engine appends every applied event to an ordered log. Sessions
-// mark phase boundaries as log offsets. Replaying the log on a fresh
-// engine reconstructs an identical one (and, via a subscriber factory,
-// identical strategy states); the engine tests pin this contract, which
-// the serve WAL and replication rely on.
+// The engine numbers every applied event (Seq); it keeps no copy of the
+// events, whose durable record is the serve WAL. Sessions mark phase
+// boundaries as sequence numbers. Replaying the applied events on a
+// fresh engine reconstructs an identical one (and, via a subscriber
+// factory, identical strategy states); the engine tests pin this
+// contract, which the serve WAL and replication rely on.
 //
 // # Open follow-ons
 //

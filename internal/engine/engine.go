@@ -14,8 +14,8 @@ import (
 // event: everything the recoding strategies need that does not depend on
 // their private code assignments, computed exactly once per event.
 type Delta struct {
-	// Seq is the event's position in the engine log (Step itself leaves
-	// it 0; the engine sets it).
+	// Seq is the event's sequence number in its engine, counted from 0
+	// (Step itself leaves it 0; the engine sets it).
 	Seq int
 	// Event is the decoded event.
 	Event strategy.Event
@@ -107,11 +107,11 @@ type Subscriber interface {
 
 // Engine owns exactly one adhoc.Network per simulation run, decodes each
 // reconfiguration event once, fans the resulting Delta out to every
-// subscriber, and appends the event to its ordered log.
+// subscriber, and numbers the event.
 type Engine struct {
 	net  *adhoc.Network
 	subs []Subscriber
-	log  []strategy.Event
+	seq  int // events applied so far
 	// outs is Apply's result buffer, reused from event to event.
 	outs []strategy.Outcome
 	// recodeObs, when attached, times each subscriber's OnDelta —
@@ -136,8 +136,8 @@ func Adopt(net *adhoc.Network) *Engine {
 func (e *Engine) Network() *adhoc.Network { return e.net }
 
 // Subscribe attaches a subscriber. Subscribers attached mid-run see only
-// subsequent events; replay the log into a fresh engine to bring one up
-// to date.
+// subsequent events; replay the applied events into a fresh engine to
+// bring one up to date.
 func (e *Engine) Subscribe(s Subscriber) { e.subs = append(e.subs, s) }
 
 // InstrumentRecode attaches per-subscriber recode-latency histograms,
@@ -145,29 +145,25 @@ func (e *Engine) Subscribe(s Subscriber) { e.subs = append(e.subs, s) }
 // are simply not timed). Call before Apply traffic; nil detaches.
 func (e *Engine) InstrumentRecode(hs []*obs.Histogram) { e.recodeObs = hs }
 
-// Log returns the event-sourced history: every event applied, in order.
-// Callers must not mutate it.
-func (e *Engine) Log() []strategy.Event { return e.log }
-
 // Seq returns the number of events applied so far (the next sequence
-// number). Sessions use it to mark phase boundaries in the log.
-func (e *Engine) Seq() int { return len(e.log) }
+// number). Sessions use it to mark phase boundaries.
+func (e *Engine) Seq() int { return e.seq }
 
-// Apply decodes one event against the shared network (once), appends it
-// to the log, and invokes every subscriber with the Delta. The returned
+// Apply decodes one event against the shared network (once), numbers
+// it, and invokes every subscriber with the Delta. The returned
 // outcomes align with the subscribers in attach order; the slice is the
 // engine's own and stays valid only until the next Apply, so a caller
-// that keeps outcomes must copy them. On a topology error nothing is
-// logged and no subscriber runs; on a subscriber error the topology
-// change and log entry stand (the network stays consistent) and the
-// error is returned.
+// that keeps outcomes must copy them. On a topology error the event is
+// not numbered and no subscriber runs; on a subscriber error the
+// topology change and sequence number stand (the network stays
+// consistent) and the error is returned.
 func (e *Engine) Apply(ev strategy.Event) ([]strategy.Outcome, error) {
 	d, err := Step(e.net, ev)
 	if err != nil {
 		return nil, err
 	}
-	d.Seq = len(e.log)
-	e.log = append(e.log, ev)
+	d.Seq = e.seq
+	e.seq++
 	if cap(e.outs) < len(e.subs) {
 		e.outs = make([]strategy.Outcome, len(e.subs))
 	}

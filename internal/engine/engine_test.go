@@ -154,23 +154,26 @@ func TestEngineSharesOneReplica(t *testing.T) {
 	}
 }
 
-// TestEngineLogReplay: the event log fully determines the run — Replay
-// rebuilds an identical topology and identical subscriber assignments.
+// TestEngineLogReplay: the applied events fully determine the run —
+// Replay rebuilds an identical topology and identical subscriber
+// assignments.
 func TestEngineLogReplay(t *testing.T) {
 	phases := mixedScript(11, 30)
 	eng := engine.New()
 	minim := core.New(eng.Network(), nil)
 	eng.Subscribe(minim)
+	var log []strategy.Event
 	for _, phase := range phases {
 		for _, ev := range phase {
 			if _, err := eng.Apply(ev); err != nil {
 				t.Fatal(err)
 			}
+			log = append(log, ev)
 		}
 	}
 
 	var replayed *core.Recoder
-	re, err := engine.Replay(eng.Log(), func(net *adhoc.Network) []engine.Subscriber {
+	re, err := engine.Replay(log, func(net *adhoc.Network) []engine.Subscriber {
 		replayed = core.New(net, nil)
 		return []engine.Subscriber{replayed}
 	})
@@ -189,7 +192,7 @@ func TestEngineLogReplay(t *testing.T) {
 }
 
 // TestEngineTopologyErrors: bad events error without reaching
-// subscribers or the log.
+// subscribers or taking a sequence number.
 func TestEngineTopologyErrors(t *testing.T) {
 	eng := engine.New()
 	minim := core.New(eng.Network(), nil)
@@ -216,7 +219,7 @@ func TestEngineTopologyErrors(t *testing.T) {
 		t.Fatal("move to +Inf did not error")
 	}
 	if eng.Seq() != 1 {
-		t.Fatalf("log recorded %d events, want only the valid join", eng.Seq())
+		t.Fatalf("engine numbered %d events, want only the valid join", eng.Seq())
 	}
 	if len(minim.Assignment()) != 1 {
 		t.Fatalf("assignment = %v, want the single joiner colored", minim.Assignment())

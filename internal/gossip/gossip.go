@@ -36,7 +36,8 @@ type Result struct {
 // its conflict neighborhood. It returns the number of nodes that changed
 // color. The assignment is modified in place.
 func Step(net *adhoc.Network, assign toca.Assignment) int {
-	g := net.Graph()
+	t := toca.NewTally(net.Graph(), assign)
+	scratch := toca.NewForbiddenScratch()
 	ids := net.Nodes()
 	sort.SliceStable(ids, func(i, j int) bool {
 		ci, cj := assign[ids[i]], assign[ids[j]]
@@ -51,9 +52,8 @@ func Step(net *adhoc.Network, assign toca.Assignment) int {
 		if cur == toca.None {
 			continue
 		}
-		forb := toca.Forbidden(g, assign, id, nil)
-		if best := forb.LowestFree(); best < cur {
-			assign[id] = best
+		if best := toca.Forbidden(scratch, t, id).LowestFree(); best < cur {
+			t.Set(id, best)
 			changed++
 		}
 	}
@@ -84,13 +84,14 @@ func Compact(net *adhoc.Network, assign toca.Assignment, maxRounds int) Result {
 // Quiescent reports whether no node can lower its color — the gossip
 // fixpoint.
 func Quiescent(net *adhoc.Network, assign toca.Assignment) bool {
-	g := net.Graph()
+	t := toca.NewTally(net.Graph(), assign)
+	scratch := toca.NewForbiddenScratch()
 	for _, id := range net.Nodes() {
 		cur := assign[id]
 		if cur == toca.None {
 			continue
 		}
-		if toca.Forbidden(g, assign, id, nil).LowestFree() < cur {
+		if toca.Forbidden(scratch, t, id).LowestFree() < cur {
 			return false
 		}
 	}

@@ -335,7 +335,7 @@ func containsNode(s []NodeID, id NodeID) bool {
 // direction, ascending and without duplicates. This is the "1-hop
 // neighborhood" used by the CP strategy's symmetric view.
 func (g *Digraph) UndirectedNeighbors(id NodeID) []NodeID {
-	both := append(copyOf(g.out(id)), g.in(id)...)
+	both := append(g.OutNeighbors(id), g.InNeighbors(id)...)
 	slices.Sort(both)
 	return slices.Compact(both)
 }

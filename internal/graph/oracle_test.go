@@ -301,10 +301,13 @@ const (
 // FuzzDigraphOps decodes bytes into add/remove node/edge operations
 // (three bytes each: operation, u, v) and runs them on a Digraph and on
 // the map-backed oracle side by side. After every step it compares
-// Validate, the counts, Edges, and per node the neighbor lists, the
-// ForEach* visit order, degrees and HasEdge; the derived queries
-// (Nodes, MaxDegree, UndirectedNeighbors, hop distances) are compared
-// after the last step. Operation 4 clones the graph, checks the clone,
+// Validate, the counts, Edges, Slots, and per node the neighbor lists
+// (by ID and by slot), the ForEach* visit order, degrees and HasEdge,
+// and checks the slot invariants: a live node keeps its slot and
+// generation, and a fresh node takes the last freed slot (neighbor
+// order after reuse is covered by the list comparisons). The derived
+// queries (Nodes, MaxDegree, UndirectedNeighbors, hop distances) are
+// compared after the last step. Operation 4 clones the graph, checks the clone,
 // mutates it, and requires the original to be untouched.
 func FuzzDigraphOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 1, 2, 2, 2, 1, 2, 1, 1, 4, 2, 1, 3, 1, 2, 1, 2, 0})
@@ -316,10 +319,15 @@ func FuzzDigraphOps(f *testing.F) {
 		step := 0
 		for ; len(ops) >= 3; step, ops = step+1, ops[3:] {
 			u, v := NodeID(ops[1]%fuzzIDs), NodeID(ops[2]%fuzzIDs)
+			before := slotTable(g)
+			slotCap, free := g.SlotCap(), slices.Clone(g.free)
 			switch ops[0] % 5 {
 			case 0:
 				g.AddNode(u)
 				o.AddNode(u)
+				if _, had := before[u]; !had {
+					checkNewSlot(t, step, g, u, slotCap, free)
+				}
 			case 1:
 				g.RemoveNode(u)
 				o.RemoveNode(u)
@@ -342,9 +350,47 @@ func FuzzDigraphOps(f *testing.F) {
 				}
 			}
 			compareDigraph(t, step, g, o)
+			for id, was := range before {
+				if now, ok := slotTable(g)[id]; ok && now != was {
+					t.Fatalf("step %d: live node %d moved from slot %v to %v", step, id, was, now)
+				}
+			}
 		}
 		compareDerived(t, step, g, o)
 	})
+}
+
+// slotTable returns every live node's (slot, generation).
+func slotTable(g *Digraph) map[NodeID][2]uint32 {
+	tab := make(map[NodeID][2]uint32, g.NumNodes())
+	for _, id := range g.Nodes() {
+		s, _ := g.Slot(id)
+		tab[id] = [2]uint32{uint32(s), g.Gen(s)}
+	}
+	return tab
+}
+
+// checkNewSlot fails t unless the fresh node id took the most recently
+// freed slot of free (under a new generation), or a new slot when free
+// was empty.
+func checkNewSlot(t *testing.T, step int, g *Digraph, id NodeID, slotCap int, free []int32) {
+	t.Helper()
+	s, ok := g.Slot(id)
+	if !ok || g.Owner(s) != id {
+		t.Fatalf("step %d: node %d has no slot", step, id)
+	}
+	if len(free) == 0 {
+		if int(s) != slotCap || g.SlotCap() != slotCap+1 {
+			t.Fatalf("step %d: node %d took slot %d of %d, want a new slot %d", step, id, s, g.SlotCap(), slotCap)
+		}
+		return
+	}
+	if want := free[len(free)-1]; s != want || g.SlotCap() != slotCap {
+		t.Fatalf("step %d: node %d took slot %d (cap %d), want freed slot %d (cap %d)", step, id, s, g.SlotCap(), want, slotCap)
+	}
+	if g.Gen(s)&1 != 1 {
+		t.Fatalf("step %d: reused slot %d has even generation %d", step, s, g.Gen(s))
+	}
 }
 
 // panics reports whether fn panicked.
@@ -379,6 +425,9 @@ func compareDigraph(t *testing.T, step int, g *Digraph, o *oracleDigraph) {
 	if got, want := g.Edges(), o.Edges(); !slices.Equal(got, want) {
 		mismatch(t, step, "Edges", got, want)
 	}
+	if got, want := g.ids(g.Slots()), o.Nodes(); !slices.Equal(got, want) {
+		mismatch(t, step, "Slots owners", got, want)
+	}
 	var seen []NodeID
 	collect := func(v NodeID) { seen = append(seen, v) }
 	for u := NodeID(0); u <= fuzzIDs; u++ {
@@ -391,6 +440,14 @@ func compareDigraph(t *testing.T, step int, g *Digraph, o *oracleDigraph) {
 		}
 		if got := g.InNeighbors(u); !slices.Equal(got, ins) {
 			mismatch(t, step, fmt.Sprintf("InNeighbors(%d)", u), got, ins)
+		}
+		if s, ok := g.Slot(u); ok {
+			if got := g.ids(g.OutSlots(s)); !slices.Equal(got, outs) {
+				mismatch(t, step, fmt.Sprintf("OutSlots(%d) owners", u), got, outs)
+			}
+			if got := g.ids(g.InSlots(s)); !slices.Equal(got, ins) {
+				mismatch(t, step, fmt.Sprintf("InSlots(%d) owners", u), got, ins)
+			}
 		}
 		seen = seen[:0]
 		g.ForEachOut(u, collect)

@@ -317,56 +317,29 @@ func (s ColorSet) LowestFree() Color {
 	return Color(len(s.b.words)<<6 + 1)
 }
 
-// Forbidden returns the colors node u may not take, considering only
-// constraining nodes outside the exclude set (whose colors are about to
-// be reassigned and therefore do not constrain u through their old
-// values). Pass a nil exclude map to consider every constraining node.
-//
-// The constraint walk is fused: instead of materializing the conflict
-// neighborhood as a node set first (the profile's dominant allocation on
-// the recoding hot path), colors are folded directly into the result.
-// Revisiting a co-transmitter through several shared receivers is
-// harmless — ColorSet.Add is idempotent.
-func Forbidden(g *graph.Digraph, a Assignment, u graph.NodeID, exclude map[graph.NodeID]struct{}) ColorSet {
-	set := NewColorSet()
-	add := func(v graph.NodeID) {
-		if exclude != nil {
-			if _, skip := exclude[v]; skip {
-				return
-			}
-		}
-		set.Add(a[v])
-	}
-	g.ForEachOut(u, func(v graph.NodeID) {
-		add(v) // CA1 on u->v
-		g.ForEachIn(v, func(x graph.NodeID) {
-			if x != u {
-				add(x) // CA2 at v
-			}
-		})
-	})
-	g.ForEachIn(u, add) // CA1 on v->u
-	return set
-}
-
-// ForbiddenScratch is ForbiddenAll's reusable working memory: the
-// receiver and member maps and a pool of color sets, kept across calls
-// so a warm constraint walk allocates nothing. One scratch serves one
-// caller at a time.
+// ForbiddenScratch is the constraint walks' reusable working memory:
+// a slot-indexed mark of the receivers already walked in the current
+// call, a pool of color sets and the result slice, kept across calls so
+// a warm walk allocates nothing. One scratch serves one caller at a time.
 type ForbiddenScratch struct {
-	recv map[graph.NodeID]ColorSet // receiver -> in-neighbor colors
-	out  map[graph.NodeID]ColorSet // member -> forbidden colors
+	recv []recvMark // slot -> the receiver set built in call `call`
+	call uint32
 	pool []ColorSet
 	used int // pool[:used] are handed out in the current call
+	out  []ColorSet
+	one  [1]graph.NodeID // Forbidden's single-member V1
 }
 
-// NewForbiddenScratch returns an empty scratch for ForbiddenAll.
-func NewForbiddenScratch() *ForbiddenScratch {
-	return &ForbiddenScratch{
-		recv: make(map[graph.NodeID]ColorSet),
-		out:  make(map[graph.NodeID]ColorSet),
-	}
+// recvMark records that a receiver's in-neighbor colors were gathered
+// into pool[set] during call number call.
+type recvMark struct {
+	call uint32
+	set  int32
 }
+
+// NewForbiddenScratch returns an empty scratch for Forbidden and
+// ForbiddenAll.
+func NewForbiddenScratch() *ForbiddenScratch { return &ForbiddenScratch{} }
 
 // set hands out the next pooled color set, emptied.
 func (s *ForbiddenScratch) set() ColorSet {
@@ -379,38 +352,75 @@ func (s *ForbiddenScratch) set() ColorSet {
 	return cs
 }
 
-// ForbiddenAll computes Forbidden for every member of v1 in one pass.
-// Callers must first lift the members' colors out of the assignment
-// (every u in v1 unassigned in a), which is how the recoding uses it:
-// members' old colors are about to be reassigned and must not constrain
-// each other. That precondition is what makes the sharing sound — the
-// CA2 constraint set of a receiver w (the colors of w's in-neighbors)
-// no longer depends on WHICH member is asking, so each receiver's
+// ForbiddenAll returns, aligned with v1, the colors each member may not
+// take under CA1/CA2: the colors of its out- and in-neighbors and of
+// every other transmitter into one of its out-neighbors. It reads the
+// topology and the colors through t, slot by slot (t's graph gives each
+// member's neighbor slots, and t the color cached under each slot), so
+// the walk does no map lookup beyond one slot lookup per member.
+//
+// Callers must first lift the members' colors (t.Lift(v1)): their old
+// colors are about to be reassigned and must not constrain each other.
+// That precondition is what makes the sharing sound — the CA2
+// constraint set of a receiver w (the colors of w's in-neighbors) no
+// longer depends on WHICH member is asking, so each receiver's
 // in-neighbor walk runs once and is folded into every member that
 // transmits to w with a word-wise union, instead of being re-walked per
 // member (the k² half of the per-event constraint cost; members of a
 // join neighborhood share most of their receivers).
 //
-// The returned map and its sets live in s: they stay valid until the
-// next ForbiddenAll call on s, which reuses them.
-func ForbiddenAll(s *ForbiddenScratch, g *graph.Digraph, a Assignment, v1 []graph.NodeID) map[graph.NodeID]ColorSet {
-	clear(s.recv)
-	clear(s.out)
+// The returned slice and its sets live in s: they stay valid until the
+// next call on s, which reuses them.
+func ForbiddenAll(s *ForbiddenScratch, t *Tally, v1 []graph.NodeID) []ColorSet {
+	g := t.g
+	if s.call++; s.call == 0 { // wrapped: every old mark would look current
+		clear(s.recv)
+		s.call = 1
+	}
+	if n := g.SlotCap(); len(s.recv) < n {
+		s.recv = append(s.recv, make([]recvMark, n-len(s.recv))...)
+	}
 	s.used = 0
+	s.out = s.out[:0]
 	for _, u := range v1 {
 		set := s.set()
-		g.ForEachOut(u, func(v graph.NodeID) {
-			set.Add(a[v]) // CA1 on u->v
-			rs, ok := s.recv[v]
-			if !ok {
-				rs = s.set()
-				g.ForEachIn(v, func(x graph.NodeID) { rs.Add(a[x]) })
-				s.recv[v] = rs
+		if su, ok := g.Slot(u); ok {
+			for _, sv := range g.OutSlots(su) {
+				set.Add(t.at(sv)) // CA1 on u->v
+				m := &s.recv[sv]
+				if m.call != s.call {
+					rs := s.set()
+					for _, sx := range g.InSlots(sv) {
+						rs.Add(t.at(sx))
+					}
+					*m = recvMark{call: s.call, set: int32(s.used - 1)}
+				}
+				set.UnionWith(s.pool[m.set]) // CA2 at v (u's own lifted color adds None)
 			}
-			set.UnionWith(rs) // CA2 at v (u's own lifted color adds None)
-		})
-		g.ForEachIn(u, func(v graph.NodeID) { set.Add(a[v]) }) // CA1 on v->u
-		s.out[u] = set
+			for _, sv := range g.InSlots(su) {
+				set.Add(t.at(sv)) // CA1 on v->u
+			}
+		}
+		s.out = append(s.out, set)
 	}
 	return s.out
+}
+
+// Forbidden returns the colors node u may not take given every other
+// node's current color: ForbiddenAll for the single member u, with u's
+// own color lifted for the walk and put back after it. The set lives in
+// s until the next call on s.
+func Forbidden(s *ForbiddenScratch, t *Tally, u graph.NodeID) ColorSet {
+	su, ok := t.g.Slot(u)
+	var c Color
+	if ok {
+		c = t.at(su)
+		t.cache(su, None)
+	}
+	s.one[0] = u
+	set := ForbiddenAll(s, t, s.one[:])[0]
+	if ok {
+		t.cache(su, c)
+	}
+	return set
 }

@@ -187,27 +187,86 @@ func TestConflictGraphColoringEquivalence(t *testing.T) {
 func TestForbidden(t *testing.T) {
 	g := starGraph(3) // 1,2,3 -> 0
 	a := Assignment{0: 7, 1: 1, 2: 2, 3: 3}
+	tl := NewTally(g, a)
+	s := NewForbiddenScratch()
 	// Node 1's constraints: 0 (CA1 out-neighbor), 2 and 3 (CA2).
-	forb := Forbidden(g, a, 1, nil)
+	forb := Forbidden(s, tl, 1)
 	want := []Color{2, 3, 7}
 	if !reflect.DeepEqual(forb.Sorted(), want) {
 		t.Fatalf("Forbidden = %v, want %v", forb.Sorted(), want)
 	}
-	// Excluding node 2 drops its color from the constraints.
-	excl := map[graph.NodeID]struct{}{2: {}}
-	forb = Forbidden(g, a, 1, excl)
+	// Lifting node 2 drops its color from the constraints.
+	tl.Lift([]graph.NodeID{2})
+	forb = Forbidden(s, tl, 1)
 	want = []Color{3, 7}
 	if !reflect.DeepEqual(forb.Sorted(), want) {
-		t.Fatalf("Forbidden(excl 2) = %v, want %v", forb.Sorted(), want)
+		t.Fatalf("Forbidden(2 lifted) = %v, want %v", forb.Sorted(), want)
+	}
+	if tl.Assignment()[2] != 2 || tl.Max() != 7 {
+		t.Fatal("Lift touched the map or the maximum")
+	}
+	tl.Set(2, 2) // ends the lift
+	if got := Forbidden(s, tl, 1).Sorted(); !reflect.DeepEqual(got, []Color{2, 3, 7}) {
+		t.Fatalf("Forbidden after Set = %v", got)
 	}
 }
 
-// TestForbiddenAllDifferential: on random graphs, the shared-receiver
-// one-pass construction produces EXACTLY the per-member Forbidden sets
-// computed the slow way with an exclude map — the recoder swaps one for
-// the other, and its outcomes must stay bit-identical. One scratch
-// serves all trials, as one recoder's does across events, so state left
-// over from an earlier call fails the comparison.
+// forbiddenOracle is the reference constraint walk, reading the
+// assignment map for every visited node: the colors u may not take,
+// ignoring the nodes of exclude (nil excludes nothing).
+func forbiddenOracle(g *graph.Digraph, a Assignment, u graph.NodeID, exclude map[graph.NodeID]struct{}) ColorSet {
+	set := NewColorSet()
+	add := func(v graph.NodeID) {
+		if _, skip := exclude[v]; !skip {
+			set.Add(a[v])
+		}
+	}
+	g.ForEachOut(u, func(v graph.NodeID) {
+		add(v)
+		g.ForEachIn(v, func(x graph.NodeID) {
+			if x != u {
+				add(x)
+			}
+		})
+	})
+	g.ForEachIn(u, add)
+	return set
+}
+
+// churn makes some nodes of g leave and rejoin with fresh edges, writing
+// tl the way the strategies do (a leaver's color is cleared only after
+// it left the digraph, a rejoiner may be colored or not), so later walks
+// run over reused slots.
+func churn(rng *xrand.RNG, g *graph.Digraph, tl *Tally) {
+	nodes := g.Nodes()
+	for k := rng.Intn(4); k > 0; k-- {
+		id := nodes[rng.Intn(len(nodes))]
+		g.RemoveNode(id)
+		tl.Set(id, None)
+		g.AddNode(id)
+		for e := rng.Intn(6); e > 0; e-- {
+			v := nodes[rng.Intn(len(nodes))]
+			if v != id && g.HasNode(v) {
+				if rng.Intn(2) == 0 {
+					g.AddEdge(id, v)
+				} else {
+					g.AddEdge(v, id)
+				}
+			}
+		}
+		if rng.Intn(2) == 0 {
+			tl.Set(id, Color(1+rng.Intn(5)))
+		}
+	}
+}
+
+// TestForbiddenAllDifferential: on random graphs with slot reuse, the
+// shared-receiver one-pass walk over lifted slot colors produces EXACTLY
+// the per-member sets of the map-reading oracle with an exclude map, and
+// Forbidden those of the oracle with no exclusion — the recoders swap
+// one for the other, and their outcomes must stay bit-identical. One
+// scratch serves all trials, as one recoder's does across events, so
+// state left over from an earlier call fails the comparison.
 func TestForbiddenAllDifferential(t *testing.T) {
 	rng := xrand.New(23)
 	scratch := NewForbiddenScratch()
@@ -220,6 +279,14 @@ func TestForbiddenAllDifferential(t *testing.T) {
 				a[id] = Color(1 + rng.Intn(5))
 			}
 		}
+		tl := NewTally(g, a)
+		churn(rng, g, tl)
+		for _, u := range nodes {
+			want := forbiddenOracle(g, a, u, nil)
+			if got := Forbidden(scratch, tl, u); !reflect.DeepEqual(got.Sorted(), want.Sorted()) {
+				t.Fatalf("trial %d node %d: Forbidden %v, want %v", trial, u, got.Sorted(), want.Sorted())
+			}
+		}
 		var v1 []graph.NodeID
 		excl := make(map[graph.NodeID]struct{})
 		for _, id := range nodes {
@@ -228,18 +295,14 @@ func TestForbiddenAllDifferential(t *testing.T) {
 				excl[id] = struct{}{}
 			}
 		}
-		// ForbiddenAll's precondition: members' colors lifted out.
-		lifted := a.Clone()
-		for _, u := range v1 {
-			delete(lifted, u)
-		}
-		all := ForbiddenAll(scratch, g, lifted, v1)
+		tl.Lift(v1) // ForbiddenAll's precondition
+		all := ForbiddenAll(scratch, tl, v1)
 		if len(all) != len(v1) {
 			t.Fatalf("trial %d: ForbiddenAll returned %d sets for %d members", trial, len(all), len(v1))
 		}
-		for _, u := range v1 {
-			want := Forbidden(g, a, u, excl)
-			got := all[u]
+		for i, u := range v1 {
+			want := forbiddenOracle(g, a, u, excl)
+			got := all[i]
 			if !reflect.DeepEqual(got.Sorted(), want.Sorted()) {
 				t.Fatalf("trial %d node %d: ForbiddenAll %v, want %v",
 					trial, u, got.Sorted(), want.Sorted())
