@@ -13,12 +13,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// host1000 returns an engine over net hosting the named strategy (none
-// for an empty name), with the constant-density 1000-node join base
-// (seed 7) applied.
-func host1000(name sim.StrategyName, net *adhoc.Network) (*engine.Engine, error) {
+// host1000 returns an engine over net hosting the named strategies,
+// with the constant-density 1000-node join base (seed 7) applied.
+func host1000(net *adhoc.Network, names ...sim.StrategyName) (*engine.Engine, error) {
 	eng := engine.Adopt(net)
-	if name != "" {
+	for _, name := range names {
 		st, err := sim.NewSharedStrategy(name, net)
 		if err != nil {
 			return nil, err
@@ -60,21 +59,23 @@ func move1000(rng *xrand.RNG) strategy.Event {
 // nodes), measured by testing.AllocsPerRun. Each ceiling is the largest
 // of five measured runs plus 2, because identical runs can differ by
 // one allocation (map-hash variance). A ceiling may be lowered, never
-// raised. allocCeilStepMove covers engine.Step alone: the decode and
-// topology change of one move, with no strategy hosted.
+// raised. allocCeilStepMove and allocCeilStepJoin cover engine.Step
+// alone: the decode and topology change of one move or join, with no
+// strategy hosted.
 const (
-	allocCeilMinimJoin = 30
-	allocCeilMinimMove = 22
-	allocCeilCPJoin    = 27
-	allocCeilCPMove    = 18
-	allocCeilStepMove  = 15
+	allocCeilMinimJoin = 22
+	allocCeilMinimMove = 12
+	allocCeilCPJoin    = 18
+	allocCeilCPMove    = 8
+	allocCeilStepMove  = 5
+	allocCeilStepJoin  = 15
 )
 
-// allocsPerEvent hosts name (none if empty) on a fresh n=1000 engine
-// and reports the mean allocations of apply over 50 runs.
-func allocsPerEvent(t *testing.T, name sim.StrategyName, apply func(*engine.Engine, *xrand.RNG, int) error) float64 {
+// allocsPerEvent hosts names on a fresh n=1000 engine and reports the
+// mean allocations of apply over 50 runs.
+func allocsPerEvent(t *testing.T, apply func(*engine.Engine, *xrand.RNG, int) error, names ...sim.StrategyName) float64 {
 	t.Helper()
-	eng, err := host1000(name, adhoc.New())
+	eng, err := host1000(adhoc.New(), names...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,43 +109,58 @@ func moveOnly(eng *engine.Engine, rng *xrand.RNG, _ int) error {
 }
 
 func TestAllocsMinimJoin1000(t *testing.T) {
-	got := allocsPerEvent(t, sim.Minim, joinOnly)
+	got := allocsPerEvent(t, joinOnly, sim.Minim)
 	if got > allocCeilMinimJoin {
 		t.Fatalf("Minim join at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilMinimJoin)
 	}
 }
 
 func TestAllocsMinimMove1000(t *testing.T) {
-	got := allocsPerEvent(t, sim.Minim, moveOnly)
+	got := allocsPerEvent(t, moveOnly, sim.Minim)
 	if got > allocCeilMinimMove {
 		t.Fatalf("Minim move at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilMinimMove)
 	}
 }
 
 func TestAllocsCPJoin1000(t *testing.T) {
-	got := allocsPerEvent(t, sim.CP, joinOnly)
+	got := allocsPerEvent(t, joinOnly, sim.CP)
 	if got > allocCeilCPJoin {
 		t.Fatalf("CP join at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilCPJoin)
 	}
 }
 
 func TestAllocsCPMove1000(t *testing.T) {
-	got := allocsPerEvent(t, sim.CP, moveOnly)
+	got := allocsPerEvent(t, moveOnly, sim.CP)
 	if got > allocCeilCPMove {
 		t.Fatalf("CP move at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilCPMove)
 	}
 }
 
-// stepOnly decodes and applies the next move of the event list with
-// engine.Step, bypassing the engine's log and fan-out.
-func stepOnly(eng *engine.Engine, rng *xrand.RNG, _ int) error {
+// stepMove decodes and applies the next move of the event list with
+// engine.Step, bypassing the engine's numbering and fan-out.
+func stepMove(eng *engine.Engine, rng *xrand.RNG, _ int) error {
 	_, err := engine.Step(eng.Network(), move1000(rng))
 	return err
 }
 
+// stepJoin decodes and applies the i-th fresh join of the event list
+// with engine.Step.
+func stepJoin(eng *engine.Engine, rng *xrand.RNG, i int) error {
+	id, cfg := join1000(rng, i)
+	_, err := engine.Step(eng.Network(), strategy.JoinEvent(id, cfg))
+	return err
+}
+
 func TestAllocsStepMove1000(t *testing.T) {
-	got := allocsPerEvent(t, "", stepOnly)
+	got := allocsPerEvent(t, stepMove)
 	if got > allocCeilStepMove {
 		t.Fatalf("engine.Step move at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilStepMove)
+	}
+}
+
+func TestAllocsStepJoin1000(t *testing.T) {
+	got := allocsPerEvent(t, stepJoin)
+	if got > allocCeilStepJoin {
+		t.Fatalf("engine.Step join at n=1000: %.0f allocs/event, ceiling %d", got, allocCeilStepJoin)
 	}
 }

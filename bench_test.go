@@ -112,7 +112,7 @@ func BenchmarkJoinEventBBB100(b *testing.B)   { benchJoinEvent(b, sim.BBB, 100) 
 const bench1000Arena = 316.0
 
 func benchJoinEvent1000(b *testing.B, name sim.StrategyName, net *adhoc.Network) {
-	eng, err := host1000(name, net)
+	eng, err := host1000(net, name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,10 +132,15 @@ func benchJoinEvent1000(b *testing.B, name sim.StrategyName, net *adhoc.Network)
 }
 
 func benchMoveEvent1000(b *testing.B, name sim.StrategyName, net *adhoc.Network) {
-	eng, err := host1000(name, net)
+	eng, err := host1000(net, name)
 	if err != nil {
 		b.Fatal(err)
 	}
+	timeMoves1000(b, eng)
+}
+
+// timeMoves1000 times one move of a base node per iteration.
+func timeMoves1000(b *testing.B, eng *engine.Engine) {
 	rng := xrand.New(99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,6 +148,31 @@ func benchMoveEvent1000(b *testing.B, name sim.StrategyName, net *adhoc.Network)
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMoveEventMinimCP1000Raised times moves under Minim and CP
+// hosted together after one power raise: the node with the largest
+// range doubles it and reverts before timing. The monotone max range
+// doubles with it, so the grid is rebuilt at about 61 m cells and every
+// move scans that wider neighborhood, as in a Minim+CP mobility run with
+// power changes.
+func BenchmarkMoveEventMinimCP1000Raised(b *testing.B) {
+	eng, err := host1000(adhoc.New(), sim.Minim, sim.CP)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := eng.Network()
+	var top graph.NodeID
+	var r float64
+	for _, id := range net.Nodes() {
+		if c, _ := net.Config(id); c.Range > r {
+			top, r = id, c.Range
+		}
+	}
+	if err := applyAll(eng, []strategy.Event{strategy.PowerEvent(top, 2*r), strategy.PowerEvent(top, r)}); err != nil {
+		b.Fatal(err)
+	}
+	timeMoves1000(b, eng)
 }
 
 func BenchmarkJoinEventMinim1000(b *testing.B) { benchJoinEvent1000(b, sim.Minim, adhoc.New()) }
@@ -176,15 +206,14 @@ func benchNetworkEvent1000(b *testing.B, mk func() *adhoc.Network, move bool) {
 	for i := 0; i < b.N; i++ {
 		pos := geom.Point{X: rng.Uniform(0, bench1000Arena), Y: rng.Uniform(0, bench1000Arena)}
 		if move {
-			if err := net.Move(graph.NodeID(rng.Intn(1000)), pos); err != nil {
+			if _, err := net.Move(graph.NodeID(rng.Intn(1000)), pos); err != nil {
 				b.Fatal(err)
 			}
 			continue
 		}
 		id := graph.NodeID(2000 + i)
 		cfg := adhoc.Config{Pos: pos, Range: rng.Uniform(20.5, 30.5)}
-		net.LocalPartitionFor(id, cfg) // what the engine decodes per join
-		if err := net.Join(id, cfg); err != nil {
+		if _, err := net.JoinPart(id, cfg); err != nil { // what the engine decodes per join
 			b.Fatal(err)
 		}
 		b.StopTimer()

@@ -8,12 +8,16 @@
 // (range) change — and computes the partition sets 1n/2n/3n/4n of Fig 2
 // that the recoding strategies operate on.
 //
-// Since the engine refactor the spatial grid is on by default: New()
-// returns a self-indexing network whose grid cell auto-sizes to the
-// largest transmission range seen so far, so neighbor scans are local
-// from the first join. NewScan() keeps the naive O(n) scan path alive as
-// a fallback and as the differential-testing oracle the equivalence
-// tests replay against.
+// Each join and move scans its neighborhood once: JoinPart and Move
+// return the Fig 2 partition (without 4n) that the scan classifies, and
+// the node's edges are rewired by merging the scanned lists with its
+// current ones, so only changed edges are touched. Node state is
+// addressed by digraph slot: the configurations are a slot-indexed
+// slice and the spatial grid files slots. The grid is on by default:
+// New() returns a self-indexing network whose grid cell auto-sizes to
+// the largest transmission range seen so far. NewScan() keeps the naive
+// O(n) scan path alive as a fallback and as the differential-testing
+// oracle the equivalence tests replay against.
 //
 // The CA1/CA2 conflict graph the centralized baseline recolors is kept
 // as a refcounted index that every edge flip updates in place; it is
@@ -22,6 +26,7 @@
 package adhoc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -64,9 +69,11 @@ const gridGrowFactor = 2.0
 // conflict index: per-pair counts of CA1/CA2 conflict reasons, updated
 // on every edge flip, that ConflictGraph exposes as a read-only view.
 type Network struct {
-	configs map[graph.NodeID]Config
-	g       *graph.Digraph
-	grid    *spatial.Grid // nil = naive O(n) scans (NewScan, or no positive range yet)
+	g *graph.Digraph
+	// cfgs holds each node's configuration under its digraph slot
+	// (len(cfgs) == g.SlotCap()); free slots' entries are stale.
+	cfgs []Config
+	grid *spatial.Grid // nil = naive O(n) scans (NewScan, or no positive range yet)
 	// autoGrid makes the grid self-sizing: it is (re)built from maxRange
 	// as ranges are first seen or outgrow the current cell.
 	autoGrid bool
@@ -81,15 +88,26 @@ type Network struct {
 	// [u->v] + [v->u] + |out(u) ∩ out(v)|. It is symmetric and stores no
 	// zero entries, so u's row lists exactly the slots of
 	// toca.ConflictNeighbors(g, u), ascending by slot. It stays nil
-	// until the first ConflictGraph call builds it; from then on
-	// addEdge and removeEdge keep it current on every edge flip.
+	// until the first ConflictGraph call builds it; from then on flip
+	// keeps it current on every edge flip.
 	conf [][]conflict
+	// links is the last event scan's classification, scratch reused
+	// from event to event.
+	links []link
 }
 
 // conflict is one entry of a conflict-index row: the neighbor's slot
 // and the pair's count of conflict reasons.
 type conflict struct {
 	slot, n int32
+}
+
+// link is a node a scan found linked to the scanned configuration: out
+// when the configuration covers it, in when it covers the configuration.
+type link struct {
+	id      graph.NodeID
+	slot    int32
+	out, in bool
 }
 
 // New returns an empty network with the spatial grid enabled and
@@ -106,10 +124,7 @@ func New() *Network {
 // is the fallback path and the oracle the grid is differentially tested
 // against.
 func NewScan() *Network {
-	return &Network{
-		configs: make(map[graph.NodeID]Config),
-		g:       graph.New(),
-	}
+	return &Network{g: graph.New()}
 }
 
 // NewIndexed returns an empty network whose neighbor scans use a uniform
@@ -126,27 +141,107 @@ func NewIndexed(cellSize float64) *Network {
 	return n
 }
 
-// candidates calls fn for every node other than id that could have an
-// edge to or from a node at pos with the given range: with a grid, nodes
-// within max(r, maxRange) of pos; without, every node.
-func (n *Network) candidates(id graph.NodeID, pos geom.Point, r float64, fn func(graph.NodeID, Config)) {
+// live reports whether slot s holds a node.
+func (n *Network) live(s int32) bool { return n.g.Gen(s)&1 == 1 }
+
+// scan appends to links every node other than the one in slot self
+// (-1 for none) that has an edge to or from a node configured cfg, and
+// sorts links by ID. Without a grid every node is a candidate.
+func (n *Network) scan(links []link, self int32, cfg Config) []link {
+	visit := func(s int32) {
+		if s == self {
+			return
+		}
+		oc := n.cfgs[s]
+		out, in := cfg.Covers(oc.Pos), oc.Covers(cfg.Pos)
+		if out || in {
+			links = append(links, link{id: n.g.Owner(s), slot: s, out: out, in: in})
+		}
+	}
 	if n.grid == nil {
-		for other, oc := range n.configs {
-			if other != id {
-				fn(other, oc)
+		for s := range n.cfgs {
+			if n.live(int32(s)) {
+				visit(int32(s))
 			}
 		}
-		return
+	} else {
+		n.grid.ForEachWithinRadius(cfg.Pos, max(cfg.Range, n.maxRange), visit)
 	}
-	radius := r
-	if n.maxRange > radius {
-		radius = n.maxRange
-	}
-	n.grid.ForEachWithinRadius(pos, radius, func(other graph.NodeID, _ geom.Point) {
-		if other != id {
-			fn(other, n.configs[other])
+	slices.SortFunc(links, func(a, b link) int { return cmp.Compare(a.id, b.id) })
+	return links
+}
+
+// partition returns the Fig 2 sets (without 4n) of links, sorted by ID,
+// in one fresh array; each set is capped so appends cannot overlap.
+func partition(links []link) Partition {
+	ids := make([]graph.NodeID, 0, len(links))
+	var cut [4]int
+	for k, set := range [3]link{{in: true}, {in: true, out: true}, {out: true}} {
+		for _, l := range links {
+			if l.in == set.in && l.out == set.out {
+				ids = append(ids, l.id)
+			}
 		}
-	})
+		cut[k+1] = len(ids)
+	}
+	return Partition{In: ids[:cut[1]:cut[1]], Both: ids[cut[1]:cut[2]:cut[2]], Out: ids[cut[2]:]}
+}
+
+// rewire scans around the configuration of the node in slot s and
+// brings its out-list (and, with in set, its in-list) to what the scan
+// found.
+func (n *Network) rewire(s int32, in bool) {
+	n.links = n.scan(n.links[:0], s, n.cfgs[s])
+	n.relink(s, false)
+	if in {
+		n.relink(s, true)
+	}
+}
+
+// relink merges the in-list (in) or out-list of slot s with the matching
+// side of n.links, both ascending by ID, flipping only the edges that
+// differ. Walking from the back, a flip shifts only entries passed.
+func (n *Network) relink(s int32, in bool) {
+	have := n.g.OutSlots(s)
+	if in {
+		have = n.g.InSlots(s)
+	}
+	i := len(have) - 1
+	for j := len(n.links) - 1; j >= 0; j-- {
+		if l := n.links[j]; l.in && in || l.out && !in {
+			for ; i >= 0 && n.g.Owner(have[i]) > l.id; i-- {
+				n.flip(s, have[i], in, false)
+			}
+			if i >= 0 && have[i] == l.slot {
+				i--
+			} else {
+				n.flip(s, l.slot, in, true)
+			}
+		}
+	}
+	for ; i >= 0; i-- {
+		n.flip(s, have[i], in, false)
+	}
+}
+
+// flip adds the absent or removes the present edge x->s (in) or s->x.
+// Every edge flip goes through it so a built conflict index stays
+// current.
+func (n *Network) flip(s, x int32, in, add bool) {
+	if in {
+		s, x = x, s
+	}
+	d := int32(1)
+	if !add {
+		d = -1
+		n.g.RemoveSlotEdge(s, x)
+	}
+	if n.conf != nil {
+		n.flipConflicts(s, x, d) // reads in(x) while it excludes s
+	}
+	if add {
+		n.g.AddSlotEdge(s, x)
+	}
 }
 
 // noteRange folds a new range into the monotone maximum and, in autoGrid
@@ -166,16 +261,16 @@ func (n *Network) noteRange(r float64) {
 	}
 }
 
-// regrid rebuilds the grid with the given cell, re-inserting every
-// current node. maxRange is monotone, so rebuilds happen O(log(maxR))
-// times over a network's lifetime.
+// regrid rebuilds the grid with the given cell, re-filing every current
+// node. maxRange is monotone, so rebuilds happen O(log(maxR)) times over
+// a network's lifetime.
 func (n *Network) regrid(cell float64) {
 	grid, err := spatial.NewGrid(cell)
 	if err != nil {
 		return // invalid cell: keep the previous grid (or scan path) as is
 	}
-	for id, cfg := range n.configs {
-		grid.Insert(id, cfg.Pos)
+	for _, s := range n.g.Slots() {
+		grid.Insert(s, n.cfgs[s].Pos)
 	}
 	n.grid = grid
 }
@@ -186,19 +281,19 @@ func (n *Network) regrid(cell float64) {
 func (n *Network) Graph() *graph.Digraph { return n.g }
 
 // Size returns the number of nodes currently in the network.
-func (n *Network) Size() int { return len(n.configs) }
+func (n *Network) Size() int { return n.g.NumNodes() }
 
 // Has reports whether id is currently in the network.
-func (n *Network) Has(id graph.NodeID) bool {
-	_, ok := n.configs[id]
-	return ok
-}
+func (n *Network) Has(id graph.NodeID) bool { return n.g.HasNode(id) }
 
 // Config returns the configuration of id. The second result is false if
 // id is not in the network.
 func (n *Network) Config(id graph.NodeID) (Config, bool) {
-	c, ok := n.configs[id]
-	return c, ok
+	s, ok := n.g.Slot(id)
+	if !ok {
+		return Config{}, false
+	}
+	return n.cfgs[s], true
 }
 
 // Nodes returns all node IDs in ascending order.
@@ -211,7 +306,7 @@ func (n *Network) MaxRange() float64 { return n.maxRange }
 // edges. It returns an error if the id is already present, the position
 // is not finite, or the range is negative or not finite.
 func (n *Network) Join(id graph.NodeID, cfg Config) error {
-	if _, ok := n.configs[id]; ok {
+	if n.g.HasNode(id) {
 		return fmt.Errorf("adhoc: node %d already in network", id)
 	}
 	if !finite(cfg.Pos) {
@@ -220,62 +315,67 @@ func (n *Network) Join(id graph.NodeID, cfg Config) error {
 	if cfg.Range < 0 || math.IsNaN(cfg.Range) || math.IsInf(cfg.Range, 0) {
 		return fmt.Errorf("adhoc: node %d has invalid range %g", id, cfg.Range)
 	}
-	n.configs[id] = cfg
 	n.g.AddNode(id)
-	n.noteRange(cfg.Range)
-	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
-		if cfg.Covers(oc.Pos) {
-			n.addEdge(id, other)
-		}
-		if oc.Covers(cfg.Pos) {
-			n.addEdge(other, id)
-		}
-	})
-	if n.grid != nil {
-		n.grid.Insert(id, cfg.Pos)
+	s, _ := n.g.Slot(id)
+	if int(s) == len(n.cfgs) {
+		n.cfgs = append(n.cfgs, Config{})
 	}
+	n.cfgs[s] = cfg
+	n.noteRange(cfg.Range) // a regrid files the joiner too
+	if n.grid != nil {
+		n.grid.Insert(s, cfg.Pos)
+	}
+	n.rewire(s, true)
 	return nil
+}
+
+// JoinPart is Join that also returns the Fig 2 partition (without 4n)
+// of the other nodes relative to the joiner, classified by the join's
+// own neighbor scan.
+func (n *Network) JoinPart(id graph.NodeID, cfg Config) (Partition, error) {
+	if err := n.Join(id, cfg); err != nil {
+		return Partition{}, err
+	}
+	return partition(n.links), nil
 }
 
 // Leave removes a node and all its incident edges. It returns an error if
 // the id is absent.
 func (n *Network) Leave(id graph.NodeID) error {
-	if _, ok := n.configs[id]; !ok {
+	s, ok := n.g.Slot(id)
+	if !ok {
 		return fmt.Errorf("adhoc: node %d not in network", id)
 	}
-	for _, v := range n.g.OutNeighbors(id) {
-		n.removeEdge(id, v)
-	}
-	for _, u := range n.g.InNeighbors(id) {
-		n.removeEdge(u, id)
-	}
-	delete(n.configs, id)
+	n.links = n.links[:0] // no links: relink drops every edge
+	n.relink(s, false)
+	n.relink(s, true)
 	n.g.RemoveNode(id)
 	if n.grid != nil {
-		n.grid.Remove(id)
+		n.grid.Remove(s)
 	}
 	return nil
 }
 
 // Move changes a node's position and rewires its incident edges in both
 // directions (its own coverage changes, and other nodes may gain or lose
-// coverage of it). It returns an error if the id is absent or the
+// coverage of it). It returns the Fig 2 partition (without 4n) of the
+// other nodes relative to the node at its destination, classified by
+// the move's own neighbor scan, or an error if the id is absent or the
 // position is not finite.
-func (n *Network) Move(id graph.NodeID, pos geom.Point) error {
-	cfg, ok := n.configs[id]
+func (n *Network) Move(id graph.NodeID, pos geom.Point) (Partition, error) {
+	s, ok := n.g.Slot(id)
 	if !ok {
-		return fmt.Errorf("adhoc: node %d not in network", id)
+		return Partition{}, fmt.Errorf("adhoc: node %d not in network", id)
 	}
 	if !finite(pos) {
-		return fmt.Errorf("adhoc: node %d moved to invalid position (%g, %g)", id, pos.X, pos.Y)
+		return Partition{}, fmt.Errorf("adhoc: node %d moved to invalid position (%g, %g)", id, pos.X, pos.Y)
 	}
-	cfg.Pos = pos
-	n.configs[id] = cfg
+	n.cfgs[s].Pos = pos
 	if n.grid != nil {
-		n.grid.Move(id, pos)
+		n.grid.Insert(s, pos)
 	}
-	n.rewire(id)
-	return nil
+	n.rewire(s, true)
+	return partition(n.links), nil
 }
 
 // finite reports whether both coordinates of p are finite.
@@ -286,86 +386,40 @@ func finite(p geom.Point) bool {
 // SetRange changes a node's maximum transmission range. Only the node's
 // own out-edges are affected (in-edges depend on other nodes' ranges).
 func (n *Network) SetRange(id graph.NodeID, r float64) error {
-	cfg, ok := n.configs[id]
+	s, ok := n.g.Slot(id)
 	if !ok {
 		return fmt.Errorf("adhoc: node %d not in network", id)
 	}
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return fmt.Errorf("adhoc: node %d invalid range %g", id, r)
 	}
+	cfg := &n.cfgs[s]
+	raise := r > cfg.Range
 	cfg.Range = r
-	n.configs[id] = cfg
 	n.noteRange(r)
-	// Range change only alters id's coverage of others. Drop every
-	// current out-edge beyond the new radius, then add newly covered
-	// nodes from the candidate set.
-	for _, other := range n.g.OutNeighbors(id) {
-		if !cfg.Covers(n.configs[other].Pos) {
-			n.removeEdge(id, other)
+	if raise {
+		n.rewire(s, false)
+		return nil
+	}
+	// A decrease only drops out-edges, so it needs no scan. Walking back
+	// keeps the unvisited prefix in place as edges go.
+	out := n.g.OutSlots(s)
+	for i := len(out) - 1; i >= 0; i-- {
+		if !cfg.Covers(n.cfgs[out[i]].Pos) {
+			n.flip(s, out[i], false, false)
 		}
 	}
-	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
-		if cfg.Covers(oc.Pos) {
-			n.addEdge(id, other)
-		}
-	})
 	return nil
-}
-
-// rewire recomputes all edges incident to id from the configurations:
-// stale incident edges are checked directly, new ones come from the
-// candidate set around the (new) position.
-func (n *Network) rewire(id graph.NodeID) {
-	cfg := n.configs[id]
-	for _, other := range n.g.OutNeighbors(id) {
-		if !cfg.Covers(n.configs[other].Pos) {
-			n.removeEdge(id, other)
-		}
-	}
-	for _, other := range n.g.InNeighbors(id) {
-		if !n.configs[other].Covers(cfg.Pos) {
-			n.removeEdge(other, id)
-		}
-	}
-	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
-		if cfg.Covers(oc.Pos) {
-			n.addEdge(id, other)
-		}
-		if oc.Covers(cfg.Pos) {
-			n.addEdge(other, id)
-		}
-	})
-}
-
-// addEdge inserts u->v (a no-op if present). Every digraph edge
-// insertion goes through it so a built conflict index stays current.
-func (n *Network) addEdge(u, v graph.NodeID) {
-	if n.conf != nil && !n.g.HasEdge(u, v) {
-		n.flipConflicts(u, v, 1) // reads in(v) before u joins it
-	}
-	n.g.AddEdge(u, v)
-}
-
-// removeEdge deletes u->v (a no-op if absent). Every digraph edge
-// deletion goes through it so a built conflict index stays current.
-func (n *Network) removeEdge(u, v graph.NodeID) {
-	flip := n.conf != nil && n.g.HasEdge(u, v)
-	n.g.RemoveEdge(u, v)
-	if flip {
-		n.flipConflicts(u, v, -1) // reads in(v) after u left it
-	}
 }
 
 // flipConflicts applies the index change of adding (d = 1) or removing
 // (d = -1) the edge u->v while in(v) excludes u: the pair (u, v) gains or
 // loses its CA1 reason, and u gains or loses the shared receiver v with
 // every other transmitter x of v (CA2 at v).
-func (n *Network) flipConflicts(u, v graph.NodeID, d int32) {
-	su, _ := n.g.Slot(u)
-	sv, _ := n.g.Slot(v)
-	n.bumpConflict(su, sv, d)
-	for _, sx := range n.g.InSlots(sv) {
-		n.bumpConflict(su, sx, d)
+func (n *Network) flipConflicts(u, v int32, d int32) {
+	n.bumpConflict(u, v, d)
+	for _, x := range n.g.InSlots(v) {
+		n.bumpConflict(u, x, d)
 	}
 }
 
@@ -529,113 +583,64 @@ func (p Partition) InOrBoth() []graph.NodeID {
 // relative to the hypothetical configuration cfg of node id. The node
 // itself may or may not currently be in the network (it is skipped); this
 // lets callers evaluate a join before performing it, and a move at its
-// destination.
+// destination. The 4n set makes it O(n); JoinPart and Move return the
+// 1n/2n/3n sets of their own scan.
 func (n *Network) PartitionFor(id graph.NodeID, cfg Config) Partition {
-	p := n.LocalPartitionFor(id, cfg)
-	connected := make(map[graph.NodeID]struct{}, len(p.In)+len(p.Both)+len(p.Out))
-	for _, lst := range [][]graph.NodeID{p.In, p.Both, p.Out} {
-		for _, u := range lst {
-			connected[u] = struct{}{}
-		}
+	self, ok := n.g.Slot(id)
+	if !ok {
+		self = -1
 	}
-	for other := range n.configs {
-		if other == id {
-			continue
+	links := n.scan(nil, self, cfg)
+	p := partition(links)
+	for _, v := range n.g.Nodes() {
+		if len(links) > 0 && links[0].id == v {
+			links = links[1:]
+		} else if v != id {
+			p.None = append(p.None, v)
 		}
-		if _, ok := connected[other]; !ok {
-			p.None = append(p.None, other)
-		}
-	}
-	slices.Sort(p.None)
-	return p
-}
-
-// LocalPartitionFor is PartitionFor without the 4n (None) set. The
-// recoding strategies only consume 1n/2n/3n, and skipping 4n keeps the
-// per-event cost local (4n is by definition everyone else, an O(n)
-// enumeration). This is the hot-path entry the engine uses.
-func (n *Network) LocalPartitionFor(id graph.NodeID, cfg Config) Partition {
-	var p Partition
-	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
-		hearsUs := cfg.Covers(oc.Pos) // would create id -> other
-		weHear := oc.Covers(cfg.Pos)  // would create other -> id
-		switch {
-		case weHear && hearsUs:
-			p.Both = append(p.Both, other)
-		case weHear:
-			p.In = append(p.In, other)
-		case hearsUs:
-			p.Out = append(p.Out, other)
-		}
-	})
-	for _, lst := range [][]graph.NodeID{p.In, p.Both, p.Out} {
-		slices.Sort(lst)
 	}
 	return p
 }
 
-// Clone returns a deep copy of the network. Strategies being compared on
-// the same event script each get their own clone. The clone's conflict
-// index is left unbuilt until its own first ConflictGraph call.
+// Clone returns a deep copy of the network, slot numbering included.
+// Strategies being compared on the same event script each get their own
+// clone. The clone's conflict index is left unbuilt until its own first
+// ConflictGraph call.
 func (n *Network) Clone() *Network {
-	var c *Network
-	switch {
-	case n.autoGrid:
-		c = New()
-	case n.grid != nil:
-		c = NewIndexed(n.gridCell())
-	default:
-		c = NewScan()
+	c := &Network{
+		g:        n.g.Clone(),
+		cfgs:     slices.Clone(n.cfgs),
+		autoGrid: n.autoGrid,
+		maxRange: n.maxRange,
 	}
-	c.maxRange = n.maxRange
-	if c.autoGrid && c.maxRange > 0 {
-		c.regrid(c.maxRange)
+	if n.grid != nil {
+		c.regrid(n.grid.CellSize())
 	}
-	for id, cfg := range n.configs {
-		c.configs[id] = cfg
-		if c.grid != nil {
-			c.grid.Insert(id, cfg.Pos)
-		}
-	}
-	c.g = n.g.Clone()
 	return c
 }
 
-// gridCell reports the indexed network's cell size (0 when naive).
-func (n *Network) gridCell() float64 {
-	if n.grid == nil {
-		return 0
-	}
-	return n.grid.CellSize()
-}
-
 // CheckConsistency verifies that the maintained digraph matches the edges
-// induced by the configurations and that the grid (when present) indexes
-// exactly the current positions, returning the first mismatch. Intended
-// for tests and the cmd/verify tool.
+// induced by the configurations and that the grid (when present) files
+// exactly the live slots at their configured positions, returning the
+// first mismatch. Intended for tests and the cmd/verify tool.
 func (n *Network) CheckConsistency() error {
-	for u, uc := range n.configs {
-		for v, vc := range n.configs {
+	slots := n.g.Slots()
+	for _, u := range slots {
+		for _, v := range slots {
 			if u == v {
 				continue
 			}
-			want := uc.Covers(vc.Pos)
-			got := n.g.HasEdge(u, v)
+			want := n.cfgs[u].Covers(n.cfgs[v].Pos)
+			got := n.g.HasEdge(n.g.Owner(u), n.g.Owner(v))
 			if want != got {
-				return fmt.Errorf("adhoc: edge %d->%d induced=%v stored=%v", u, v, want, got)
+				return fmt.Errorf("adhoc: edge %d->%d induced=%v stored=%v", n.g.Owner(u), n.g.Owner(v), want, got)
 			}
 		}
 	}
-	if n.g.NumNodes() != len(n.configs) {
-		return fmt.Errorf("adhoc: graph has %d nodes, configs %d", n.g.NumNodes(), len(n.configs))
-	}
 	if n.grid != nil {
-		if n.grid.Len() != len(n.configs) {
-			return fmt.Errorf("adhoc: grid indexes %d nodes, configs %d", n.grid.Len(), len(n.configs))
-		}
-		for id, cfg := range n.configs {
-			if p, ok := n.grid.Position(id); !ok || p != cfg.Pos {
-				return fmt.Errorf("adhoc: grid position of %d is %v, config %v", id, p, cfg.Pos)
+		for s, cfg := range n.cfgs {
+			if p, ok := n.grid.Position(int32(s)); ok != n.live(int32(s)) || ok && p != cfg.Pos {
+				return fmt.Errorf("adhoc: slot %d (live %v) filed %v at %v, config %v", s, n.live(int32(s)), ok, p, cfg.Pos)
 			}
 		}
 		if err := n.grid.Validate(); err != nil {

@@ -21,6 +21,9 @@ func lineNet(t *testing.T) *Network {
 	return n
 }
 
+// moved drops the partition of a Move, keeping its error.
+func moved(_ Partition, err error) error { return err }
+
 func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
@@ -81,7 +84,7 @@ func TestMoveRewiresBothDirections(t *testing.T) {
 	n := lineNet(t)
 	// Move node 3 next to node 1: now 1<->3 connect, 3's link to 2 holds
 	// (d=7 <= 9 and 12).
-	must(t, n.Move(3, geom.Point{X: 1, Y: 0}))
+	must(t, moved(n.Move(3, geom.Point{X: 1, Y: 0})))
 	g := n.Graph()
 	if !g.HasEdge(1, 3) || !g.HasEdge(3, 1) {
 		t.Fatal("move did not create edges to new neighbor")
@@ -90,7 +93,7 @@ func TestMoveRewiresBothDirections(t *testing.T) {
 		t.Fatal("move broke surviving link")
 	}
 	must(t, n.CheckConsistency())
-	if err := n.Move(42, geom.Point{}); err == nil {
+	if _, err := n.Move(42, geom.Point{}); err == nil {
 		t.Fatal("move of absent node did not error")
 	}
 }
@@ -235,7 +238,7 @@ func TestPartitionMatchesPostJoinEdges(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	n := lineNet(t)
 	c := n.Clone()
-	must(t, c.Move(3, geom.Point{X: 1, Y: 0}))
+	must(t, moved(c.Move(3, geom.Point{X: 1, Y: 0})))
 	must(t, c.Join(4, Config{Pos: geom.Point{X: 2, Y: 0}, Range: 50}))
 	if n.Has(4) {
 		t.Fatal("clone join leaked")
@@ -294,7 +297,7 @@ func TestRandomEventConsistency(t *testing.T) {
 		case 2: // move
 			if len(ids) > 0 {
 				id := ids[rng.Intn(len(ids))]
-				must(t, n.Move(id, geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)}))
+				must(t, moved(n.Move(id, geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)})))
 			}
 		case 3: // range change
 			if len(ids) > 0 {
@@ -312,19 +315,27 @@ func TestRandomEventConsistency(t *testing.T) {
 // Indexed reports whether neighbor scans currently use the spatial grid.
 func (n *Network) Indexed() bool { return n.grid != nil }
 
+// gridCell reports the indexed network's cell size (0 when naive).
+func (n *Network) gridCell() float64 {
+	if n.grid == nil {
+		return 0
+	}
+	return n.grid.CellSize()
+}
+
 // MinimalConnectivityOK reports whether the paper's Minimal Connectivity
 // assumption holds for node id under configuration cfg: there must exist
 // nodes j and k (j, k != id) such that j is within id's range and id is
 // within k's range.
 func (n *Network) MinimalConnectivityOK(id graph.NodeID, cfg Config) bool {
+	self, ok := n.g.Slot(id)
+	if !ok {
+		self = -1
+	}
 	var hearsSomeone, someoneHears bool
-	n.candidates(id, cfg.Pos, cfg.Range, func(other graph.NodeID, oc Config) {
-		if cfg.Covers(oc.Pos) {
-			hearsSomeone = true // id transmits to other (other hears id)
-		}
-		if oc.Covers(cfg.Pos) {
-			someoneHears = true // other transmits to id
-		}
-	})
+	for _, l := range n.scan(nil, self, cfg) {
+		hearsSomeone = hearsSomeone || l.out // id transmits to l (l hears id)
+		someoneHears = someoneHears || l.in  // l transmits to id
+	}
 	return hearsSomeone && someoneHears
 }

@@ -86,7 +86,7 @@ func TestAutoGridEquivalence(t *testing.T) {
 		case k < 5:
 			id := present[rng.Intn(len(present))]
 			pos := geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)}
-			if auto.Move(id, pos) != nil || scan.Move(id, pos) != nil {
+			if moved(auto.Move(id, pos)) != nil || moved(scan.Move(id, pos)) != nil {
 				t.Fatal("move failed")
 			}
 		case k < 7:
@@ -194,7 +194,7 @@ func TestNonFinitePositionRejected(t *testing.T) {
 			if err := n.Join(99, Config{Pos: p, Range: 10}); err == nil {
 				t.Fatalf("Join accepted position %v", p)
 			}
-			if err := n.Move(1, p); err == nil {
+			if _, err := n.Move(1, p); err == nil {
 				t.Fatalf("Move accepted position %v", p)
 			}
 		}

@@ -119,7 +119,7 @@ func TestConflictIndexDifferential(t *testing.T) {
 					// Far moves cross grid cells (the cell is at most the
 					// largest range, 37.5, on a 60-wide arena).
 					id, pos := present[rng.Intn(len(present))], point()
-					ev = func(n *Network) error { return n.Move(id, pos) }
+					ev = func(n *Network) error { return moved(n.Move(id, pos)) }
 				default:
 					id := present[rng.Intn(len(present))]
 					cfg, _ := early.Config(id)

@@ -36,7 +36,7 @@ func TestIndexedEquivalence(t *testing.T) {
 			case k < 5: // move
 				id := present[rng.Intn(len(present))]
 				pos := geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)}
-				if naive.Move(id, pos) != nil || indexed.Move(id, pos) != nil {
+				if moved(naive.Move(id, pos)) != nil || moved(indexed.Move(id, pos)) != nil {
 					return false
 				}
 			case k < 7: // range change
@@ -167,4 +167,34 @@ func benchJoins(b *testing.B, mk func() *Network) {
 func BenchmarkJoin500Naive(b *testing.B) { benchJoins(b, New) }
 func BenchmarkJoin500Indexed(b *testing.B) {
 	benchJoins(b, func() *Network { return NewIndexed(30.5) })
+}
+
+// TestCheckConsistencyRejectsGridDrift: a slot whose grid position
+// differs from its configuration, or a left node still filed, fails
+// CheckConsistency even though the grid itself is well formed.
+func TestCheckConsistencyRejectsGridDrift(t *testing.T) {
+	build := func() *Network {
+		n := NewIndexed(10)
+		for i := 0; i < 3; i++ {
+			if err := n.Join(graph.NodeID(i), Config{Pos: geom.Point{X: float64(4 * i), Y: 1}, Range: 5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	n := build()
+	s, _ := n.g.Slot(1)
+	n.grid.Insert(s, geom.Point{X: 4, Y: 2})
+	if n.grid.Validate() != nil || n.CheckConsistency() == nil {
+		t.Fatal("CheckConsistency accepted a grid position that differs from the config")
+	}
+	n = build()
+	s, _ = n.g.Slot(2)
+	if err := n.Leave(2); err != nil {
+		t.Fatal(err)
+	}
+	n.grid.Insert(s, n.cfgs[s].Pos)
+	if n.grid.Validate() != nil || n.CheckConsistency() == nil {
+		t.Fatal("CheckConsistency accepted a free slot still filed in the grid")
+	}
 }

@@ -253,11 +253,8 @@ func (rt *Runtime) Assignment() toca.Assignment {
 // RecodeOnJoin, "cp" the CP highest-identity-first selection. Drive the
 // engine (Engine.Run) to completion afterwards.
 func (rt *Runtime) StartJoin(id graph.NodeID, cfg adhoc.Config, proto string) error {
-	if rt.Net.Has(id) {
-		return fmt.Errorf("dist: node %d already in network", id)
-	}
-	part := rt.Net.LocalPartitionFor(id, cfg)
-	if err := rt.Net.Join(id, cfg); err != nil {
+	part, err := rt.Net.JoinPart(id, cfg)
+	if err != nil {
 		return err
 	}
 	joiner := &Node{id: id}
@@ -296,17 +293,11 @@ func (rt *Runtime) StartLeave(id graph.NodeID) error {
 // joiner would, its old color riding along as a weight-3 edge (minim)
 // or a re-selectable current color (cp). Drive the engine afterwards.
 func (rt *Runtime) StartMove(id graph.NodeID, pos geom.Point, proto string) error {
-	cfg, ok := rt.Net.Config(id)
-	if !ok {
-		return fmt.Errorf("dist: node %d not in network", id)
-	}
 	if proto != "minim" && proto != "cp" {
 		return fmt.Errorf("dist: unknown protocol %q", proto)
 	}
-	dst := cfg
-	dst.Pos = pos
-	part := rt.Net.LocalPartitionFor(id, dst)
-	if err := rt.Net.Move(id, pos); err != nil {
+	part, err := rt.Net.Move(id, pos)
+	if err != nil {
 		return err
 	}
 	if proto == "minim" {

@@ -20,8 +20,10 @@ type Delta struct {
 	// Event is the decoded event.
 	Event strategy.Event
 	// Part is the Fig 2 partition (without 4n) of the other nodes
-	// relative to the event configuration, captured before the topology
-	// change. Valid for Join and Move events.
+	// relative to the event configuration, classified by the join's or
+	// move's own neighbor scan (the other nodes do not move, so it is
+	// also their partition before the change). Valid for Join and Move
+	// events.
 	Part adhoc.Partition
 	// PrevCfg is the node's configuration before the event. Valid for
 	// Leave, Move, and PowerChange events.
@@ -40,13 +42,10 @@ type Delta struct {
 // separately call it directly.
 func Step(net *adhoc.Network, ev strategy.Event) (Delta, error) {
 	d := Delta{Event: ev}
+	var err error
 	switch ev.Kind {
 	case strategy.Join:
-		if net.Has(ev.ID) {
-			return d, fmt.Errorf("engine: node %d already in network", ev.ID)
-		}
-		d.Part = net.LocalPartitionFor(ev.ID, ev.Cfg)
-		if err := net.Join(ev.ID, ev.Cfg); err != nil {
+		if d.Part, err = net.JoinPart(ev.ID, ev.Cfg); err != nil {
 			return d, err
 		}
 	case strategy.Leave:
@@ -55,7 +54,7 @@ func Step(net *adhoc.Network, ev strategy.Event) (Delta, error) {
 			return d, fmt.Errorf("engine: node %d not in network", ev.ID)
 		}
 		d.PrevCfg = cfg
-		if err := net.Leave(ev.ID); err != nil {
+		if err = net.Leave(ev.ID); err != nil {
 			return d, err
 		}
 	case strategy.Move:
@@ -64,10 +63,7 @@ func Step(net *adhoc.Network, ev strategy.Event) (Delta, error) {
 			return d, fmt.Errorf("engine: node %d not in network", ev.ID)
 		}
 		d.PrevCfg = cfg
-		dst := cfg
-		dst.Pos = ev.Pos
-		d.Part = net.LocalPartitionFor(ev.ID, dst)
-		if err := net.Move(ev.ID, ev.Pos); err != nil {
+		if d.Part, err = net.Move(ev.ID, ev.Pos); err != nil {
 			return d, err
 		}
 	case strategy.PowerChange:
@@ -82,7 +78,7 @@ func Step(net *adhoc.Network, ev strategy.Event) (Delta, error) {
 			// difference); decreases never recode, so skip both captures.
 			d.ConflictBefore = net.ConflictNeighbors(ev.ID)
 		}
-		if err := net.SetRange(ev.ID, ev.R); err != nil {
+		if err = net.SetRange(ev.ID, ev.R); err != nil {
 			return d, err
 		}
 		if d.Increase {

@@ -169,21 +169,9 @@ func (g *Digraph) HasNode(id NodeID) bool {
 	return ok
 }
 
-// AddEdge inserts the directed edge u -> v. Both endpoints must already
-// exist and u must differ from v; violations panic because they indicate
-// a bug in the network-maintenance layer, not a runtime condition.
-func (g *Digraph) AddEdge(u, v NodeID) {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop on node %d", u))
-	}
-	su, ok := g.slots[u]
-	if !ok {
-		panic(fmt.Sprintf("graph: AddEdge tail %d not in graph", u))
-	}
-	sv, ok := g.slots[v]
-	if !ok {
-		panic(fmt.Sprintf("graph: AddEdge head %d not in graph", v))
-	}
+// AddSlotEdge inserts the edge from the node in slot su to the node in
+// slot sv (a no-op if present). Both slots must be live and distinct.
+func (g *Digraph) AddSlotEdge(su, sv int32) {
 	var added bool
 	if g.adj[su].out, added = g.insert(g.adj[su].out, sv); !added {
 		return
@@ -192,16 +180,9 @@ func (g *Digraph) AddEdge(u, v NodeID) {
 	g.m++
 }
 
-// RemoveEdge deletes the directed edge u -> v if present.
-func (g *Digraph) RemoveEdge(u, v NodeID) {
-	su, ok := g.slots[u]
-	if !ok {
-		return
-	}
-	sv, ok := g.slots[v]
-	if !ok {
-		return
-	}
+// RemoveSlotEdge deletes the edge from the node in slot su to the node
+// in slot sv (a no-op if absent). Both slots must be live.
+func (g *Digraph) RemoveSlotEdge(su, sv int32) {
 	var removed bool
 	if g.adj[su].out, removed = g.remove(g.adj[su].out, sv); !removed {
 		return

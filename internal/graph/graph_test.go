@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -8,6 +9,35 @@ import (
 
 	"repro/internal/xrand"
 )
+
+// AddEdge inserts the directed edge u -> v. Both endpoints must already
+// exist and u must differ from v; violations panic because they indicate
+// a bug in the network-maintenance layer, not a runtime condition.
+func (g *Digraph) AddEdge(u, v NodeID) {
+	if u == v {
+		panic(fmt.Sprintf("graph: self-loop on node %d", u))
+	}
+	su, ok := g.slots[u]
+	if !ok {
+		panic(fmt.Sprintf("graph: AddEdge tail %d not in graph", u))
+	}
+	sv, ok := g.slots[v]
+	if !ok {
+		panic(fmt.Sprintf("graph: AddEdge head %d not in graph", v))
+	}
+	g.AddSlotEdge(su, sv)
+}
+
+// RemoveEdge deletes the directed edge u -> v if present.
+func (g *Digraph) RemoveEdge(u, v NodeID) {
+	su, ok := g.slots[u]
+	if !ok {
+		return
+	}
+	if sv, ok := g.slots[v]; ok {
+		g.RemoveSlotEdge(su, sv)
+	}
+}
 
 func TestAddRemoveNode(t *testing.T) {
 	g := New()

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/xrand"
 )
 
-// TestGridMoveCrossCellBookkeeping: Move is Insert under the hood, which
-// must clean the previous cell. Shuttle nodes across cell boundaries
-// repeatedly and assert Len, per-cell contents, and internal consistency
-// never drift — a stale-cell leak would show up as a duplicate hit in
+// TestGridMoveCrossCellBookkeeping: re-inserting a filed slot moves it,
+// which must clean the previous cell. Shuttle nodes across cell
+// boundaries repeatedly and assert Len, per-cell contents, and internal
+// consistency never drift — a stale-cell leak would show up as a duplicate hit in
 // WithinRadius or a Validate count mismatch.
 func TestGridMoveCrossCellBookkeeping(t *testing.T) {
 	g, err := NewGrid(10)
@@ -23,13 +22,13 @@ func TestGridMoveCrossCellBookkeeping(t *testing.T) {
 	spots := []geom.Point{{X: 5, Y: 5}, {X: 15, Y: 5}, {X: 5, Y: 15}, {X: 15, Y: 15}, {X: 95, Y: 95}}
 	const nodes = 4
 	for i := 0; i < nodes; i++ {
-		g.Insert(graph.NodeID(i), spots[i%len(spots)])
+		g.Insert(int32(i), spots[i%len(spots)])
 	}
 	for round := 0; round < 50; round++ {
 		for i := 0; i < nodes; i++ {
 			p := spots[(round+i)%len(spots)]
-			g.Move(graph.NodeID(i), p)
-			if got, ok := g.Position(graph.NodeID(i)); !ok || got != p {
+			g.Insert(int32(i), p)
+			if got, ok := g.Position(int32(i)); !ok || got != p {
 				t.Fatalf("round %d: Position(%d) = %v,%v want %v", round, i, got, ok, p)
 			}
 		}
@@ -42,10 +41,10 @@ func TestGridMoveCrossCellBookkeeping(t *testing.T) {
 		// Every node must be found exactly once by a radius query around
 		// its own position (stale cells would double-report).
 		for i := 0; i < nodes; i++ {
-			p, _ := g.Position(graph.NodeID(i))
+			p, _ := g.Position(int32(i))
 			hits := 0
-			g.ForEachWithinRadius(p, 0.5, func(id graph.NodeID, _ geom.Point) {
-				if id == graph.NodeID(i) {
+			g.ForEachWithinRadius(p, 0.5, func(id int32) {
+				if id == int32(i) {
 					hits++
 				}
 			})
@@ -64,12 +63,12 @@ func TestGridMoveRemoveRandomized(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := xrand.New(9)
-	oracle := make(map[graph.NodeID]geom.Point)
+	oracle := make(map[int32]geom.Point)
 	next := 0
 	for step := 0; step < 2000; step++ {
 		switch k := rng.Intn(10); {
 		case k < 4 || len(oracle) == 0: // insert
-			id := graph.NodeID(next)
+			id := int32(next)
 			next++
 			p := geom.Point{X: rng.Uniform(-50, 50), Y: rng.Uniform(-50, 50)}
 			g.Insert(id, p)
@@ -77,7 +76,7 @@ func TestGridMoveRemoveRandomized(t *testing.T) {
 		case k < 8: // move (possibly across many cells, possibly in-cell)
 			id := anyKey(rng, oracle)
 			p := geom.Point{X: rng.Uniform(-50, 50), Y: rng.Uniform(-50, 50)}
-			g.Move(id, p)
+			g.Insert(id, p)
 			oracle[id] = p
 		default: // remove
 			id := anyKey(rng, oracle)
@@ -98,8 +97,8 @@ func TestGridMoveRemoveRandomized(t *testing.T) {
 		}
 	}
 	// A full-plane query sees everyone exactly once.
-	seen := make(map[graph.NodeID]int)
-	g.ForEachWithinRadius(geom.Point{}, 200, func(id graph.NodeID, _ geom.Point) { seen[id]++ })
+	seen := make(map[int32]int)
+	g.ForEachWithinRadius(geom.Point{}, 200, func(id int32) { seen[id]++ })
 	for id, c := range seen {
 		if c != 1 {
 			t.Fatalf("node %d reported %d times", id, c)
@@ -110,8 +109,8 @@ func TestGridMoveRemoveRandomized(t *testing.T) {
 	}
 }
 
-func anyKey(rng *xrand.RNG, m map[graph.NodeID]geom.Point) graph.NodeID {
-	ids := make([]graph.NodeID, 0, len(m))
+func anyKey(rng *xrand.RNG, m map[int32]geom.Point) int32 {
+	ids := make([]int32, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)
 	}

@@ -8,6 +8,9 @@
 // layer can use either interchangeably. Cell size is chosen at
 // construction; queries with radius much larger than the cell size
 // degrade gracefully to a bounded multi-cell scan.
+//
+// Nodes are filed by digraph slot; a cell is a slice of (slot, position)
+// entries, and a per-slot back-pointer makes filing and removal O(1).
 package spatial
 
 import (
@@ -15,86 +18,101 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 )
 
-// Grid is a uniform-cell spatial hash of node positions.
+// entry is one filed slot and its position.
+type entry struct {
+	slot int32
+	pos  geom.Point
+}
+
+// cell is one grid cell's entries, in unspecified order.
+type cell struct {
+	key  [2]int
+	ents []entry
+}
+
+// loc is a slot's back-pointer: its cell (nil when not filed) and its
+// index there.
+type loc struct {
+	c *cell
+	i int32
+}
+
+// Grid is a uniform-cell spatial hash of slot positions.
 type Grid struct {
-	cell  float64
-	cells map[[2]int]map[graph.NodeID]geom.Point
-	pos   map[graph.NodeID]geom.Point
+	cellSize float64
+	cells    map[[2]int]*cell
+	at       []loc // slot -> its entry
 }
 
 // NewGrid returns a grid with the given cell edge length. A good default
 // for the paper's workloads is the maximum transmission range, making
-// range queries touch at most 9 cells. cell must be positive.
-func NewGrid(cell float64) (*Grid, error) {
-	if cell <= 0 || math.IsNaN(cell) || math.IsInf(cell, 0) {
-		return nil, fmt.Errorf("spatial: invalid cell size %g", cell)
+// range queries touch at most 9 cells. size must be positive.
+func NewGrid(size float64) (*Grid, error) {
+	if size <= 0 || math.IsNaN(size) || math.IsInf(size, 0) {
+		return nil, fmt.Errorf("spatial: invalid cell size %g", size)
 	}
-	return &Grid{
-		cell:  cell,
-		cells: make(map[[2]int]map[graph.NodeID]geom.Point),
-		pos:   make(map[graph.NodeID]geom.Point),
-	}, nil
+	return &Grid{cellSize: size, cells: make(map[[2]int]*cell)}, nil
 }
 
 // key maps a point to its cell coordinates.
 func (g *Grid) key(p geom.Point) [2]int {
-	return [2]int{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
+	return [2]int{int(math.Floor(p.X / g.cellSize)), int(math.Floor(p.Y / g.cellSize))}
 }
 
-// Insert adds or replaces a node's position.
-func (g *Grid) Insert(id graph.NodeID, p geom.Point) {
-	if old, ok := g.pos[id]; ok {
-		g.removeFromCell(id, old)
+// Insert files slot s at p, moving it if it is already filed. s must be
+// non-negative.
+func (g *Grid) Insert(s int32, p geom.Point) {
+	if int(s) >= len(g.at) {
+		g.at = append(g.at, make([]loc, int(s)+1-len(g.at))...)
 	}
-	g.pos[id] = p
 	k := g.key(p)
-	cell := g.cells[k]
-	if cell == nil {
-		cell = make(map[graph.NodeID]geom.Point)
-		g.cells[k] = cell
+	if l := g.at[s]; l.c != nil && l.c.key == k {
+		l.c.ents[l.i].pos = p
+		return
 	}
-	cell[id] = p
+	g.Remove(s)
+	c := g.cells[k]
+	if c == nil {
+		c = &cell{key: k}
+		g.cells[k] = c
+	}
+	g.at[s] = loc{c, int32(len(c.ents))}
+	c.ents = append(c.ents, entry{s, p})
 }
 
-// Remove deletes a node. Removing an absent node is a no-op.
-func (g *Grid) Remove(id graph.NodeID) {
-	if p, ok := g.pos[id]; ok {
-		g.removeFromCell(id, p)
-		delete(g.pos, id)
+// Remove unfiles slot s by moving its cell's last entry into its place,
+// and drops the cell once empty. Removing an unfiled slot is a no-op.
+func (g *Grid) Remove(s int32) {
+	if int(s) >= len(g.at) || g.at[s].c == nil {
+		return
 	}
-}
-
-func (g *Grid) removeFromCell(id graph.NodeID, p geom.Point) {
-	k := g.key(p)
-	if cell := g.cells[k]; cell != nil {
-		delete(cell, id)
-		if len(cell) == 0 {
-			delete(g.cells, k)
-		}
+	l := g.at[s]
+	last := l.c.ents[len(l.c.ents)-1]
+	l.c.ents[l.i] = last
+	g.at[last.slot].i = l.i
+	if l.c.ents = l.c.ents[:len(l.c.ents)-1]; len(l.c.ents) == 0 {
+		delete(g.cells, l.c.key)
 	}
+	g.at[s] = loc{}
 }
-
-// Move updates a node's position. Equivalent to Insert.
-func (g *Grid) Move(id graph.NodeID, p geom.Point) { g.Insert(id, p) }
-
-// Len returns the number of indexed nodes.
-func (g *Grid) Len() int { return len(g.pos) }
 
 // CellSize returns the grid's cell edge length.
-func (g *Grid) CellSize() float64 { return g.cell }
+func (g *Grid) CellSize() float64 { return g.cellSize }
 
-// Position returns a node's indexed position.
-func (g *Grid) Position(id graph.NodeID) (geom.Point, bool) {
-	p, ok := g.pos[id]
-	return p, ok
+// Position returns slot s's filed position, and false if s is not
+// filed.
+func (g *Grid) Position(s int32) (geom.Point, bool) {
+	if int(s) >= len(g.at) || g.at[s].c == nil {
+		return geom.Point{}, false
+	}
+	return g.at[s].c.ents[g.at[s].i].pos, true
 }
 
-// ForEachWithinRadius calls fn for every indexed node within distance r
-// of p, in unspecified order.
-func (g *Grid) ForEachWithinRadius(p geom.Point, r float64, fn func(graph.NodeID, geom.Point)) {
+// ForEachWithinRadius calls fn for every filed slot within distance r of
+// p, in unspecified order. fn must not modify the grid.
+func (g *Grid) ForEachWithinRadius(p geom.Point, r float64, fn func(int32)) {
 	if r < 0 {
 		return
 	}
@@ -103,31 +121,40 @@ func (g *Grid) ForEachWithinRadius(p geom.Point, r float64, fn func(graph.NodeID
 	hi := g.key(geom.Point{X: p.X + r, Y: p.Y + r})
 	for cx := lo[0]; cx <= hi[0]; cx++ {
 		for cy := lo[1]; cy <= hi[1]; cy++ {
-			for id, q := range g.cells[[2]int{cx, cy}] {
-				if p.DistanceSqTo(q) <= r2 {
-					fn(id, q)
+			if c := g.cells[[2]int{cx, cy}]; c != nil {
+				for _, e := range c.ents {
+					if p.DistanceSqTo(e.pos) <= r2 {
+						fn(e.slot)
+					}
 				}
 			}
 		}
 	}
 }
 
-// Validate checks internal consistency (every node in exactly its cell).
+// Validate checks internal consistency: every entry sits in the cell its
+// position maps to and is named by its slot's back-pointer, so no slot
+// is filed twice, and no back-pointer names a missing entry.
 func (g *Grid) Validate() error {
-	counted := 0
-	for k, cell := range g.cells {
-		for id, p := range cell {
-			counted++
-			if g.key(p) != k {
-				return fmt.Errorf("spatial: node %d at %v filed under cell %v", id, p, k)
+	extra := 0 // entries minus back-pointers
+	for k, c := range g.cells {
+		for i, e := range c.ents {
+			extra++
+			if g.key(e.pos) != k || c.key != k {
+				return fmt.Errorf("spatial: slot %d at %v filed under cell %v", e.slot, e.pos, k)
 			}
-			if gp, ok := g.pos[id]; !ok || gp != p {
-				return fmt.Errorf("spatial: node %d cell/pos mismatch", id)
+			if int(e.slot) >= len(g.at) || g.at[e.slot] != (loc{c, int32(i)}) {
+				return fmt.Errorf("spatial: slot %d at cell %v entry %d has a stale back-pointer", e.slot, k, i)
 			}
 		}
 	}
-	if counted != len(g.pos) {
-		return fmt.Errorf("spatial: %d nodes in cells, %d in pos", counted, len(g.pos))
+	for _, l := range g.at {
+		if l.c != nil {
+			extra--
+		}
+	}
+	if extra != 0 {
+		return fmt.Errorf("spatial: entries and back-pointers differ by %d", extra)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 	"repro/internal/xrand"
 )
 
@@ -34,18 +33,18 @@ func TestInsertQueryRemove(t *testing.T) {
 		t.Fatalf("Len = %d", g.Len())
 	}
 	got := g.WithinRadius(geom.Point{X: 5, Y: 5}, 5, -1)
-	if !reflect.DeepEqual(got, []graph.NodeID{1, 2}) {
+	if !reflect.DeepEqual(got, []int32{1, 2}) {
 		t.Fatalf("WithinRadius = %v", got)
 	}
 	// Exclusion.
 	got = g.WithinRadius(geom.Point{X: 5, Y: 5}, 5, 1)
-	if !reflect.DeepEqual(got, []graph.NodeID{2}) {
+	if !reflect.DeepEqual(got, []int32{2}) {
 		t.Fatalf("WithinRadius excl = %v", got)
 	}
 	g.Remove(2)
 	g.Remove(2) // no-op
 	got = g.WithinRadius(geom.Point{X: 5, Y: 5}, 5, -1)
-	if !reflect.DeepEqual(got, []graph.NodeID{1}) {
+	if !reflect.DeepEqual(got, []int32{1}) {
 		t.Fatalf("after remove = %v", got)
 	}
 	if err := g.Validate(); err != nil {
@@ -56,11 +55,11 @@ func TestInsertQueryRemove(t *testing.T) {
 func TestMoveAcrossCells(t *testing.T) {
 	g, _ := NewGrid(10)
 	g.Insert(1, geom.Point{X: 5, Y: 5})
-	g.Move(1, geom.Point{X: 95, Y: 95})
+	g.Insert(1, geom.Point{X: 95, Y: 95})
 	if got := g.WithinRadius(geom.Point{X: 5, Y: 5}, 8, -1); len(got) != 0 {
 		t.Fatalf("stale position: %v", got)
 	}
-	if got := g.WithinRadius(geom.Point{X: 95, Y: 95}, 1, -1); !reflect.DeepEqual(got, []graph.NodeID{1}) {
+	if got := g.WithinRadius(geom.Point{X: 95, Y: 95}, 1, -1); !reflect.DeepEqual(got, []int32{1}) {
 		t.Fatalf("new position missing: %v", got)
 	}
 	if p, ok := g.Position(1); !ok || p != (geom.Point{X: 95, Y: 95}) {
@@ -76,7 +75,7 @@ func TestBoundaryInclusive(t *testing.T) {
 	g.Insert(1, geom.Point{X: 0, Y: 0})
 	g.Insert(2, geom.Point{X: 3, Y: 4}) // distance exactly 5
 	got := g.WithinRadius(geom.Point{X: 0, Y: 0}, 5, -1)
-	if !reflect.DeepEqual(got, []graph.NodeID{1, 2}) {
+	if !reflect.DeepEqual(got, []int32{1, 2}) {
 		t.Fatalf("boundary point excluded: %v", got)
 	}
 }
@@ -86,7 +85,7 @@ func TestNegativeCoordinates(t *testing.T) {
 	g.Insert(1, geom.Point{X: -15, Y: -15})
 	g.Insert(2, geom.Point{X: -18, Y: -15})
 	got := g.WithinRadius(geom.Point{X: -15, Y: -15}, 5, -1)
-	if !reflect.DeepEqual(got, []graph.NodeID{1, 2}) {
+	if !reflect.DeepEqual(got, []int32{1, 2}) {
 		t.Fatalf("negative coords: %v", got)
 	}
 }
@@ -110,19 +109,19 @@ func TestMatchesNaiveScan(t *testing.T) {
 			return false
 		}
 		n := 1 + rng.Intn(60)
-		pts := make(map[graph.NodeID]geom.Point, n)
+		pts := make(map[int32]geom.Point, n)
 		for i := 0; i < n; i++ {
 			p := geom.Point{X: rng.Uniform(-50, 150), Y: rng.Uniform(-50, 150)}
-			pts[graph.NodeID(i)] = p
-			g.Insert(graph.NodeID(i), p)
+			pts[int32(i)] = p
+			g.Insert(int32(i), p)
 		}
 		// A few random moves and removals.
 		for k := 0; k < n/3; k++ {
-			id := graph.NodeID(rng.Intn(n))
+			id := int32(rng.Intn(n))
 			if rng.Bool() {
 				p := geom.Point{X: rng.Uniform(-50, 150), Y: rng.Uniform(-50, 150)}
 				pts[id] = p
-				g.Move(id, p)
+				g.Insert(id, p)
 			} else {
 				delete(pts, id)
 				g.Remove(id)
@@ -134,7 +133,7 @@ func TestMatchesNaiveScan(t *testing.T) {
 		for q := 0; q < 10; q++ {
 			center := geom.Point{X: rng.Uniform(-50, 150), Y: rng.Uniform(-50, 150)}
 			r := rng.Uniform(0, 60)
-			var want []graph.NodeID
+			var want []int32
 			for id, p := range pts {
 				if center.DistanceSqTo(p) <= r*r {
 					want = append(want, id)
@@ -144,7 +143,7 @@ func TestMatchesNaiveScan(t *testing.T) {
 			if len(got) != len(want) {
 				return false
 			}
-			wantSet := make(map[graph.NodeID]bool, len(want))
+			wantSet := make(map[int32]bool, len(want))
 			for _, id := range want {
 				wantSet[id] = true
 			}
@@ -167,7 +166,7 @@ func TestCandidatePruning(t *testing.T) {
 	rng := xrand.New(42)
 	g, _ := NewGrid(10)
 	for i := 0; i < 200; i++ {
-		g.Insert(graph.NodeID(i), geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)})
+		g.Insert(int32(i), geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)})
 	}
 	center := geom.Point{X: 50, Y: 50}
 	hits := len(g.WithinRadius(center, 15, -1))
@@ -180,12 +179,23 @@ func TestCandidatePruning(t *testing.T) {
 	}
 }
 
+// Len returns the number of filed slots.
+func (g *Grid) Len() int {
+	n := 0
+	for _, l := range g.at {
+		if l.c != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // WithinRadius returns all nodes (other than exclude) whose position lies
 // within distance r of p, in ascending ID order. Pass exclude = -1 (or
 // any unused ID) to exclude nobody.
-func (g *Grid) WithinRadius(p geom.Point, r float64, exclude graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
-	g.ForEachWithinRadius(p, r, func(id graph.NodeID, q geom.Point) {
+func (g *Grid) WithinRadius(p geom.Point, r float64, exclude int32) []int32 {
+	var out []int32
+	g.ForEachWithinRadius(p, r, func(id int32) {
 		if id != exclude {
 			out = append(out, id)
 		}
@@ -203,8 +213,43 @@ func (g *Grid) CandidatesNear(p geom.Point, r float64) int {
 	hi := g.key(geom.Point{X: p.X + r, Y: p.Y + r})
 	for cx := lo[0]; cx <= hi[0]; cx++ {
 		for cy := lo[1]; cy <= hi[1]; cy++ {
-			count += len(g.cells[[2]int{cx, cy}])
+			if c := g.cells[[2]int{cx, cy}]; c != nil {
+				count += len(c.ents)
+			}
 		}
 	}
 	return count
+}
+
+// TestValidateRejectsCorruption: Validate catches each way the cells and
+// the per-slot back-pointers can disagree.
+func TestValidateRejectsCorruption(t *testing.T) {
+	build := func() *Grid {
+		g, _ := NewGrid(10)
+		g.Insert(0, geom.Point{X: 1, Y: 1})
+		g.Insert(1, geom.Point{X: 2, Y: 2})
+		g.Insert(2, geom.Point{X: 25, Y: 1})
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*Grid)
+	}{
+		{"slot filed twice", func(g *Grid) {
+			c := g.at[2].c
+			c.ents = append(c.ents, entry{slot: 0, pos: geom.Point{X: 26, Y: 1}})
+		}},
+		{"stale back-pointer", func(g *Grid) { g.at[0].i, g.at[1].i = g.at[1].i, g.at[0].i }},
+		{"back-pointer of an unfiled slot", func(g *Grid) { g.at = append(g.at, g.at[2]) }},
+		{"entry in the wrong cell", func(g *Grid) { g.at[2].c.ents[0].pos = geom.Point{X: 5, Y: 5} }},
+	} {
+		g := build()
+		tc.corrupt(g)
+		if g.Validate() == nil {
+			t.Errorf("%s: Validate accepted the corrupted grid", tc.name)
+		}
+	}
 }

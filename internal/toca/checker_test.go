@@ -65,7 +65,7 @@ func TestCheckerRebuildAfterTopologyChange(t *testing.T) {
 	if c.Violations() != 0 {
 		t.Fatal("disconnected equal colors flagged")
 	}
-	g.AddEdge(1, 2)
+	addEdge(g, 1, 2)
 	c.Rebuild()
 	if c.Violations() != 1 {
 		t.Fatalf("violations = %d after edge insert", c.Violations())

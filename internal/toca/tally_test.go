@@ -67,8 +67,8 @@ func FuzzTallySlots(f *testing.F) {
 				others := g.Nodes()
 				g.AddNode(id)
 				for _, v := range others {
-					g.AddEdge(id, v)
-					g.AddEdge(v, id)
+					addEdge(g, id, v)
+					addEdge(g, v, id)
 				}
 				s, _ := g.Slot(id)
 				if got := tl.at(s); got != None {

@@ -11,13 +11,20 @@ import (
 	"repro/internal/xrand"
 )
 
+// addEdge inserts the edge u -> v between two nodes of g.
+func addEdge(g *graph.Digraph, u, v graph.NodeID) {
+	su, _ := g.Slot(u)
+	sv, _ := g.Slot(v)
+	g.AddSlotEdge(su, sv)
+}
+
 // starGraph returns a digraph where nodes 1..k all transmit to node 0.
 func starGraph(k int) *graph.Digraph {
 	g := graph.New()
 	g.AddNode(0)
 	for i := 1; i <= k; i++ {
 		g.AddNode(graph.NodeID(i))
-		g.AddEdge(graph.NodeID(i), 0)
+		addEdge(g, graph.NodeID(i), 0)
 	}
 	return g
 }
@@ -26,7 +33,7 @@ func TestVerifyCA1(t *testing.T) {
 	g := graph.New()
 	g.AddNode(1)
 	g.AddNode(2)
-	g.AddEdge(1, 2)
+	addEdge(g, 1, 2)
 	a := Assignment{1: 5, 2: 5}
 	vs := Verify(g, a)
 	if len(vs) != 1 {
@@ -90,9 +97,9 @@ func TestConflictNeighbors(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		g.AddNode(graph.NodeID(i))
 	}
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
-	g.AddEdge(4, 1)
+	addEdge(g, 1, 3)
+	addEdge(g, 2, 3)
+	addEdge(g, 4, 1)
 	got := ConflictNeighborsSorted(g, 1)
 	// 3 via CA1 (out-neighbor), 2 via CA2 (co-transmitter at 3), 4 via
 	// CA1 (in-neighbor).
@@ -248,9 +255,9 @@ func churn(rng *xrand.RNG, g *graph.Digraph, tl *Tally) {
 			v := nodes[rng.Intn(len(nodes))]
 			if v != id && g.HasNode(v) {
 				if rng.Intn(2) == 0 {
-					g.AddEdge(id, v)
+					addEdge(g, id, v)
 				} else {
-					g.AddEdge(v, id)
+					addEdge(g, v, id)
 				}
 			}
 		}
@@ -492,7 +499,7 @@ func randomDigraph(seed uint64, n, m int) *graph.Digraph {
 	for e := 0; e < m; e++ {
 		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
 		if u != v {
-			g.AddEdge(u, v)
+			addEdge(g, u, v)
 		}
 	}
 	return g
