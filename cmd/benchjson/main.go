@@ -194,9 +194,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: obs overhead gate: ship instrumentation allocates (%d allocs/op vs %d baseline)\n", a, u)
 			failed = true
 		}
-		// The trace record path (ring store, enqueue correlation, exemplar
-		// retention, slow-ring offer) sits on every instrumented apply: it
-		// must be allocation-free outright.
+		// The trace record path (ring store, enqueue correlation, latency
+		// observation, slow-ring offer) sits on every instrumented apply:
+		// it must be allocation-free outright.
 		if a := allocsOf(ob.Benchmarks, "TraceRecord"); a > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: obs overhead gate: trace record path allocates (%d allocs/op, want 0)\n", a)
 			failed = true

@@ -37,8 +37,8 @@
 //	GET /metrics            Prometheus text exposition
 //	GET /slo                objective verdicts (ratio, burn rate, breach)
 //	GET /debug/trace/{id}   per-session event trace rings (JSON)
-//	GET /debug/slowest      tail-sampled slow-event ring (JSON)
-//	GET /debug/exemplars    worst-recent (session, seq) per histogram
+//	GET /debug/slowest      tail-sampled slow-event ring (JSON): the
+//	                        (session, seq) of recent events over 100ms
 //	GET /healthz            process liveness (always 200)
 //	GET /readyz             readiness: 200 once recovered and joined,
 //	                        503 while starting or draining
@@ -54,9 +54,9 @@
 // by the built-in SLO objectives — a sustained canary outage degrades
 // /readyz via the "canary-availability" objective.
 //
-// -log-level (debug|info|warn|error) filters the structured stderr
-// log. SIGINT/SIGTERM flip /readyz to 503 first, then drain every
-// session (final WAL sync) before exiting.
+// -log-level (debug|info|warn|error) filters the log/slog text records
+// written to stderr. SIGINT/SIGTERM flip /readyz to 503 first, then
+// drain every session (final WAL sync) before exiting.
 package main
 
 import (
@@ -64,6 +64,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -87,16 +88,13 @@ func main() {
 		join      = flag.String("join", "", "address of an existing cluster member to join through")
 		replicas  = flag.Int("replicas", 1, "follower replicas per session (cluster mode)")
 		interval  = flag.Duration("interval", 500*time.Millisecond, "gossip/ship/reconcile loop interval (cluster mode)")
-		logLevel  = flag.String("log-level", "info", "log threshold: debug, info, warn, or error")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		canaryOn  = flag.Bool("canary", false, "run an in-process black-box canary against this process's own API")
 	)
+	var level slog.Level
+	flag.TextVar(&level, "log-level", slog.LevelInfo, "log threshold: debug, info, warn, or error")
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fail(err)
-	}
 	logger := obs.NewLogger(os.Stderr, level)
 	reg := obs.NewRegistry()
 	hub := obs.NewTraceHub(obs.DefaultTraceRing)
@@ -125,7 +123,6 @@ func main() {
 	mux.Handle("GET /slo", slo.Handler())
 	mux.Handle("GET /debug/trace/", hub.Handler("/debug/trace/"))
 	mux.Handle("GET /debug/slowest", hub.Slow().Handler())
-	mux.Handle("GET /debug/exemplars", reg.ExemplarHandler())
 	mux.HandleFunc("GET /healthz", obs.Healthz)
 	mux.Handle("GET /readyz", health)
 	if *pprofOn {
@@ -186,7 +183,7 @@ type clusterOpts struct {
 	interval            time.Duration
 	reg                 *obs.Registry
 	hub                 *obs.TraceHub
-	log                 *obs.Logger
+	log                 *slog.Logger
 	health              *obs.Health
 	slo                 *obs.SLO
 	pprof               bool

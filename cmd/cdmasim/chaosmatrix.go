@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -262,9 +263,9 @@ func runPartitionSoak(seed uint64, logw io.Writer, verbose bool) {
 	}
 	defer os.RemoveAll(root)
 
-	logLevel := obs.LevelError
+	logLevel := slog.LevelError
 	if verbose {
-		logLevel = obs.LevelInfo
+		logLevel = slog.LevelInfo
 	}
 	nodes := make(map[cluster.MemberID]*cluster.Node, members)
 	regs := make(map[cluster.MemberID]*obs.Registry, members)

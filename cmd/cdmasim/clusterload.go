@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -57,9 +58,9 @@ func runClusterLoad(p workload.Params, churn, hotspots int, seed uint64, replica
 	// Boot the fleet, each member instrumented like a production
 	// cdmaserved: its /metrics endpoint is how the smoke verifies the
 	// failover at the end.
-	logLevel := obs.LevelError
+	logLevel := slog.LevelError
 	if verbose {
-		logLevel = obs.LevelInfo
+		logLevel = slog.LevelInfo
 	}
 	nodes := make(map[cluster.MemberID]*cluster.Node, members)
 	var order []cluster.MemberID

@@ -168,12 +168,9 @@ func runServeLoad(p workload.Params, sessions, readers, churn, hotspots int, see
 	fmt.Printf("CA1/CA2         : valid for all %d sessions x %d strategies\n", len(results), len(names))
 
 	// Fold the run's metrics into the report the way a monitoring stack
-	// would: scrape the registry and estimate quantiles from the
-	// exposition, aggregated over every session.
-	sc, err := obs.ParseScrape(reg.Render())
-	if err != nil {
-		fail(fmt.Errorf("scraping run metrics: %w", err))
-	}
+	// would: snapshot the registry and estimate quantiles from its
+	// buckets, aggregated over every session.
+	sc := reg.Snapshot()
 	applyP50, _ := sc.Quantile("serve_apply_seconds", nil, 0.5)
 	applyP99, _ := sc.Quantile("serve_apply_seconds", nil, 0.99)
 	fmt.Printf("apply latency   : p50 %.0fus, p99 %.0fus (backpressure 429s: %.0f)\n",

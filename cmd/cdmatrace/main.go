@@ -12,8 +12,8 @@
 // -once renders a single frame to stdout with no escape codes and
 // exits — scriptable (CI smoke checks); the exit code is nonzero when
 // the member cannot be reached. -since narrows the fetch to sequence
-// numbers >= N (the exemplar workflow: /metrics names a slow seq,
-// cdmatrace -since fetches its timeline). -tail bounds how many of the
+// numbers >= N (the slow-event workflow: /debug/slowest names a slow
+// seq, cdmatrace -since fetches its timeline). -tail bounds how many of the
 // newest events are drawn per frame.
 package main
 

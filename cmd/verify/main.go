@@ -186,7 +186,7 @@ func certScenario(rng *xrand.RNG, events int, mult float64) (certStats, error) {
 		return st, err
 	}
 	script := certScript(rng, events)
-	full, strats := hostAll(adhoc.NewIndexed(30.5), specs, nil)
+	full, strats := hostAll(adhoc.New(), specs, nil)
 	scan, scanStrats := hostAll(adhoc.NewScan(), specs, nil)
 	net := full.Network()
 	var ids []graph.NodeID // the network's nodes in join order

@@ -74,8 +74,9 @@ type Network struct {
 	// (len(cfgs) == g.SlotCap()); free slots' entries are stale.
 	cfgs []Config
 	grid *spatial.Grid // nil = naive O(n) scans (NewScan, or no positive range yet)
-	// autoGrid makes the grid self-sizing: it is (re)built from maxRange
-	// as ranges are first seen or outgrow the current cell.
+	// autoGrid marks a New() network: its grid is (re)built from
+	// maxRange as ranges are first seen or outgrow the current cell.
+	// NewScan networks never build one.
 	autoGrid bool
 	// maxRange is a monotone upper bound on every range ever present;
 	// it bounds how far an in-edge can originate, so grid queries with
@@ -125,20 +126,6 @@ func New() *Network {
 // against.
 func NewScan() *Network {
 	return &Network{g: graph.New()}
-}
-
-// NewIndexed returns an empty network whose neighbor scans use a uniform
-// spatial grid with the given fixed cell size (a good choice is the
-// expected maximum transmission range). It panics on a non-positive cell
-// size — that is a programmer error, not a runtime condition.
-func NewIndexed(cellSize float64) *Network {
-	grid, err := spatial.NewGrid(cellSize)
-	if err != nil {
-		panic(fmt.Sprintf("adhoc: %v", err))
-	}
-	n := NewScan()
-	n.grid = grid
-	return n
 }
 
 // live reports whether slot s holds a node.
@@ -244,10 +231,10 @@ func (n *Network) flip(s, x int32, in, add bool) {
 	}
 }
 
-// noteRange folds a new range into the monotone maximum and, in autoGrid
-// mode, builds or rebuilds the grid when the maximum outgrows the cell.
-// The comparison direction is NaN-robust: a NaN never overwrites the
-// maximum (and the event methods reject non-finite ranges up front).
+// noteRange folds a new range into the monotone maximum and, on a New()
+// network, builds or rebuilds the grid when the maximum outgrows the
+// cell. The comparison direction is NaN-robust: a NaN never overwrites
+// the maximum (and the event methods reject non-finite ranges up front).
 func (n *Network) noteRange(r float64) {
 	if !(r > n.maxRange) {
 		return

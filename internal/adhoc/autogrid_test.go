@@ -113,10 +113,20 @@ func TestAutoGridEquivalence(t *testing.T) {
 	if !auto.Indexed() {
 		t.Fatal("auto network never built its grid")
 	}
+	// Partition equivalence for hypothetical joins, 4n included.
+	for trial := 0; trial < 20; trial++ {
+		cfg := Config{
+			Pos:   geom.Point{X: rng.Uniform(0, 100), Y: rng.Uniform(0, 100)},
+			Range: rng.Uniform(1, 45),
+		}
+		if pa, ps := auto.PartitionFor(999, cfg), scan.PartitionFor(999, cfg); !reflect.DeepEqual(pa, ps) {
+			t.Fatalf("trial %d: partition %+v, scan %+v", trial, pa, ps)
+		}
+	}
 }
 
 // TestAutoGridClone: clones of auto-indexed networks stay auto-indexed
-// and carry the grid.
+// and carry the grid at the source's cell size.
 func TestAutoGridClone(t *testing.T) {
 	n := New()
 	if err := n.Join(1, Config{Pos: geom.Point{X: 5, Y: 5}, Range: 12}); err != nil {
@@ -125,6 +135,9 @@ func TestAutoGridClone(t *testing.T) {
 	c := n.Clone()
 	if !c.Indexed() || !c.autoGrid {
 		t.Fatal("clone lost auto-indexing")
+	}
+	if c.gridCell() != n.gridCell() {
+		t.Fatalf("clone cell = %g, source %g", c.gridCell(), n.gridCell())
 	}
 	if err := c.Join(2, Config{Pos: geom.Point{X: 8, Y: 5}, Range: 12}); err != nil {
 		t.Fatal(err)

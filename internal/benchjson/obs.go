@@ -186,10 +186,9 @@ func ShipAssembleObs(b *testing.B) { benchShipAssemble(b, true) }
 
 // TraceRecord times the full per-event trace instrumentation an
 // instrumented apply performs — the current-time ring store, the
-// carried-timestamp store (the enqueue correlation), the exemplar-
-// retaining latency observation, and the slow-ring offer — and reports
-// allocations: the gate requires zero, because all four sit on the
-// apply hot path.
+// carried-timestamp store (the enqueue correlation), the latency
+// observation, and the slow-ring offer — and reports allocations: the
+// gate requires zero, because all four sit on the apply hot path.
 func TraceRecord(b *testing.B) {
 	hub := obs.NewTraceHub(obs.DefaultTraceRing)
 	hub.SetMember("bench")
@@ -202,7 +201,7 @@ func TraceRecord(b *testing.B) {
 		seq := int64(i)
 		tracer.Record(seq, obs.StageApply)
 		tracer.RecordAt(seq, obs.StageEnqueue, seq)
-		lat.ObserveExemplar(0.0001, seq)
+		lat.Observe(0.0001)
 		hub.NoteSlow("s", seq, int64(100_000)) // under threshold: the common path
 	}
 }

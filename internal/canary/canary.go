@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"time"
@@ -62,7 +63,7 @@ type Config struct {
 	// the availability SLIs dip. nil uses http.DefaultTransport.
 	Transport http.RoundTripper
 	// Log receives probe failures at warn level (nil: quiet).
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // Prober drives one synthetic session. Not safe for concurrent

@@ -31,11 +31,7 @@ func probeHarness(t *testing.T) (*Prober, *obs.Registry, *httptest.Server) {
 
 func value(t *testing.T, reg *obs.Registry, name string, labels map[string]string) (float64, bool) {
 	t.Helper()
-	sc, err := obs.ParseScrape(reg.Render())
-	if err != nil {
-		t.Fatalf("canary registry does not parse: %v", err)
-	}
-	return sc.Value(name, labels)
+	return reg.Snapshot().Value(name, labels)
 }
 
 // TestProbeOnceStandalone: a full cycle against a real serving handler

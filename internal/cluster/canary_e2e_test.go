@@ -149,13 +149,7 @@ func TestFleetCanaryFailoverE2E(t *testing.T) {
 		}
 		t.Fatalf("timed out waiting for %s", desc)
 	}
-	canaryScrape := func() *obs.Scrape {
-		sc, err := obs.ParseScrape(host.reg.Render())
-		if err != nil {
-			t.Fatalf("host registry does not parse: %v", err)
-		}
-		return sc
-	}
+	canaryScrape := host.reg.Snapshot
 	sess := map[string]string{"session": session}
 	okProbes := func() float64 {
 		v, _ := canaryScrape().Value("canary_probe_total", map[string]string{"session": session, "result": "ok"})

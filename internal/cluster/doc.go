@@ -192,9 +192,7 @@
 //   - cluster_failover_seconds / cluster_handoff_seconds: promotion
 //     and handoff durations, as histograms.
 //   - serve_view_seq per session (the applied high-water mark; compare
-//     across members for replication progress) and
-//     serve_view_publish_age_seconds for view staleness on any member
-//     serving reads.
+//     across members for replication progress).
 //   - cluster_catchup_total / cluster_catchup_bytes_total: snapshot
 //     transfers — a steadily climbing count means some follower can
 //     never hold a ship link.

@@ -60,14 +60,9 @@ func (n *Node) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, m := range members {
 		id := string(m.ID)
 		if m.ID == n.cfg.ID {
-			// Self: render in-process; an uninstrumented member still
+			// Self: snapshot in-process; an uninstrumented member still
 			// counts as up, it just contributes no samples.
-			sc, err := obs.ParseScrape(n.obs.reg.Render())
-			if err != nil {
-				addDown(id)
-				continue
-			}
-			addScrape(id, sc)
+			addScrape(id, n.obs.reg.Snapshot())
 			continue
 		}
 		if m.Addr == "" || !n.ms.IsAlive(m.ID) {

@@ -92,9 +92,6 @@ func (n *Node) Handler() http.Handler {
 		mux.Handle("GET /debug/trace/", n.obs.hub.Handler("/debug/trace/"))
 		mux.Handle("GET /debug/slowest", n.obs.hub.Slow().Handler())
 	}
-	if n.obs.reg != nil {
-		mux.Handle("GET /debug/exemplars", n.obs.reg.ExemplarHandler())
-	}
 	mux.HandleFunc("GET /healthz", obs.Healthz)
 	if n.cfg.Health != nil {
 		mux.Handle("GET /readyz", n.cfg.Health)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -57,7 +58,7 @@ type Config struct {
 	// Log receives the member's structured log lines. nil defaults to a
 	// stderr logger at info level (the operator-visible errors Run used
 	// to print raw keep flowing).
-	Log *obs.Logger
+	Log *slog.Logger
 	// Health, when set, is served at GET /readyz (and /healthz always
 	// answers 200). The process owner flips it: ready after recovery and
 	// join, not-ready when draining.
@@ -182,7 +183,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	log := cfg.Log
 	if log == nil {
-		log = obs.NewLogger(os.Stderr, obs.LevelInfo)
+		log = obs.NewLogger(os.Stderr, slog.LevelInfo)
 	}
 	n := &Node{
 		cfg:          cfg,
@@ -752,11 +753,10 @@ func (n *Node) shipOne(fd *walFeed, sh *shipper) (advanced bool, err error) {
 		}
 		sh.barrierSent = batch.barrier
 		sh.obs.batches.Inc()
-		if batch.count > 0 && sh.obs.rtt != nil {
+		if batch.count > 0 {
 			// The RTT of a non-empty acknowledged batch covers the
-			// follower's append+apply+fsync; its exemplar is the batch's
-			// last seq, the timeline /cluster/trace fetches.
-			sh.obs.rtt.ObserveExemplar(float64(ackNs-batch.sentNs)/1e9, int64(batch.from+batch.count-1))
+			// follower's append+apply+fsync.
+			sh.obs.rtt.Observe(float64(ackNs-batch.sentNs) / 1e9)
 		}
 		if sh.acked > prev {
 			sh.obs.records.Add(int64(sh.acked - prev))

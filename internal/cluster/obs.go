@@ -1,16 +1,19 @@
 package cluster
 
 import (
+	"log/slog"
+
 	"repro/internal/obs"
 )
 
 // nodeObs is the cluster layer's observability bundle, resolved once at
-// NewNode. The zero value (nothing attached) keeps every instrumentation
-// point a nil-receiver no-op, mirroring the serve layer's contract.
+// NewNode. With nothing attached every metric and trace point is a
+// nil-receiver no-op, mirroring the serve layer's contract; log is never
+// nil (NewNode defaults it).
 type nodeObs struct {
 	reg *obs.Registry
 	hub *obs.TraceHub
-	log *obs.Logger
+	log *slog.Logger
 
 	gossipRounds *obs.Counter // cluster_gossip_rounds_total
 	membersAlive *obs.Gauge   // cluster_members_alive
@@ -26,7 +29,7 @@ type nodeObs struct {
 	skewClamped     *obs.Counter   // trace_skew_clamped_total
 }
 
-func newNodeObs(reg *obs.Registry, hub *obs.TraceHub, log *obs.Logger) nodeObs {
+func newNodeObs(reg *obs.Registry, hub *obs.TraceHub, log *slog.Logger) nodeObs {
 	no := nodeObs{reg: reg, hub: hub, log: log}
 	if reg == nil {
 		return no

@@ -216,11 +216,7 @@ func partitionScenario(t *testing.T, seed uint64) ([]chaos.Event, int) {
 		t.Fatalf("re-adopted leader at epoch %d, want 3", ps.cfg.Epoch)
 	}
 	// The old primary yielded exactly once on its side of the heal.
-	psc, err := obs.ParseScrape(h.regs[p].Render())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := psc.Value("cluster_leader_yield_total", nil); !ok || int(v) != 1 {
+	if v, ok := h.regs[p].Snapshot().Value("cluster_leader_yield_total", nil); !ok || int(v) != 1 {
 		t.Fatalf("cluster_leader_yield_total on %s = %v (found %v), want 1", p, v, ok)
 	}
 	// Replication lag fully drained: both followers hold the complete

@@ -1,125 +1,17 @@
 package obs
 
 import (
-	"fmt"
 	"io"
-	"strings"
-	"sync"
-	"time"
+	"log/slog"
 )
 
-// Level is a log severity.
-type Level int8
+// LevelError is the level at which a logger writes only failures.
+const LevelError = slog.LevelError
 
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLevel reads a -log-level flag value.
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", s)
-}
-
-// Logger is a leveled structured logger writing logfmt lines:
+// NewLogger returns a log/slog logger writing text records at or above
+// level to w:
 //
-//	ts=2026-01-02T15:04:05.000Z level=error component=cluster session=a msg="ship failed" err="..."
-//
-// Fields come as key, value pairs; values render with %v and are quoted
-// when they contain spaces or quotes. A nil Logger discards everything.
-type Logger struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min Level
-	now func() time.Time // test hook
+//	time=2026-01-02T15:04:05.000Z level=ERROR msg="ship failed" component=cluster err="..."
+func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
 }
-
-// NewLogger builds a logger writing lines at or above min to w.
-func NewLogger(w io.Writer, min Level) *Logger {
-	return &Logger{w: w, min: min, now: time.Now}
-}
-
-// Enabled reports whether lv would be written (false on nil).
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= l.min
-}
-
-func (l *Logger) log(lv Level, msg string, fields []any) {
-	if !l.Enabled(lv) {
-		return
-	}
-	var b []byte
-	b = append(b, "ts="...)
-	b = l.now().UTC().AppendFormat(b, "2006-01-02T15:04:05.000Z")
-	b = append(b, " level="...)
-	b = append(b, lv.String()...)
-	b = append(b, " msg="...)
-	b = appendLogValue(b, msg)
-	for i := 0; i+1 < len(fields); i += 2 {
-		b = append(b, ' ')
-		b = append(b, fmt.Sprint(fields[i])...)
-		b = append(b, '=')
-		b = appendLogValue(b, fmt.Sprint(fields[i+1]))
-	}
-	b = append(b, '\n')
-	l.mu.Lock()
-	l.w.Write(b)
-	l.mu.Unlock()
-}
-
-func appendLogValue(b []byte, v string) []byte {
-	if v != "" && !strings.ContainsAny(v, " \t\n\"=") {
-		return append(b, v...)
-	}
-	b = append(b, '"')
-	for i := 0; i < len(v); i++ {
-		switch v[i] {
-		case '"':
-			b = append(b, '\\', '"')
-		case '\\':
-			b = append(b, '\\', '\\')
-		case '\n':
-			b = append(b, '\\', 'n')
-		default:
-			b = append(b, v[i])
-		}
-	}
-	return append(b, '"')
-}
-
-// Debug logs at debug level. fields are key, value pairs.
-func (l *Logger) Debug(msg string, fields ...any) { l.log(LevelDebug, msg, fields) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, fields ...any) { l.log(LevelInfo, msg, fields) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, fields ...any) { l.log(LevelWarn, msg, fields) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, fields ...any) { l.log(LevelError, msg, fields) }

@@ -27,9 +27,6 @@ type MergeOptions struct {
 	// gauges that describe the member itself (cluster_members_alive),
 	// where a fleet max would erase the interesting disagreement.
 	PerMember map[string]bool
-	// MinGauges names gauge families merged by min instead of the
-	// default max (e.g. "oldest durable seq anywhere").
-	MinGauges map[string]bool
 	// Down lists members whose scrape failed; they appear in the merge
 	// only as cluster_member_up 0.
 	Down []string
@@ -40,17 +37,16 @@ type mergeRule int
 const (
 	ruleSum mergeRule = iota
 	ruleMax
-	ruleMin
 	rulePerMember
 )
 
 // Merge folds per-member scrapes into one fleet exposition. Counters
 // and histogram series (_bucket/_sum/_count, bucket-wise by le) are
-// summed across members; gauges take the max (or min, per
-// MergeOptions.MinGauges); families named in PerMember keep one series
-// per member under an added member label. Untyped samples fall back to
-// naming conventions (_total/_bucket/_sum/_count ⇒ sum, else max). A
-// synthetic cluster_member_up gauge records which members answered.
+// summed across members; gauges take the max; families named in
+// PerMember keep one series per member under an added member label.
+// Untyped samples fall back to naming conventions
+// (_total/_bucket/_sum/_count ⇒ sum, else max). A synthetic
+// cluster_member_up gauge records which members answered.
 func Merge(members []MemberScrape, opts MergeOptions) *Scrape {
 	out := &Scrape{Families: map[string]Family{}}
 	for _, m := range members {
@@ -96,10 +92,6 @@ func Merge(members []MemberScrape, opts MergeOptions) *Scrape {
 				a.smp.Value += smp.Value
 			case ruleMax:
 				if smp.Value > a.smp.Value {
-					a.smp.Value = smp.Value
-				}
-			case ruleMin:
-				if smp.Value < a.smp.Value {
 					a.smp.Value = smp.Value
 				}
 			case rulePerMember:
@@ -157,9 +149,6 @@ func mergeRuleFor(fam, name string, fams map[string]Family, opts MergeOptions) m
 	case "counter", "histogram":
 		return ruleSum
 	case "gauge":
-		if opts.MinGauges[fam] {
-			return ruleMin
-		}
 		return ruleMax
 	}
 	// Untyped: fall back on naming conventions.
@@ -167,9 +156,6 @@ func mergeRuleFor(fam, name string, fams map[string]Family, opts MergeOptions) m
 	case strings.HasSuffix(name, "_total"), strings.HasSuffix(name, "_bucket"),
 		strings.HasSuffix(name, "_sum"), strings.HasSuffix(name, "_count"):
 		return ruleSum
-	}
-	if opts.MinGauges[fam] {
-		return ruleMin
 	}
 	return ruleMax
 }
@@ -198,11 +184,27 @@ func canonLabels(labels map[string]string) string {
 	return b.String()
 }
 
-// WriteText renders the scrape back to text exposition format 0.0.4:
-// families in sorted name order with their HELP/TYPE comments (when
-// known), series in sorted label order, histogram buckets by ascending
-// le. ParseScrape(RenderText()) reproduces the sample set exactly —
-// the round-trip contract the fuzz test holds the pair to.
+func escapeLabel(b *strings.Builder, v string) {
+	for i := 0; i < len(v); i++ {
+		switch v[i] {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteByte(v[i])
+		}
+	}
+}
+
+// WriteText renders the scrape in text exposition format 0.0.4, for a
+// registry's GET /metrics and the fleet's merged /cluster/metrics
+// alike: families in sorted name order with their HELP/TYPE comments
+// (when known), series in sorted label order (labels by key), histogram
+// buckets by ascending le. Parsing the output reproduces the sample set
+// exactly — the round-trip contract the fuzz test holds the pair to.
 func (s *Scrape) WriteText(w io.Writer) error {
 	byFam := map[string][]Sample{}
 	var famOrder []string
@@ -286,8 +288,10 @@ func leValue(labels map[string]string) float64 {
 }
 
 // appendValue renders a sample value the way the exposition format
-// expects: shortest round-trippable float, with Inf and NaN spelled
-// +Inf/-Inf/NaN.
+// expects: an integral value below 2^53 as an integer (a count of
+// 1000000 reads 1000000, not 1e+06), anything else as the shortest
+// round-trippable float, with Inf and NaN spelled +Inf/-Inf/NaN.
+// Negative zero keeps its sign through the float path.
 func appendValue(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
@@ -296,6 +300,25 @@ func appendValue(b []byte, v float64) []byte {
 		return append(b, "-Inf"...)
 	case math.IsNaN(v):
 		return append(b, "NaN"...)
+	case v == math.Trunc(v) && math.Abs(v) < 1<<53 && !(v == 0 && math.Signbit(v)):
+		return strconv.AppendInt(b, int64(v), 10)
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// appendEscapedHelp renders HELP text with exposition-format escaping
+// (`\\` and `\n`) — a newline in a help string must not fabricate a
+// sample line.
+func appendEscapedHelp(b []byte, help string) []byte {
+	for i := 0; i < len(help); i++ {
+		switch help[i] {
+		case '\\':
+			b = append(b, `\\`...)
+		case '\n':
+			b = append(b, `\n`...)
+		default:
+			b = append(b, help[i])
+		}
+	}
+	return b
 }

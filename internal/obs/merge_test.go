@@ -33,7 +33,7 @@ func TestParseScrapeFamilies(t *testing.T) {
 	// Registry output carries its own families through the parser.
 	reg := NewRegistry()
 	reg.Counter("x_total", "with\nnewline and back\\slash").Add(1)
-	sc2, err := ParseScrape(reg.Render())
+	sc2, err := ParseScrape(reg.Snapshot().RenderText())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +90,9 @@ func memberText(lines ...string) *Scrape {
 }
 
 // TestMerge pins the aggregation rules: counters and histogram series
-// sum, gauges max (or min by option), PerMember families keep one
-// series per source, untyped names fall back to suffix conventions,
-// and every input member lands in cluster_member_up.
+// sum, gauges max, PerMember families keep one series per source,
+// untyped names fall back to suffix conventions, and every input member
+// lands in cluster_member_up.
 func TestMerge(t *testing.T) {
 	a := memberText(
 		`# TYPE serve_events_applied_total counter`,
@@ -183,19 +183,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-// TestMergeMinGauges: a gauge family listed in MinGauges takes the
-// fleet minimum.
-func TestMergeMinGauges(t *testing.T) {
-	a := memberText(`# TYPE floor_seq gauge`, `floor_seq 9`)
-	b := memberText(`# TYPE floor_seq gauge`, `floor_seq 4`)
-	merged := Merge([]MemberScrape{{"a", a}, {"b", b}}, MergeOptions{
-		MinGauges: map[string]bool{"floor_seq": true},
-	})
-	if v, ok := merged.Value("floor_seq", nil); !ok || v != 4 {
-		t.Fatalf("min gauge = %v,%v want 4", v, ok)
-	}
-}
-
 // canonSample renders one sample into a comparable identity string.
 func canonSample(s Sample) string {
 	val := "NaN"
@@ -224,6 +211,9 @@ func TestWriteTextRoundTrip(t *testing.T) {
 		`weird{path="other"} NaN`,
 		`edge +Inf`,
 		`edge2 -Inf`,
+		`big 1e+06`,
+		`negzero -0`,
+		`huge 9007199254740992`,
 		`# TYPE lat histogram`,
 		`lat_bucket{le="0.5"} 1`,
 		`lat_bucket{le="+Inf"} 3`,
@@ -251,6 +241,13 @@ func TestWriteTextRoundTrip(t *testing.T) {
 	if f := second.Families["weird"]; f.Help != `a help with `+"\n"+` escape and \ slash` {
 		t.Fatalf("help round trip: %q", f.Help)
 	}
+	// Integral values below 2^53 render as integers; negative zero and
+	// larger values keep the float form.
+	for _, line := range []string{"big 1000000", "negzero -0", "huge 9.007199254740992e+15"} {
+		if !strings.Contains("\n"+rendered, "\n"+line+"\n") {
+			t.Fatalf("rendered text lacks %q:\n%s", line, rendered)
+		}
+	}
 	// Rendering is a fixed point: render(parse(render(x))) == render(x).
 	if third := second.RenderText(); third != rendered {
 		t.Fatalf("render not idempotent:\n--- first ---\n%s--- second ---\n%s", rendered, third)
@@ -267,6 +264,13 @@ func FuzzScrapeRoundTrip(f *testing.F) {
 	f.Add("tab\t+Inf 123456\n")
 	f.Add("x{a=\"1\",a=\"2\"} 5\nx{a=\"2\"} 6\n")
 	f.Add("# HELP weird with \\n escape\n# TYPE weird gauge\nweird 0x1p-3\n")
+	reg := NewRegistry()
+	reg.Counter("serve_events_applied_total", "events applied", "session", "a").Add(1_000_000)
+	reg.FloatGauge("cluster_replication_lag_seconds", "lag", "follower", "n2").Set(0.25)
+	h := reg.Histogram("serve_apply_seconds", "apply latency", []float64{0.001, 0.01}, "session", "a")
+	h.Observe(0.0005)
+	h.Observe(5)
+	f.Add(reg.Snapshot().RenderText())
 	f.Fuzz(func(t *testing.T, text string) {
 		first, err := ParseScrape(text)
 		if err != nil {

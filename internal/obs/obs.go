@@ -1,8 +1,9 @@
 // Package obs is the repo's dependency-free observability core: atomic
 // counters, gauges, and fixed-bucket histograms with a lock-free
-// Observe; a registry that renders the Prometheus text exposition
-// format; a per-session event tracer (ring-buffered stage timestamps,
-// dumpable as JSON); a leveled structured logger; and readiness
+// Observe; a registry that snapshots them into samples, rendered in the
+// Prometheus text exposition format by the one writer the fleet merge
+// also uses; a per-session event tracer (ring-buffered stage
+// timestamps, dumpable as JSON); a log/slog constructor; and readiness
 // plumbing for /healthz///readyz.
 //
 // Two contracts shape the design:
@@ -25,7 +26,6 @@ package obs
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -129,65 +129,6 @@ type Histogram struct {
 	buckets []atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Uint64 // float64 bits
-	ex      exemplar
-}
-
-// ExemplarWindow bounds how long a worst-observation exemplar is kept:
-// an exemplar older than this is replaced by the next observation even
-// if smaller, so the linked trace stays recent enough to still be in a
-// flight-recorder ring.
-const ExemplarWindow = 5 * time.Minute
-
-// exemplar remembers the worst recent observation and the event seq
-// that produced it — the link from a histogram's tail to a fetchable
-// trace. The fast path (not a new worst, current exemplar fresh) is two
-// atomic loads; only a new worst or an expired window takes the mutex,
-// so Observe-with-exemplar keeps the zero-allocation lock-free-in-the-
-// common-case contract.
-type exemplar struct {
-	mu  sync.Mutex
-	val atomic.Uint64 // float64 bits of the retained observation
-	seq atomic.Int64
-	at  atomic.Int64 // unix ns when retained; 0 = never set
-}
-
-// ObserveExemplar is Observe plus exemplar upkeep: v is recorded in the
-// buckets and, if it is the worst recent observation, retained together
-// with the (session-scoped) seq that produced it.
-func (h *Histogram) ObserveExemplar(v float64, seq int64) {
-	if h == nil {
-		return
-	}
-	h.Observe(v)
-	now := time.Now().UnixNano()
-	at := h.ex.at.Load()
-	if at != 0 && v <= math.Float64frombits(h.ex.val.Load()) && now-at < int64(ExemplarWindow) {
-		return
-	}
-	h.ex.mu.Lock()
-	at = h.ex.at.Load()
-	if at == 0 || v > math.Float64frombits(h.ex.val.Load()) || now-at >= int64(ExemplarWindow) {
-		h.ex.val.Store(math.Float64bits(v))
-		h.ex.seq.Store(seq)
-		h.ex.at.Store(now)
-	}
-	h.ex.mu.Unlock()
-}
-
-// Exemplar returns the retained worst-recent observation, its seq, and
-// when it was retained; ok is false when nothing has been retained (or
-// h is nil).
-func (h *Histogram) Exemplar() (v float64, seq int64, atUnixNs int64, ok bool) {
-	if h == nil {
-		return 0, 0, 0, false
-	}
-	h.ex.mu.Lock()
-	defer h.ex.mu.Unlock()
-	at := h.ex.at.Load()
-	if at == 0 {
-		return 0, 0, 0, false
-	}
-	return math.Float64frombits(h.ex.val.Load()), h.ex.seq.Load(), at, true
 }
 
 // NewHistogram builds an unregistered histogram over the given bounds

@@ -1,7 +1,13 @@
 package obs
 
 import (
+	"log/slog"
+	"maps"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -33,8 +39,8 @@ func TestNilReceivers(t *testing.T) {
 	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
 		t.Fatal("nil registry handed out a metric")
 	}
-	if r.Render() != "" {
-		t.Fatal("nil registry rendered output")
+	if sc := r.Snapshot(); len(sc.Samples) != 0 || len(sc.Families) != 0 {
+		t.Fatal("nil registry snapshot is not empty")
 	}
 	var tr *Tracer
 	tr.Record(1, StageApply)
@@ -49,8 +55,6 @@ func TestNilReceivers(t *testing.T) {
 	if hub.Tracer("s") != nil {
 		t.Fatal("nil hub handed out a tracer")
 	}
-	var l *Logger
-	l.Error("nothing", "k", "v")
 	var hl *Health
 	hl.Set(true, "")
 	if ok, _ := hl.Ready(); ok {
@@ -59,7 +63,7 @@ func TestNilReceivers(t *testing.T) {
 }
 
 // TestConcurrentExactTotals hammers a counter, gauge, and histogram
-// from N writers while a scraper renders continuously, then checks the
+// from N writers while a scraper snapshots continuously, then checks the
 // totals are exact — run under -race this is the data-race proof for
 // the lock-free update paths.
 func TestConcurrentExactTotals(t *testing.T) {
@@ -80,7 +84,7 @@ func TestConcurrentExactTotals(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				reg.Render()
+				reg.Snapshot()
 			}
 		}
 	}()
@@ -127,9 +131,9 @@ func TestConcurrentExactTotals(t *testing.T) {
 	}
 }
 
-// TestPrometheusGolden pins the exact exposition output for a small
-// fixed registry: sorted families, sorted children, cumulative buckets,
-// +Inf, _sum, _count.
+// TestPrometheusGolden pins the exact GET /metrics body for a small
+// fixed registry: sorted families, sorted children, labels in sorted
+// key order, cumulative buckets by ascending le, +Inf, _count, _sum.
 func TestPrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("serve_events_applied_total", "events applied", "session", "a").Add(7)
@@ -147,17 +151,17 @@ func TestPrometheusGolden(t *testing.T) {
 		`cluster_members_alive 3`,
 		`# HELP serve_apply_seconds apply latency`,
 		`# TYPE serve_apply_seconds histogram`,
-		`serve_apply_seconds_bucket{session="a",le="0.001"} 2`,
-		`serve_apply_seconds_bucket{session="a",le="0.01"} 3`,
-		`serve_apply_seconds_bucket{session="a",le="+Inf"} 4`,
-		`serve_apply_seconds_sum{session="a"} 5.006`,
+		`serve_apply_seconds_bucket{le="0.001",session="a"} 2`,
+		`serve_apply_seconds_bucket{le="0.01",session="a"} 3`,
+		`serve_apply_seconds_bucket{le="+Inf",session="a"} 4`,
 		`serve_apply_seconds_count{session="a"} 4`,
+		`serve_apply_seconds_sum{session="a"} 5.006`,
 		`# HELP serve_events_applied_total events applied`,
 		`# TYPE serve_events_applied_total counter`,
 		`serve_events_applied_total{session="a"} 7`,
 		`serve_events_applied_total{session="b"} 3`,
 	}, "\n") + "\n"
-	if got := reg.Render(); got != want {
+	if got := metricsBody(t, reg); got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
@@ -196,19 +200,46 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// metricsBody is the registry's GET /metrics response body.
+func metricsBody(t *testing.T, reg *Registry) string {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", rr.Code)
+	}
+	return rr.Body.String()
+}
+
+// TestScrapeRoundTrip: parsing the GET /metrics body gives back the
+// registry's Snapshot sample for sample, families included, and the
+// scrape's Value/Sum/Quantile read it.
 func TestScrapeRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", "a", "session", "x", "follower", "n2").Add(11)
+	reg.Counter("big_total", "b").Add(1_000_000)
 	reg.Gauge("b_depth", "b").Set(-3)
+	reg.FloatGauge("lag_seconds", "l", "follower", "n2").Set(0.125)
 	h := reg.Histogram("c_seconds", "c", []float64{0.5, 1}, "session", "x")
 	h.Observe(0.25)
 	h.Observe(0.75)
 	h.Observe(0.75)
 	h.Observe(3)
 
-	sc, err := ParseScrape(reg.Render())
+	body := metricsBody(t, reg)
+	if !strings.Contains(body, "\nbig_total 1000000\n") {
+		t.Fatalf("integral value not rendered as an integer:\n%s", body)
+	}
+	sc, err := ParseScrape(body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got, want := sampleSet(sc), sampleSet(snap); !slices.Equal(got, want) {
+		t.Fatalf("parsed /metrics differs from Snapshot:\n got %q\nwant %q", got, want)
+	}
+	if !maps.Equal(sc.Families, snap.Families) {
+		t.Fatalf("parsed families %v, snapshot families %v", sc.Families, snap.Families)
 	}
 	if v, ok := sc.Value("a_total", map[string]string{"session": "x", "follower": "n2"}); !ok || v != 11 {
 		t.Fatalf("a_total = %v,%v", v, ok)
@@ -262,23 +293,17 @@ func TestTracerRing(t *testing.T) {
 	}
 }
 
+// TestLoggerLevelsAndFormat: NewLogger drops records below its level
+// and writes slog text lines, quoting values that need it.
 func TestLoggerLevelsAndFormat(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LevelWarn)
-	l.now = func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) }
+	l := NewLogger(&sb, slog.LevelWarn)
 	l.Debug("hidden")
 	l.Info("hidden too")
 	l.Error("ship failed", "component", "cluster", "session", "alpha", "err", "boom: connection refused")
-	got := sb.String()
-	want := `ts=2026-08-08T12:00:00.000Z level=error msg="ship failed" component=cluster session=alpha err="boom: connection refused"` + "\n"
-	if got != want {
-		t.Fatalf("log line:\n got %q\nwant %q", got, want)
-	}
-	if _, err := ParseLevel("nope"); err == nil {
-		t.Fatal("ParseLevel accepted garbage")
-	}
-	if lv, err := ParseLevel("WARN"); err != nil || lv != LevelWarn {
-		t.Fatalf("ParseLevel(WARN) = %v, %v", lv, err)
+	want := regexp.MustCompile(`^time=\S+ level=ERROR msg="ship failed" component=cluster session=alpha err="boom: connection refused"\n$`)
+	if got := sb.String(); !want.MatchString(got) {
+		t.Fatalf("log output %q does not match %v", got, want)
 	}
 }
 
@@ -289,12 +314,14 @@ func TestMetricUpdateZeroAlloc(t *testing.T) {
 	c := reg.Counter("z_total", "z")
 	g := reg.Gauge("z_depth", "z")
 	h := reg.Histogram("z_seconds", "z", nil)
-	tr := NewTracer(64)
+	hub := NewTraceHub(64)
+	tr := hub.Tracer("s")
 	if n := testing.AllocsPerRun(500, func() {
 		c.Inc()
 		g.Set(7)
 		h.Observe(0.001)
 		tr.Record(1, StageApply)
+		hub.NoteSlow("s", 1, int64(time.Millisecond)) // under the threshold, as almost every apply
 	}); n != 0 {
 		t.Fatalf("metric updates allocated %v per op, want 0", n)
 	}

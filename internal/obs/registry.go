@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -45,14 +43,13 @@ func (t metricType) String() string {
 }
 
 type family struct {
-	name     string
 	help     string
 	typ      metricType
-	children map[string]*child // keyed by rendered label string
+	children map[string]*child // keyed by canonLabels
 }
 
 type child struct {
-	labels string // `a="b",c="d"` (no braces) or ""
+	labels map[string]string
 	c      *Counter
 	g      *Gauge
 	gf     *FloatGauge
@@ -64,56 +61,25 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// labelString renders variadic k,v pairs as `k="v",...` with Prometheus
-// label-value escaping. Pairs must come in key, value order; a trailing
-// odd key is ignored.
-func labelString(labels []string) string {
-	if len(labels) < 2 {
-		return ""
-	}
-	var b strings.Builder
-	for i := 0; i+1 < len(labels); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		escapeLabel(&b, labels[i+1])
-		b.WriteByte('"')
-	}
-	return b.String()
-}
-
-func escapeLabel(b *strings.Builder, v string) {
-	for i := 0; i < len(v); i++ {
-		switch v[i] {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(v[i])
-		}
-	}
-}
-
 func (r *Registry) child(name, help string, typ metricType, bounds []float64, labels []string) *child {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, typ: typ, children: make(map[string]*child)}
+		f = &family{help: help, typ: typ, children: make(map[string]*child)}
 		r.families[name] = f
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.typ, typ))
 	}
-	key := labelString(labels)
+	m := make(map[string]string, len(labels)/2)
+	for i := 0; i+1 < len(labels); i += 2 {
+		m[labels[i]] = labels[i+1]
+	}
+	key := canonLabels(m)
 	ch := f.children[key]
 	if ch == nil {
-		ch = &child{labels: key}
+		ch = &child{labels: m}
 		switch typ {
 		case typeCounter:
 			ch.c = &Counter{}
@@ -165,213 +131,56 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	return r.child(name, help, typeHistogram, bounds, labels).h
 }
 
-// WritePrometheus renders every registered metric in the Prometheus
-// text exposition format (version 0.0.4), families and children in
-// sorted order so the output is golden-testable.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// Snapshot reads every registered metric into a Scrape, families and
+// series in sorted order: the sample set ParseScrape reads back from
+// Handler's exposition, without the text in between. The samples own
+// their label maps. A nil registry snapshots to an empty Scrape.
+func (r *Registry) Snapshot() *Scrape {
+	s := &Scrape{Families: map[string]Family{}}
 	if r == nil {
-		return nil
+		return s
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type flatChild struct {
-		labels string
-		c      *Counter
-		g      *Gauge
-		gf     *FloatGauge
-		h      *Histogram
-	}
-	type flatFamily struct {
-		name, help string
-		typ        metricType
-		children   []flatChild
-	}
-	fams := make([]flatFamily, 0, len(names))
-	for _, name := range names {
+	defer r.mu.Unlock()
+	for _, name := range slices.Sorted(maps.Keys(r.families)) {
 		f := r.families[name]
-		ff := flatFamily{name: f.name, help: f.help, typ: f.typ}
-		keys := make([]string, 0, len(f.children))
-		for k := range f.children {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			ch := f.children[k]
-			ff.children = append(ff.children, flatChild{labels: ch.labels, c: ch.c, g: ch.g, gf: ch.gf, h: ch.h})
-		}
-		fams = append(fams, ff)
-	}
-	r.mu.Unlock()
-
-	var b []byte
-	for _, f := range fams {
-		b = append(b, "# HELP "...)
-		b = append(b, f.name...)
-		b = append(b, ' ')
-		b = appendEscapedHelp(b, f.help)
-		b = append(b, "\n# TYPE "...)
-		b = append(b, f.name...)
-		b = append(b, ' ')
-		b = append(b, f.typ.String()...)
-		b = append(b, '\n')
-		for _, ch := range f.children {
+		s.Families[name] = Family{Help: f.help, Type: f.typ.String()}
+		for _, key := range slices.Sorted(maps.Keys(f.children)) {
+			ch := f.children[key]
 			switch f.typ {
 			case typeCounter:
-				b = appendSample(b, f.name, "", ch.labels, "", float64(ch.c.Value()), true)
+				s.add(name, ch.labels, "", float64(ch.c.Value()))
 			case typeGauge:
-				b = appendSample(b, f.name, "", ch.labels, "", float64(ch.g.Value()), true)
+				s.add(name, ch.labels, "", float64(ch.g.Value()))
 			case typeFloatGauge:
-				b = appendSample(b, f.name, "", ch.labels, "", ch.gf.Value(), false)
+				s.add(name, ch.labels, "", ch.gf.Value())
 			case typeHistogram:
 				cum := int64(0)
 				for i := range ch.h.buckets {
 					cum += ch.h.buckets[i].Load()
 					le := "+Inf"
 					if i < len(ch.h.bounds) {
-						le = formatFloat(ch.h.bounds[i])
+						le = strconv.FormatFloat(ch.h.bounds[i], 'g', -1, 64)
 					}
-					b = appendSample(b, f.name, "_bucket", ch.labels, le, float64(cum), true)
+					s.add(name+"_bucket", ch.labels, le, float64(cum))
 				}
-				b = appendSample(b, f.name, "_sum", ch.labels, "", ch.h.Sum(), false)
-				b = appendSample(b, f.name, "_count", ch.labels, "", float64(ch.h.Count()), true)
+				s.add(name+"_sum", ch.labels, "", ch.h.Sum())
+				s.add(name+"_count", ch.labels, "", float64(ch.h.Count()))
 			}
 		}
 	}
-	_, err := w.Write(b)
-	return err
+	return s
 }
 
-// appendSample renders one sample line. le != "" appends an le label;
-// integer=true renders the value without a fractional part.
-func appendSample(b []byte, name, suffix, labels, le string, v float64, integer bool) []byte {
-	b = append(b, name...)
-	b = append(b, suffix...)
-	if labels != "" || le != "" {
-		b = append(b, '{')
-		b = append(b, labels...)
-		if le != "" {
-			if labels != "" {
-				b = append(b, ',')
-			}
-			b = append(b, `le="`...)
-			b = append(b, le...)
-			b = append(b, '"')
-		}
-		b = append(b, '}')
+// add appends one sample under a copy of labels, plus an le label when
+// le is set.
+func (s *Scrape) add(name string, labels map[string]string, le string, v float64) {
+	l := make(map[string]string, len(labels)+1)
+	maps.Copy(l, labels)
+	if le != "" {
+		l["le"] = le
 	}
-	b = append(b, ' ')
-	if integer && v == float64(int64(v)) {
-		b = strconv.AppendInt(b, int64(v), 10)
-	} else {
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
-	}
-	b = append(b, '\n')
-	return b
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// appendEscapedHelp renders HELP text with exposition-format escaping
-// (`\\` and `\n`) — a newline in a help string must not fabricate a
-// sample line.
-func appendEscapedHelp(b []byte, help string) []byte {
-	for i := 0; i < len(help); i++ {
-		switch help[i] {
-		case '\\':
-			b = append(b, `\\`...)
-		case '\n':
-			b = append(b, `\n`...)
-		default:
-			b = append(b, help[i])
-		}
-	}
-	return b
-}
-
-// HistogramExemplar is one histogram series' retained worst-recent
-// observation — the JSON shape of GET /debug/exemplars. Labels is the
-// series' rendered label string (`session="x"`), so a p99 spotted on
-// /metrics resolves to the (session, seq) whose timeline
-// /cluster/trace/{session}?since_seq={seq} fetches.
-type HistogramExemplar struct {
-	Family string  `json:"family"`
-	Labels string  `json:"labels,omitempty"`
-	Value  float64 `json:"value"`
-	Seq    int64   `json:"seq"`
-	At     int64   `json:"at_unix_ns"`
-}
-
-// Exemplars collects every histogram series' retained exemplar, sorted
-// by (family, labels). Series that never retained one are omitted.
-func (r *Registry) Exemplars() []HistogramExemplar {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	var hs []struct {
-		family, labels string
-		h              *Histogram
-	}
-	for name, f := range r.families {
-		if f.typ != typeHistogram {
-			continue
-		}
-		for _, ch := range f.children {
-			hs = append(hs, struct {
-				family, labels string
-				h              *Histogram
-			}{name, ch.labels, ch.h})
-		}
-	}
-	r.mu.Unlock()
-	var out []HistogramExemplar
-	for _, e := range hs {
-		if v, seq, at, ok := e.h.Exemplar(); ok {
-			out = append(out, HistogramExemplar{Family: e.family, Labels: e.labels, Value: v, Seq: seq, At: at})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Family != out[j].Family {
-			return out[i].Family < out[j].Family
-		}
-		return out[i].Labels < out[j].Labels
-	})
-	return out
-}
-
-// ExemplarHandler serves GET /debug/exemplars: the retained worst-recent
-// observation of every histogram series, as JSON. A nil registry serves
-// an empty list.
-func (r *Registry) ExemplarHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		ex := r.Exemplars()
-		if ex == nil {
-			ex = []HistogramExemplar{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(ex)
-	})
-}
-
-// Render returns the full exposition as a string (handy for in-process
-// scraping — the load generator's report path).
-func (r *Registry) Render() string {
-	if r == nil {
-		return ""
-	}
-	var sb strings.Builder
-	r.WritePrometheus(&sb)
-	return sb.String()
+	s.Samples = append(s.Samples, Sample{Name: name, Labels: l, Value: v})
 }
 
 // Handler returns the GET /metrics handler for this registry. A nil
@@ -383,6 +192,6 @@ func (r *Registry) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
+		r.Snapshot().WriteText(w)
 	})
 }

@@ -23,17 +23,17 @@ type Family struct {
 	Type string
 }
 
-// Scrape is a parsed Prometheus text exposition — what a load
-// generator gets back from GET /metrics (or Registry.Render) and folds
-// into its report. Families carries the HELP/TYPE metadata keyed by
-// family name; histogram `_bucket`/`_sum`/`_count` samples belong to
-// the family named by their base.
+// Scrape is a Prometheus sample set: a parsed text exposition (what a
+// client gets back from GET /metrics) or a Registry.Snapshot. Families
+// carries the HELP/TYPE metadata keyed by family name; histogram
+// `_bucket`/`_sum`/`_count` samples belong to the family named by
+// their base.
 type Scrape struct {
 	Samples  []Sample
 	Families map[string]Family
 }
 
-// ParseScrape parses the text exposition format the Registry renders.
+// ParseScrape parses the text exposition format WriteText renders.
 // `# HELP` and `# TYPE` comments populate Families; other comments are
 // skipped and optional trailing timestamps ignored.
 func ParseScrape(text string) (*Scrape, error) {

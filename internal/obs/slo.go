@@ -116,10 +116,7 @@ func (s *SLO) Tick(now time.Time) {
 	if s == nil {
 		return
 	}
-	scrape, err := ParseScrape(s.reg.Render())
-	if err != nil {
-		return
-	}
+	scrape := s.reg.Snapshot()
 	s.mu.Lock()
 	snap := sloSnap{
 		at:    now,

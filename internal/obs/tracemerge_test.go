@@ -273,47 +273,6 @@ func TestSlowRing(t *testing.T) {
 	}
 }
 
-// TestHistogramExemplar: the worst recent observation and its seq are
-// retained, smaller ones are not, and the registry surfaces them at
-// /debug/exemplars keyed by family and label set.
-func TestHistogramExemplar(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("apply_seconds", "t", nil, "session", "s")
-	if _, _, _, ok := h.Exemplar(); ok {
-		t.Fatal("fresh histogram claims an exemplar")
-	}
-	h.ObserveExemplar(0.010, 7)
-	h.ObserveExemplar(0.250, 42) // new worst
-	h.ObserveExemplar(0.100, 99) // smaller: not retained
-	v, seq, at, ok := h.Exemplar()
-	if !ok || v != 0.250 || seq != 42 || at == 0 {
-		t.Fatalf("exemplar (%v, %d, %d, %v), want (0.25, 42, >0, true)", v, seq, at, ok)
-	}
-	if h.Count() != 3 {
-		t.Fatalf("ObserveExemplar must still observe: count %d", h.Count())
-	}
-
-	// A second series with no exemplar yet stays omitted.
-	reg.Histogram("apply_seconds", "t", nil, "session", "idle")
-	ex := reg.Exemplars()
-	if len(ex) != 1 || ex[0].Seq != 42 || ex[0].Labels != `session="s"` {
-		t.Fatalf("registry exemplars: %+v", ex)
-	}
-	rr := httptest.NewRecorder()
-	reg.ExemplarHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/exemplars", nil))
-	var out []HistogramExemplar
-	if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil || len(out) != 1 || out[0].Family != "apply_seconds" {
-		t.Fatalf("exemplar endpoint: err %v body %s", err, rr.Body.String())
-	}
-
-	// Nil receivers stay no-ops.
-	var nh *Histogram
-	nh.ObserveExemplar(1, 1)
-	if _, _, _, ok := nh.Exemplar(); ok {
-		t.Fatal("nil histogram claims an exemplar")
-	}
-}
-
 // FuzzTraceJSONRoundTrip: whatever a tracer records, WriteJSON emits
 // parseable JSON and ParseTrace reads back exactly the entries Entries
 // reports — the contract the fleet collector depends on.

@@ -48,7 +48,6 @@ type sessionObs struct {
 	applyLat      *obs.Histogram // serve_apply_seconds
 	viewSeq       *obs.Gauge     // serve_view_seq
 	viewPublishes *obs.Counter   // serve_view_publishes_total
-	viewAge       *obs.Histogram // serve_view_publish_age_seconds
 	watchers      *obs.Gauge     // serve_watchers
 	watchDrops    *obs.Counter   // serve_watch_disconnects_total
 	tracer        *obs.Tracer
@@ -69,7 +68,6 @@ func (m *Metrics) forSession(id string) sessionObs {
 		so.applyLat = r.Histogram("serve_apply_seconds", "latency of one event through the backend, WAL append included", nil, "session", id)
 		so.viewSeq = r.Gauge("serve_view_seq", "sequence number of the newest published read view", "session", id)
 		so.viewPublishes = r.Counter("serve_view_publishes_total", "read-view publications", "session", id)
-		so.viewAge = r.Histogram("serve_view_publish_age_seconds", "age of the oldest applied-but-unpublished event at view publish", nil, "session", id)
 		so.watchers = r.Gauge("serve_watchers", "live Watch subscribers", "session", id)
 		so.watchDrops = r.Counter("serve_watch_disconnects_total", "Watch subscribers disconnected for lagging", "session", id)
 	}

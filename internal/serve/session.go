@@ -625,10 +625,9 @@ func (s *Session) applyEngine(ev strategy.Event, logIt bool) error {
 		if logIt {
 			s.obs.applied.Inc()
 		}
-		s.obs.applyLat.ObserveExemplar(el.Seconds(), int64(s.seq))
+		s.obs.applyLat.Observe(el.Seconds())
 		s.obs.viewSeq.Set(int64(s.seq))
 		s.obs.viewPublishes.Inc()
-		s.obs.viewAge.Observe(el.Seconds())
 		st := obs.StageApply
 		if s.obs.follower {
 			st = obs.StageFollowerApply

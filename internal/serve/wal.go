@@ -407,9 +407,7 @@ func (w *wal) sync() error {
 	err := w.f.Sync()
 	if err == nil {
 		w.obs.fsyncs.Inc()
-		if w.obs.fsyncLat != nil {
-			w.obs.fsyncLat.ObserveExemplar(time.Since(t0).Seconds(), int64(w.seq))
-		}
+		w.obs.fsyncLat.ObserveSince(t0)
 		st := obs.StageFsync
 		if w.obs.follower {
 			st = obs.StageFollowerFsync
